@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .beam import SpringSpec
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
+from .pipeline import FEATURE_WIDTH
 
 BUILTIN_PROFILE_TABLES = ("default", "smoke")
 
@@ -64,6 +65,11 @@ class ExperimentConfig:
             raise ConfigError("durations must be positive")
         if self.sample_rate_hz <= 0.0:
             raise ConfigError("sample_rate_hz must be positive")
+        if round(self.window_s * self.sample_rate_hz) != FEATURE_WIDTH:
+            raise ConfigError(
+                f"window_s * sample_rate_hz must be {FEATURE_WIDTH} samples, the "
+                f"network's input width; got {self.window_s} s * "
+                f"{self.sample_rate_hz} Hz")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:

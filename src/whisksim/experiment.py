@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
 
@@ -130,6 +131,44 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
+_worker_task = None   # (fn, items) inside a forked _ordered_map worker
+
+
+def _install_task(fn, items) -> None:
+    global _worker_task
+    _worker_task = fn, items
+
+
+def _run_task(index: int):
+    fn, items = _worker_task
+    return fn(items[index])
+
+
+def _ordered_map(fn, items: list) -> list:
+    """[fn(item) for item in items], one forked worker process per CPU.
+
+    Fork hands every worker fn and items, with the dataset they hold, without
+    pickling them: only indices and results cross between processes, and
+    the workers share the parent's memory pages. Results keep input order,
+    so reports do not depend on the worker count. If items fail, the
+    exception of the first one in input order is raised, as the plain loop
+    would, and the pool is terminated. Where fork is not available
+    (Windows), the plain loop runs instead.
+    """
+    import multiprocessing   # here, so that importing whisksim stays cheap
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    context = multiprocessing.get_context("fork")
+    with context.Pool(min(len(items), cpus), initializer=_install_task,
+                      initargs=(fn, items)) as pool:
+        # imap yields in order, so the first failure it meets is the
+        # lowest-index one; leaving the with block terminates the rest
+        return list(pool.imap(_run_task, range(len(items))))
+
+
 def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
                      seed_scope: tuple) -> dict:
     split_seed = child_seed(cfg.master_seed, *seed_scope, "split")
@@ -157,9 +196,8 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = resolve_profiles(cfg)
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
-    reps = []
-    for r in range(cfg.repetitions):
-        reps.append(_train_eval_once(cfg, dataset, ("train-eval", r)))
+    reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
+                        [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])
     per_class = np.array([r["per_class_accuracy"] for r in reps])
     confusion = np.array([r["confusion"] for r in reps], dtype=float)
@@ -196,23 +234,27 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
     return bins
 
 
+def _speed_point(cfg: ExperimentConfig, profiles: dict, speed: float) -> dict:
+    """Synthesize, train and evaluate at one speed, plus its noise-free bins."""
+    scope = ("speed-sweep", repr(speed))
+    dataset = build_labeled_dataset(cfg, speed, profiles, scope)
+    result = _train_eval_once(cfg, dataset, scope)
+    return {
+        "speed_m_s": speed,
+        "overall_accuracy": result["overall_accuracy"],
+        "per_class_accuracy": result["per_class_accuracy"],
+        "dominant_bin_hz": _noiseless_dominant_bins(cfg, speed, profiles),
+        "seeds": result["seeds"],
+    }
+
+
 def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Synth + train + evaluate at each configured speed (ascending order)."""
     if len(cfg.speeds_m_s) < 2:
         raise PhysicsError("speed sweep needs at least 2 speeds")
     profiles = resolve_profiles(cfg)
-    per_speed = []
-    for speed in sorted(cfg.speeds_m_s):
-        scope = ("speed-sweep", repr(speed))
-        dataset = build_labeled_dataset(cfg, speed, profiles, scope)
-        result = _train_eval_once(cfg, dataset, scope)
-        per_speed.append({
-            "speed_m_s": speed,
-            "overall_accuracy": result["overall_accuracy"],
-            "per_class_accuracy": result["per_class_accuracy"],
-            "dominant_bin_hz": _noiseless_dominant_bins(cfg, speed, profiles),
-            "seeds": result["seeds"],
-        })
+    per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
+                             sorted(cfg.speeds_m_s))
     report = {
         "config": cfg.to_dict(),
         "speeds_m_s": [s["speed_m_s"] for s in per_speed],

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import BeamSpec, Excitation, TimeSeries, displacement_series, steady_state_offset
-from .errors import PhysicsError
+from .errors import ConfigError, PhysicsError
 
 
 class TerrainClass(enum.IntEnum):
@@ -256,12 +256,17 @@ def profiles_from_json(text: str) -> dict[TerrainClass, SpectralProfile]:
     except json.JSONDecodeError as exc:
         raise PhysicsError(f"invalid profile JSON: {exc}") from exc
     table = {}
-    for entry in entries:
-        terrain = TerrainClass.from_label(entry["terrain"])
-        comps = tuple(
-            SpectralComponent(c["lambda_m"], c["h_m"], c.get("jitter_rad", 0.0))
-            for c in entry["components"])
-        table[terrain] = SpectralProfile(comps, entry.get("noise_floor_m", 0.0))
+    try:
+        for entry in entries:
+            terrain = TerrainClass.from_label(entry["terrain"])
+            comps = tuple(
+                SpectralComponent(c["lambda_m"], c["h_m"], c.get("jitter_rad", 0.0))
+                for c in entry["components"])
+            table[terrain] = SpectralProfile(comps, entry.get("noise_floor_m", 0.0))
+    except KeyError as exc:
+        raise PhysicsError(f"profile entry is missing key {exc}") from exc
+    except TypeError as exc:
+        raise PhysicsError(f"malformed profile JSON: {exc}") from exc
     if not table:
         raise PhysicsError("profile JSON contains no terrains")
     return table
@@ -273,5 +278,13 @@ def save_profiles(table: dict[TerrainClass, SpectralProfile], path) -> None:
 
 
 def load_profiles(path) -> dict[TerrainClass, SpectralProfile]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profiles_from_json(fh.read())
+    """Profile table from a JSON file; a missing or invalid file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read profile file {path}: {exc}") from exc
+    try:
+        return profiles_from_json(text)
+    except PhysicsError as exc:
+        raise ConfigError(f"invalid profile file {path}: {exc}") from exc

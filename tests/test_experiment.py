@@ -2,15 +2,31 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from whisksim import ConfigError, MlpArchitecture, TrainConfig, init, train
+import whisksim
+from whisksim import (
+    ConfigError,
+    MlpArchitecture,
+    TrainConfig,
+    TrainingDivergedError,
+    init,
+    train,
+)
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.experiment import (
+    _noiseless_dominant_bins,
+    _ordered_map,
+    _train_eval_once,
+    build_labeled_dataset,
     child_seed,
+    resolve_profiles,
     run_grad_check,
     run_speed_sweep,
     run_sweep,
@@ -195,6 +211,94 @@ class TestRunSpeedSweep:
             run_speed_sweep(cfg, tmp_path)
 
 
+def _fail_in_the_wrong_order(item):
+    if item == 1:
+        time.sleep(0.5)
+        raise ValueError("item 1")
+    if item == 3:
+        raise ValueError("item 3")
+    return item * item
+
+
+class TestWorkerPool:
+    def test_results_keep_input_order(self):
+        assert _ordered_map(lambda i: i * i, list(range(7))) == \
+            [i * i for i in range(7)]
+
+    def test_first_failure_in_input_order_is_raised(self):
+        # item 3 fails at once, item 1 only after it; a loop raises item 1's
+        with pytest.raises(ValueError, match="item 1"):
+            _ordered_map(_fail_in_the_wrong_order, [0, 1, 2, 3])
+
+    def test_train_eval_equals_serial_loop(self):
+        cfg = _tiny_config()
+        report = run_train_eval(cfg)
+        dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
+                                        resolve_profiles(cfg), ("synth",))
+        serial = [_train_eval_once(cfg, dataset, ("train-eval", r))
+                  for r in range(cfg.repetitions)]
+        assert report["repetitions"] == serial
+
+    def test_speed_sweep_equals_serial_loop(self):
+        cfg = _tiny_config(speeds_m_s=[0.25, 0.15], duration_s=8.0)
+        report = run_speed_sweep(cfg)
+        profiles = resolve_profiles(cfg)
+        for entry, speed in zip(report["per_speed"], [0.15, 0.25]):
+            scope = ("speed-sweep", repr(speed))
+            dataset = build_labeled_dataset(cfg, speed, profiles, scope)
+            serial = _train_eval_once(cfg, dataset, scope)
+            assert entry == {
+                "speed_m_s": speed,
+                "overall_accuracy": serial["overall_accuracy"],
+                "per_class_accuracy": serial["per_class_accuracy"],
+                "dominant_bin_hz": _noiseless_dominant_bins(cfg, speed, profiles),
+                "seeds": serial["seeds"],
+            }
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_reports_the_serial_loops_error(self, tmp_path, capsys):
+        overrides = {"train": {"learning_rate": 1e6, "epochs": 3},
+                     "repetitions": 2, "duration_s": 10}
+        cfg = config_from_dict(overrides)
+        dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
+                                        resolve_profiles(cfg), ("synth",))
+        with pytest.raises(TrainingDivergedError) as serial:
+            for r in range(cfg.repetitions):
+                _train_eval_once(cfg, dataset, ("train-eval", r))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(overrides))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 4
+        assert f"training diverged: {serial.value}\n" in capsys.readouterr().err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_env_after_import(**preset) -> dict:
+    """BLAS thread variables seen by a fresh interpreter after `import whisksim`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(whisksim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, os, whisksim; "
+            f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
+
+
+class TestBlasThreads:
+    def test_import_pins_one_thread(self):
+        assert _blas_env_after_import() == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+    def test_user_setting_wins(self):
+        env = _blas_env_after_import(OPENBLAS_NUM_THREADS="3")
+        assert env == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                       "MKL_NUM_THREADS": "1"}
+
+
 class TestRunGradCheck:
     def test_passes_on_default_architecture(self):
         report = run_grad_check(_tiny_config())
@@ -292,6 +396,28 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "train-eval"]) == 4
         assert "diverged" in capsys.readouterr().err
+
+    def test_window_rate_mismatch_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sample_rate_hz": 250}))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "synth"]) == 2
+        assert "window_s * sample_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "[{\"terrain\": \"flat\",",
+        "[{\"terrain\": \"flat\", \"noise_floor_m\": 0.0}]",
+    ], ids=["missing-file", "invalid-json", "missing-components"])
+    def test_bad_profile_file_is_config_error(self, tmp_path, capsys, content):
+        profiles = tmp_path / "profiles.json"
+        if content is not None:
+            profiles.write_text(content)
+        cfg = self._write_cfg(tmp_path, profiles=str(profiles))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 2
+        assert "profile file" in capsys.readouterr().err
 
     def test_empty_sweep_grid_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
