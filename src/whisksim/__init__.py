@@ -22,6 +22,7 @@ from .beam import (
     modal_angular_frequency,
     modal_sweep,
     spring_to_beam,
+    steady_state_gain,
     steady_state_offset,
     transient_time_constant,
 )
@@ -51,7 +52,6 @@ from .mlp import (
 from .pipeline import (
     FEATURE_WIDTH,
     Dataset,
-    FeatureVector,
     Spectrum,
     build_dataset,
     dominant_frequency,

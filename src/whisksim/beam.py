@@ -7,19 +7,34 @@ term is assembled from four factors:
 
     y(x, t) = sum_i -( forcing_i(t) * shape_i(x) * mix_i(t) ) / norm_i
 
-* forcing: drive amplitude/frequency scaling with an exponential decay
-  envelope at the damped modal rate,
+* forcing: drive scaling h_b * w_b^2 * sin(w_b t) times the decay envelope
+  exp(-zeta w_i t) at the damped modal rate,
 * shape:   clamped-free mode shape evaluated at x,
 * mix:     blend of the decaying transient oscillation at the damped modal
-  frequency and the persistent unit term,
+  frequency w_d = w_i sqrt(1 - zeta^2) and the persistent term
+  -sqrt(1 - zeta^2) exp(+zeta w_i t),
 * norm:    modal normalization constant (trigonometric combination of the
   mode root).
 
-The factors are evaluated exactly in this grouping so each one can be
-checked against an independent scalar reference; the only rearrangement is
-an analytic fold of the growing/decaying exponential pair once its argument
-would push intermediates past ~1e12 (the fold changes nothing algebraically,
-it only keeps floating point in range for long time horizons).
+The envelope cancels the growing exponential of the persistent term, so
+forcing * mix is evaluated in the folded form
+
+    sin(w_b t) * ( exp(-zeta w_i t) (zeta sin(w_d t) + s1z cos(w_d t)) - s1z )
+
+with s1z = sqrt(1 - zeta^2), which stays finite at every t because the
+decay factor is at most 1.
+
+After steady_state_offset (40 time constants of the slowest mode) the decay
+factor is below half a unit in the last place of s1z, and the response is
+exactly
+
+    y(x, t) = steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t)
+
+The modal frequencies drop out of this form: the steady response is a pure
+sinusoid at the drive frequency whose amplitude grows as f_b^2, with no
+resonance near the first mode (46.0 Hz for the default spring) or any
+other. displacement_series uses it for series that start at or after the
+offset, and the modal sum for series that start earlier.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
 """
@@ -35,9 +50,6 @@ from .errors import PhysicsError
 
 # First five roots of the clamped-free characteristic equation.
 CANTILEVER_MODE_CONSTANTS = (1.8751, 4.6941, 7.8548, 10.9955, 14.137)
-
-# Beyond exp(arg) ~ 1e12 the transient exponential pair is folded analytically.
-_EXP_GUARD = math.log(1e12)
 
 
 @dataclass(frozen=True)
@@ -200,19 +212,6 @@ def steady_state_offset(beam: BeamSpec) -> float:
     return 40.0 * transient_time_constant(beam)
 
 
-def _factor_forcing(beam: BeamSpec, exc: Excitation, mode_index: int,
-                    t: float) -> float:
-    """Drive scaling with decaying envelope (scalar, unfolded form)."""
-    d = beam.mode_constants[mode_index]
-    om = modal_angular_frequency(beam, mode_index)
-    wb = exc.angular_frequency
-    return (2.0 * beam.cross_section_m2 * exc.amplitude_m * beam.length_m ** 4
-            * wb ** 2 * beam.density_kg_m3
-            * math.exp(-beam.damping_ratio * om * t) * math.sin(wb * t)
-            * (math.cos(d) - 1.0) * (math.cosh(d) - 1.0)
-            * (math.cos(d) + math.cosh(d)))
-
-
 def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
     """Clamped-free mode shape at position x (scalar)."""
     d = beam.mode_constants[mode_index]
@@ -220,22 +219,6 @@ def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
     return (math.sinh(xi) - math.sin(xi)
             + (math.cos(xi) - math.cosh(xi))
             * (math.sin(d) + math.sinh(d)) / (math.cos(d) + math.cosh(d)))
-
-
-def _factor_mix(beam: BeamSpec, mode_index: int, t: float) -> float:
-    """Transient/persistent blend (scalar, unfolded form).
-
-    Contains a growing exponential that is cancelled by the decay envelope
-    in the forcing factor for the non-oscillatory term only; see
-    _modal_terms for the guarded fold.
-    """
-    zeta = beam.damping_ratio
-    s1z = math.sqrt(1.0 - zeta * zeta)
-    om = modal_angular_frequency(beam, mode_index)
-    arg_d = om * s1z * t
-    return (zeta * math.sin(arg_d)
-            - math.exp(zeta * om * t) * s1z
-            + math.cos(arg_d) * s1z)
 
 
 def _factor_norm(beam: BeamSpec, mode_index: int) -> float:
@@ -255,61 +238,59 @@ def _factor_norm(beam: BeamSpec, mode_index: int) -> float:
             * math.sqrt(1.0 - zeta * zeta) * combo)
 
 
-def _modal_terms(beam: BeamSpec, exc: Excitation, x: float,
-                 t: np.ndarray) -> np.ndarray:
-    """Per-mode displacement contributions, shape (5, len(t)).
-
-    Evaluates -(forcing * shape * mix) / norm per mode. Where the
-    exponential argument exceeds _EXP_GUARD the decay/growth pair is folded
-    analytically (exp(-a) * exp(+a) == 1) so neither factor overflows; the
-    folded expression is algebraically identical to the unfolded one.
-    """
-    zeta = beam.damping_ratio
-    s1z = math.sqrt(1.0 - zeta * zeta)
-    wb = exc.angular_frequency
-    base = (2.0 * beam.cross_section_m2 * exc.amplitude_m
-            * beam.length_m ** 4 * wb ** 2 * beam.density_kg_m3)
-    drive = np.sin(wb * t)
-    terms = np.empty((len(beam.mode_constants), t.size))
+def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
+    """Per mode, the factors of forcing * shape / norm that do not depend on
+    the drive or on t: 2 A L^4 rho trig(d) shape(x) / norm."""
+    if not 0.0 <= x <= beam.length_m:
+        raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
+    weights = []
     for i, d in enumerate(beam.mode_constants):
-        om = modal_angular_frequency(beam, i)
-        e_arg = zeta * om * t
-        arg_d = om * s1z * t
         trig_const = ((math.cos(d) - 1.0) * (math.cosh(d) - 1.0)
                       * (math.cos(d) + math.cosh(d)))
-        decay = np.exp(-e_arg)
-        safe = e_arg <= _EXP_GUARD
-        grow = np.exp(np.where(safe, e_arg, 0.0))
-        forcing = base * trig_const * decay * drive
-        mix = zeta * np.sin(arg_d) - grow * s1z + np.cos(arg_d) * s1z
-        folded = base * trig_const * drive * (
+        weights.append(2.0 * beam.cross_section_m2 * beam.length_m ** 4
+                       * beam.density_kg_m3 * trig_const
+                       * _factor_shape(beam, i, x) / _factor_norm(beam, i))
+    return weights
+
+
+def _modal_terms(beam: BeamSpec, exc: Excitation, x: float,
+                 t: np.ndarray) -> np.ndarray:
+    """Per-mode displacement contributions in the folded form, shape (5, len(t))."""
+    zeta = beam.damping_ratio
+    s1z = math.sqrt(1.0 - zeta * zeta)
+    drive_scale = exc.amplitude_m * exc.angular_frequency ** 2
+    drive = np.sin(exc.angular_frequency * t)
+    terms = np.empty((len(beam.mode_constants), t.size))
+    for i, weight in enumerate(_mode_weights(beam, x)):
+        om = modal_angular_frequency(beam, i)
+        arg_d = om * s1z * t
+        decay = np.exp(-zeta * om * t)
+        terms[i] = -(drive_scale * weight) * drive * (
             decay * (zeta * np.sin(arg_d) + s1z * np.cos(arg_d)) - s1z)
-        shape = _factor_shape(beam, i, x)
-        norm = _factor_norm(beam, i)
-        terms[i] = -(np.where(safe, forcing * mix, folded) * shape) / norm
     return terms
 
 
-def _check_position_time(beam: BeamSpec, x: float, t: np.ndarray) -> None:
-    if not 0.0 <= x <= beam.length_m:
-        raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
-    if np.any(t < 0.0):
-        raise PhysicsError("time must be >= 0")
+def steady_state_gain(beam: BeamSpec, x: float) -> float:
+    """Steady displacement amplitude at x per unit h_b * f_b^2, m / (m Hz^2).
 
-
-def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
-    """Beam lateral displacement at position x and time t, meters."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_position_time(beam, x, t_arr)
-    return float(_modal_terms(beam, exc, x, t_arr).sum(axis=0)[0])
+    For t >= steady_state_offset(beam) the response to Excitation(h_b, f_b)
+    is steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t).
+    """
+    s1z = math.sqrt(1.0 - beam.damping_ratio ** 2)
+    return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
 def displacement_modal_terms(beam: BeamSpec, exc: Excitation, x: float,
                              t: float) -> np.ndarray:
     """Per-mode contributions at (x, t); their sum equals displacement()."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_position_time(beam, x, t_arr)
-    return _modal_terms(beam, exc, x, t_arr)[:, 0]
+    if t < 0.0:
+        raise PhysicsError("time must be >= 0")
+    return _modal_terms(beam, exc, x, np.array([float(t)]))[:, 0]
+
+
+def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
+    """Beam lateral displacement at position x and time t, meters."""
+    return float(displacement_modal_terms(beam, exc, x, t).sum())
 
 
 def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
@@ -317,8 +298,10 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
                         t0_s: float = 0.0) -> TimeSeries:
     """Sample the sensor displacement on a uniform grid starting at t0_s.
 
-    t0_s lets callers skip the transient and sample the periodic regime.
-    The sample rate must resolve the drive: sample_rate_hz > 2 * f_b.
+    t0_s lets callers skip the transient and sample the periodic regime; a
+    series that starts at or after steady_state_offset(beam) is sampled from
+    the steady-state form, an earlier one from the modal sum. The sample
+    rate must resolve the drive: sample_rate_hz > 2 * f_b.
     """
     if duration_s <= 0.0:
         raise PhysicsError("duration_s must be positive")
@@ -332,8 +315,11 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
     if n < 1:
         raise PhysicsError("duration too short for one sample")
     t = t0_s + np.arange(n) / sample_rate_hz
-    _check_position_time(beam, sensor_position_m, t)
-    samples = _modal_terms(beam, exc, sensor_position_m, t).sum(axis=0)
+    if t0_s >= steady_state_offset(beam):
+        samples = (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
+                   * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t)
+    else:
+        samples = _modal_terms(beam, exc, sensor_position_m, t).sum(axis=0)
     return TimeSeries(samples, sample_rate_hz, t0_s)
 
 

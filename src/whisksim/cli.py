@@ -32,6 +32,11 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _accuracy_cell(acc, width: int) -> str:
+    """A per-class accuracy, or "-" for a class absent from the test set."""
+    return f"{acc:{width}.4f}" if acc is not None else "-".rjust(width)
+
+
 def _print_accuracy_table(report: dict) -> None:
     print(f"mean overall accuracy: {report['mean_overall_accuracy']:.4f} "
           f"(std {report['std_overall_accuracy']:.4f}, "
@@ -39,7 +44,7 @@ def _print_accuracy_table(report: dict) -> None:
     print("mean per-class accuracy:")
     from .terrain import TerrainClass
     for tc, acc in zip(TerrainClass, report["mean_per_class_accuracy"]):
-        print(f"  {tc.label:<11s} {acc:.4f}")
+        print(f"  {tc.label:<11s} {_accuracy_cell(acc, 6)}")
     print("mean confusion matrix (rows true, cols predicted):")
     for row in report["mean_confusion"]:
         print("  " + " ".join(f"{v:7.2f}" for v in row))
@@ -50,7 +55,7 @@ def _print_speed_table(report: dict) -> None:
     header = "speed   overall " + " ".join(f"{tc.label:>10s}" for tc in TerrainClass)
     print(header)
     for entry in report["per_speed"]:
-        cells = " ".join(f"{a:10.4f}" for a in entry["per_class_accuracy"])
+        cells = " ".join(_accuracy_cell(a, 10) for a in entry["per_class_accuracy"])
         print(f"{entry['speed_m_s']:<7.3g} {entry['overall_accuracy']:7.4f} {cells}")
 
 

@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError("sensor_position_m must be positive")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
+        if len(set(self.speeds_m_s)) != len(self.speeds_m_s):
+            raise ConfigError(f"speeds_m_s has duplicates: {list(self.speeds_m_s)}")
         if self.duration_s <= 0.0 or self.window_s <= 0.0:
             raise ConfigError("durations must be positive")
         if self.sample_rate_hz <= 0.0:
@@ -74,7 +76,8 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.master_seed < 0:
+        if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
+                or self.master_seed < 0):
             raise ConfigError("master_seed must be a non-negative integer")
 
     def to_dict(self) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from functools import partial
 
@@ -35,6 +36,17 @@ def resolve_profiles(cfg: ExperimentConfig) -> dict[TerrainClass, terrain.Spectr
     if cfg.profiles == "smoke":
         return terrain.smoke_profiles()
     return terrain.load_profiles(cfg.profiles)
+
+
+def _check_nyquist(cfg: ExperimentConfig, profiles: dict, speeds) -> None:
+    """Raise PhysicsError if any profile component at any of the speeds is
+    above the Nyquist limit of cfg.sample_rate_hz; called before synthesis."""
+    for speed in speeds:
+        for tc in sorted(profiles, key=int):
+            try:
+                terrain.temporal_components(profiles[tc], speed, cfg.sample_rate_hz)
+            except PhysicsError as exc:
+                raise PhysicsError(f"{tc.label} at {speed} m/s: {exc}") from exc
 
 
 def build_beam(cfg: ExperimentConfig) -> BeamSpec:
@@ -100,6 +112,7 @@ def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
 def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     """Write one dataset CSV per terrain plus a manifest with seeds and hashes."""
     profiles = resolve_profiles(cfg)
+    _check_nyquist(cfg, profiles, [cfg.speed_m_s])
     runs = synthesize_terrain_runs(cfg, cfg.speed_m_s, profiles, ("synth",))
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -169,6 +182,12 @@ def _ordered_map(fn, items: list) -> list:
         return list(pool.imap(_run_task, range(len(items))))
 
 
+def _report_accuracies(values) -> list:
+    """Per-class accuracies as report values: None for a class with no test
+    vectors, such as a terrain missing from a custom profile table."""
+    return [None if math.isnan(a) else float(a) for a in values]
+
+
 def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
                      seed_scope: tuple) -> dict:
     split_seed = child_seed(cfg.master_seed, *seed_scope, "split")
@@ -187,7 +206,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
         "initial_loss": history[0],
         "final_loss": history[-1],
         "overall_accuracy": matrix.overall_accuracy,
-        "per_class_accuracy": [float(a) for a in matrix.per_class_accuracy],
+        "per_class_accuracy": _report_accuracies(matrix.per_class_accuracy),
         "confusion": matrix.counts.tolist(),
     }
 
@@ -195,11 +214,12 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = resolve_profiles(cfg)
+    _check_nyquist(cfg, profiles, [cfg.speed_m_s])
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
                         [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])
-    per_class = np.array([r["per_class_accuracy"] for r in reps])
+    per_class = np.array([r["per_class_accuracy"] for r in reps], dtype=float)
     confusion = np.array([r["confusion"] for r in reps], dtype=float)
     report = {
         "config": cfg.to_dict(),
@@ -208,7 +228,7 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
         "repetitions": reps,
         "mean_overall_accuracy": float(overall.mean()),
         "std_overall_accuracy": float(overall.std()),
-        "mean_per_class_accuracy": [float(a) for a in per_class.mean(axis=0)],
+        "mean_per_class_accuracy": _report_accuracies(per_class.mean(axis=0)),
         "mean_confusion": confusion.mean(axis=0).tolist(),
     }
     if out_dir is not None:
@@ -228,7 +248,7 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
         series = terrain.synthesize_run(tc, run, beam, cfg.sensor_position_m,
                                         profile=clean)
         ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
-        spectrum = pipeline.Spectrum(ds.vectors[0].values,
+        spectrum = pipeline.Spectrum(ds.features()[0],
                                      cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
         bins[tc.label] = pipeline.dominant_frequency(spectrum)
     return bins
@@ -253,6 +273,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     if len(cfg.speeds_m_s) < 2:
         raise PhysicsError("speed sweep needs at least 2 speeds")
     profiles = resolve_profiles(cfg)
+    _check_nyquist(cfg, profiles, cfg.speeds_m_s)
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
                              sorted(cfg.speeds_m_s))
     report = {

@@ -90,7 +90,8 @@ class TrainConfig:
 
 @dataclass
 class ConfusionMatrix:
-    """True-class rows, predicted-class columns."""
+    """True-class rows, predicted-class columns; per_class_accuracy is NaN
+    for a class with no test vectors."""
 
     counts: np.ndarray
     per_class_accuracy: np.ndarray
@@ -102,7 +103,8 @@ class ConfusionMatrix:
         if counts.shape != (NUM_CLASSES, NUM_CLASSES):
             raise PhysicsError("confusion matrix must be 7x7")
         row_sums = counts.sum(axis=1)
-        per_class = np.where(row_sums > 0, np.diag(counts) / np.maximum(row_sums, 1), 0.0)
+        per_class = np.divide(np.diag(counts), row_sums,
+                              out=np.full(NUM_CLASSES, np.nan), where=row_sums > 0)
         total = counts.sum()
         overall = float(np.trace(counts) / total) if total else 0.0
         return cls(counts, per_class, overall)
@@ -236,13 +238,12 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
 
 def evaluate(model: MlpModel, test_set: Dataset) -> ConfusionMatrix:
     """Argmax predictions (ties to the lower class id) as a confusion matrix."""
-    if not test_set.vectors:
+    if len(test_set) == 0:
         raise PhysicsError("cannot evaluate an empty test set")
     probs = forward(model, test_set.features())
-    predictions = probs.argmax(axis=1) + 1  # argmax returns the first maximum
+    predictions = probs.argmax(axis=1)  # argmax returns the first maximum
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
-    for true, pred in zip(test_set.labels(), predictions):
-        counts[true - 1, pred - 1] += 1
+    np.add.at(counts, (test_set.labels() - 1, predictions), 1)
     return ConfusionMatrix.from_counts(counts)
 
 

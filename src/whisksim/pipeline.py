@@ -8,7 +8,7 @@ the terrain label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,40 +32,41 @@ class Spectrum:
             raise PhysicsError("bin_width_hz must be positive")
 
 
-@dataclass
-class FeatureVector:
-    """One standardized, FFT-transformed window with its terrain label."""
-
-    values: np.ndarray
-    label: TerrainClass
-    source_window: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (FEATURE_WIDTH,):
-            raise PhysicsError(
-                f"feature vector must have exactly {FEATURE_WIDTH} values")
-        if not np.isfinite(self.values).all():
-            raise PhysicsError("feature vector contains non-finite values")
-        self.label = TerrainClass(self.label)
-
-
-@dataclass
 class Dataset:
-    """Labeled feature vectors plus the seed of the split that produced it."""
+    """Labeled feature rows plus the seed of the split that produced them.
 
-    vectors: list = field(default_factory=list)
-    split_seed: int = 0
-    dropped: int = 0  # degenerate windows skipped during construction
+    features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
+    labels() holds terrain ids 1..7 and window_idx() each row's window index
+    within its run. `dropped` counts degenerate windows skipped in the build.
+    """
+
+    def __init__(self, features, labels, window_idx, split_seed: int = 0,
+                 dropped: int = 0):
+        self._features = np.asarray(features, dtype=float)
+        self._labels = np.asarray(labels, dtype=int)
+        self._window_idx = np.asarray(window_idx, dtype=int)
+        if (self._labels.ndim != 1 or self._window_idx.shape != self._labels.shape
+                or self._features.shape != (len(self._labels), FEATURE_WIDTH)):
+            raise PhysicsError(f"need rows of {FEATURE_WIDTH} feature values, "
+                               "each with one label and one window index")
+        if not np.isfinite(self._features).all():
+            raise PhysicsError("feature rows contain non-finite values")
+        if np.any((self._labels < 1) | (self._labels > len(TerrainClass))):
+            raise PhysicsError(f"labels must be terrain ids 1..{len(TerrainClass)}")
+        self.split_seed = split_seed
+        self.dropped = dropped
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._labels)
 
     def features(self) -> np.ndarray:
-        return np.stack([v.values for v in self.vectors])
+        return self._features
 
     def labels(self) -> np.ndarray:
-        return np.array([int(v.label) for v in self.vectors], dtype=int)
+        return self._labels
+
+    def window_idx(self) -> np.ndarray:
+        return self._window_idx
 
 
 def window(series: TimeSeries, window_seconds: float) -> list[np.ndarray]:
@@ -127,7 +128,7 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
     """
     if not runs:
         raise PhysicsError("no runs supplied")
-    vectors = []
+    rows, labels, window_idx = [], [], []
     dropped = 0
     for series, label in runs:
         for idx, win in enumerate(window(series, window_seconds)):
@@ -136,11 +137,12 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
             except DegenerateWindowError:
                 dropped += 1
                 continue
-            spec = fft_magnitude(flat, series.sample_rate_hz)
-            vectors.append(FeatureVector(spec.magnitudes, label, idx))
-    if not vectors:
+            rows.append(fft_magnitude(flat, series.sample_rate_hz).magnitudes)
+            labels.append(int(label))
+            window_idx.append(idx)
+    if not rows:
         raise PhysicsError("all windows were degenerate")
-    return Dataset(vectors, dropped=dropped)
+    return Dataset(np.stack(rows), labels, window_idx, dropped=dropped)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int
@@ -148,29 +150,28 @@ def split(dataset: Dataset, train_fraction: float, seed: int
     """Seeded stratified split; per-class proportions held within one vector."""
     if not 0.0 < train_fraction < 1.0:
         raise PhysicsError("train_fraction must lie in (0, 1)")
-    if not dataset.vectors:
+    if len(dataset) == 0:
         raise PhysicsError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
-    by_label: dict[int, list[int]] = {}
-    for i, vec in enumerate(dataset.vectors):
-        by_label.setdefault(int(vec.label), []).append(i)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in sorted(by_label):
-        idx = np.array(by_label[label])
+    labels = dataset.labels()
+    train_parts, test_parts = [], []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         if idx.size < 2:
             raise PhysicsError(
                 f"class {label} has {idx.size} vector(s); need at least 2 to split")
         perm = rng.permutation(idx.size)
         n_train = int(round(idx.size * train_fraction))
         n_train = min(max(n_train, 1), idx.size - 1)
-        train_idx.extend(idx[perm[:n_train]])
-        test_idx.extend(idx[perm[n_train:]])
-    train_idx.sort()
-    test_idx.sort()
-    train = Dataset([dataset.vectors[i] for i in train_idx], split_seed=seed)
-    test = Dataset([dataset.vectors[i] for i in test_idx], split_seed=seed)
-    return train, test
+        train_parts.append(idx[perm[:n_train]])
+        test_parts.append(idx[perm[n_train:]])
+
+    def subset(parts) -> Dataset:
+        rows = np.sort(np.concatenate(parts))
+        return Dataset(dataset.features()[rows], labels[rows],
+                       dataset.window_idx()[rows], split_seed=seed)
+
+    return subset(train_parts), subset(test_parts)
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
@@ -178,13 +179,14 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + ",label,window_idx\n")
-        for vec in dataset.vectors:
-            row = ",".join(repr(float(v)) for v in vec.values)
-            fh.write(f"{row},{int(vec.label)},{vec.source_window}\n")
+        for values, label, idx in zip(dataset.features(), dataset.labels(),
+                                      dataset.window_idx()):
+            row = ",".join(repr(float(v)) for v in values)
+            fh.write(f"{row},{label},{idx}\n")
 
 
 def read_dataset_csv(path) -> Dataset:
-    vectors = []
+    rows, labels, window_idx = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         expected = [f"f{i:03d}" for i in range(FEATURE_WIDTH)] + ["label", "window_idx"]
@@ -192,10 +194,12 @@ def read_dataset_csv(path) -> Dataset:
             raise PhysicsError(f"unexpected dataset header in {path}")
         for line in fh:
             parts = line.strip().split(",")
-            values = np.array([float(p) for p in parts[:FEATURE_WIDTH]])
-            vectors.append(FeatureVector(
-                values, TerrainClass(int(parts[FEATURE_WIDTH])),
-                int(parts[FEATURE_WIDTH + 1])))
-    if not vectors:
+            if len(parts) != len(expected):
+                raise PhysicsError(f"row {len(rows) + 1} of {path} has "
+                                   f"{len(parts)} fields, not {len(expected)}")
+            rows.append([float(p) for p in parts[:FEATURE_WIDTH]])
+            labels.append(int(parts[FEATURE_WIDTH]))
+            window_idx.append(int(parts[FEATURE_WIDTH + 1]))
+    if not rows:
         raise PhysicsError(f"dataset file {path} contains no vectors")
-    return Dataset(vectors)
+    return Dataset(rows, labels, window_idx)

@@ -16,15 +16,15 @@ from whisksim import (
     TimeSeries,
     displacement,
     displacement_series,
+    modal_angular_frequency,
     modal_sweep,
     spring_to_beam,
+    steady_state_gain,
     steady_state_offset,
     transient_time_constant,
 )
 from whisksim.beam import (
     CANTILEVER_MODE_CONSTANTS,
-    _factor_forcing,
-    _factor_mix,
     _factor_norm,
     _factor_shape,
     displacement_modal_terms,
@@ -127,13 +127,14 @@ class TestDisplacement:
                 drive.frequency_hz, 0.005)
         for i in range(5):
             for t in (0.0107, 0.0503, 0.0999):
-                ref = oracles.beam_response_factors(*args, t, i)
-                got = (_factor_forcing(beam, drive, i, t),
-                       _factor_shape(beam, i, 0.005),
-                       _factor_mix(beam, i, t),
-                       _factor_norm(beam, i))
-                for g, r in zip(got, ref):
-                    assert g == pytest.approx(float(r), rel=1e-9)
+                forcing, shape, mix, norm = oracles.beam_response_factors(
+                    *args, t, i)
+                assert _factor_shape(beam, i, 0.005) == pytest.approx(
+                    float(shape), rel=1e-9)
+                assert _factor_norm(beam, i) == pytest.approx(float(norm), rel=1e-9)
+                term = displacement_modal_terms(beam, drive, 0.005, t)[i]
+                assert term == pytest.approx(
+                    float(-(forcing * shape * mix) / norm), rel=1e-9)
 
     def test_matches_frozen_golden_waveform(self, beam, drive):
         for t, expected in GOLDEN["displacement_f100_h1e-4_x5mm"].items():
@@ -141,7 +142,8 @@ class TestDisplacement:
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_matches_live_oracle_incl_folded_region(self, beam, drive):
-        # t=300 exercises the guarded exponential fold in every mode
+        # at t=300 the mix factor's exp(+zeta w t) alone would overflow in
+        # every mode; the folded form must still match
         args = (beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
                 beam.bending_stiffness_nm2, 0.04, drive.amplitude_m,
                 drive.frequency_hz, 0.005)
@@ -166,6 +168,42 @@ class TestDisplacement:
                 amp = np.maximum(amp, np.abs(
                     displacement_modal_terms(beam, exc, 0.005, t)))
             assert amp[4] < amp[0]
+
+
+class TestSteadyState:
+    """Past steady_state_offset the response is K(x) h f^2 sin(2 pi f t):
+    the modal frequencies drop out, so no drive frequency resonates, not
+    even the first mode's (46.0 Hz)."""
+
+    @pytest.fixture(scope="class")
+    def f_b_grid(self, beam):
+        first_mode_hz = modal_angular_frequency(beam, 0) / (2.0 * math.pi)
+        return [float(f) for f in range(5, 100)] + [first_mode_hz]
+
+    def test_series_equals_modal_sum(self, beam, f_b_grid):
+        t0 = steady_state_offset(beam)
+        for f_b in f_b_grid:
+            exc = Excitation(1e-4, f_b)
+            series = displacement_series(beam, exc, 0.005, 200.0, 0.05, t0_s=t0)
+            times = t0 + np.arange(len(series)) / 200.0
+            modal = np.array([displacement(beam, exc, 0.005, t) for t in times])
+            worst = np.max(np.abs(series.samples - modal))
+            assert worst <= 1e-12 * np.max(np.abs(modal)), f_b
+
+    def test_peak_over_h_f_squared_is_constant(self, beam, f_b_grid):
+        # the modal sum at a crest of sin(2 pi f t), one per drive frequency
+        t0 = steady_state_offset(beam)
+        ratios = []
+        for f_b in f_b_grid:
+            crest = (math.ceil(t0 * f_b) + 0.25) / f_b
+            y_max = abs(displacement(beam, Excitation(1e-4, f_b), 0.005, crest))
+            ratios.append(y_max / (1e-4 * f_b ** 2))
+        gain = abs(steady_state_gain(beam, 0.005))
+        assert ratios == pytest.approx([gain] * len(ratios), rel=1e-12)
+
+    def test_gain_rejects_positions_outside_beam(self, beam):
+        with pytest.raises(PhysicsError):
+            steady_state_gain(beam, beam.length_m + 1e-9)
 
 
 class TestDisplacementSeries:

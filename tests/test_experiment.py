@@ -12,6 +12,7 @@ import pytest
 import whisksim
 from whisksim import (
     ConfigError,
+    terrain,
     MlpArchitecture,
     TrainConfig,
     TrainingDivergedError,
@@ -418,6 +419,78 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "train-eval"]) == 2
         assert "profile file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, command", [
+        ({"master_seed": 1.5}, "synth"),
+        ({"master_seed": True}, "synth"),
+        ({"speeds_m_s": [0.1, 0.2, 0.1]}, "speed-sweep"),
+    ], ids=["float-seed", "bool-seed", "duplicate-speeds"])
+    def test_bad_seed_or_speeds_is_config_error(self, tmp_path, capsys,
+                                                overrides, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(overrides))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     command]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, speeds", [
+        ("synth", {"speed_m_s": 0.3}),
+        ("train-eval", {"speed_m_s": 0.3}),
+        ("speed-sweep", {"speeds_m_s": [0.1, 0.3]}),
+    ])
+    def test_nyquist_violation_fails_before_synthesis(
+            self, tmp_path, capsys, monkeypatch, command, speeds):
+        # brick's 2.5 mm wavelength is 120 Hz at 0.3 m/s, above the 100 Hz
+        # Nyquist limit of the 200 Hz runs; flat and the lower speed are fine
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]},
+            {"terrain": "brick", "components": [{"lambda_m": 0.0025, "h_m": 8e-5}]},
+        ]))
+
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesis started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
+        cfg = self._write_cfg(tmp_path, profiles=str(profiles), **speeds)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     command]) == 3
+        assert "Nyquist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, report_name", [
+        ("train-eval", "train_eval_report.json"),
+        ("speed-sweep", "speed_sweep_report.json"),
+    ])
+    def test_absent_terrains_report_null_accuracy(self, tmp_path, capsys,
+                                                  command, report_name):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]},
+            {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 8e-5}]},
+        ]))
+        cfg = self._write_cfg(tmp_path, profiles=str(profiles),
+                              speeds_m_s=[0.15, 0.25], duration_s=8.0)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+        report = json.loads((out / report_name).read_text())
+        rows = (report["repetitions"] + [
+            {"per_class_accuracy": report["mean_per_class_accuracy"]}]
+            if command == "train-eval" else report["per_speed"])
+        present = {TerrainClass.FLAT, TerrainClass.BRICK}
+        for row in rows:
+            for tc, acc in zip(TerrainClass, row["per_class_accuracy"]):
+                assert (acc is None) == (tc not in present)
+        # the printed table shows "-" in exactly the absent terrains' cells
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        if command == "train-eval":
+            cells = [[parts[1] for parts in lines if parts[0] == tc.label]
+                     for tc in TerrainClass]
+        else:
+            table = [parts[2:] for parts in lines if len(parts) == 9][1:]
+            cells = list(zip(*table))
+        for tc, column in zip(TerrainClass, cells):
+            assert column and all((c == "-") == (tc not in present) for c in column)
 
     def test_empty_sweep_grid_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

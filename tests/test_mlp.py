@@ -7,11 +7,9 @@ import pytest
 
 from whisksim import (
     Dataset,
-    FeatureVector,
     MlpArchitecture,
     MlpModel,
     PhysicsError,
-    TerrainClass,
     TrainConfig,
     TrainingDivergedError,
     evaluate,
@@ -36,8 +34,7 @@ def _random_batch(n, seed=0, scale=1.0):
 
 
 def _dataset_from(x, labels):
-    return Dataset([FeatureVector(row, TerrainClass(int(l)), i)
-                    for i, (row, l) in enumerate(zip(x, labels))])
+    return Dataset(x, labels, np.arange(len(labels)))
 
 
 class TestArchitecture:
@@ -294,7 +291,8 @@ class TestEvaluate:
 
     def test_empty_test_set_is_an_error(self):
         with pytest.raises(PhysicsError):
-            evaluate(init(SMALL_ARCH, 45), Dataset([]))
+            evaluate(init(SMALL_ARCH, 45),
+                     Dataset(np.empty((0, 200)), [], []))
 
 
 class TestSerialization:

@@ -7,7 +7,6 @@ import oracles
 from whisksim import (
     Dataset,
     DegenerateWindowError,
-    FeatureVector,
     PhysicsError,
     Spectrum,
     TerrainClass,
@@ -151,16 +150,29 @@ class TestDominantFrequency:
             dominant_frequency(Spectrum(np.ones(2), 1.0))
 
 
-class TestFeatureVector:
+class TestDataset:
     def test_width_enforced(self):
         with pytest.raises(PhysicsError):
-            FeatureVector(np.ones(100), TerrainClass.FLAT, 0)
+            Dataset(np.ones((2, 100)), [1, 1], [0, 1])
+        with pytest.raises(PhysicsError):
+            Dataset(np.ones(200), [1], [0])
 
     def test_finite_enforced(self):
-        values = np.ones(200)
-        values[3] = np.nan
+        values = np.ones((2, 200))
+        values[1, 3] = np.nan
         with pytest.raises(PhysicsError):
-            FeatureVector(values, TerrainClass.FLAT, 0)
+            Dataset(values, [1, 1], [0, 1])
+
+    @pytest.mark.parametrize("label", [0, 8, -1])
+    def test_labels_are_terrain_ids(self, label):
+        with pytest.raises(PhysicsError):
+            Dataset(np.ones((2, 200)), [1, label], [0, 1])
+
+    def test_one_label_and_window_per_row(self):
+        with pytest.raises(PhysicsError):
+            Dataset(np.ones((2, 200)), [1], [0, 1])
+        with pytest.raises(PhysicsError):
+            Dataset(np.ones((2, 200)), [1, 2], [0])
 
 
 class TestBuildDataset:
@@ -179,7 +191,7 @@ class TestBuildDataset:
     def test_single_window_run(self):
         ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)], 1.0)
         assert len(ds) == 1
-        assert ds.vectors[0].source_window == 0
+        assert ds.window_idx()[0] == 0
 
     def test_empty_run_list_is_an_error(self):
         with pytest.raises(PhysicsError):
@@ -191,7 +203,7 @@ class TestBuildDataset:
         ds = build_dataset([(TimeSeries(samples, 200.0), TerrainClass.SAND)], 1.0)
         assert len(ds) == 1
         assert ds.dropped == 1
-        assert ds.vectors[0].source_window == 1
+        assert ds.window_idx()[0] == 1
 
     def test_all_degenerate_is_an_error(self):
         with pytest.raises(PhysicsError):
@@ -202,26 +214,23 @@ class TestBuildDataset:
         runs = [self._run(TerrainClass.BRICK, seconds=2)]
         a = build_dataset(runs, 1.0)
         b = build_dataset(runs, 1.0)
-        for va, vb in zip(a.vectors, b.vectors):
-            assert np.array_equal(va.values, vb.values)
+        assert np.array_equal(a.features(), b.features())
 
     def test_standardize_then_transform_order(self):
         # the DC bin of every feature vector is ~0 because the window was
         # centered before the transform
         runs = [self._run(TerrainClass.CARPET, seconds=2)]
         ds = build_dataset(runs, 1.0)
-        for vec in ds.vectors:
-            assert abs(vec.values[0]) < 1e-9
+        assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
 
 
 class TestSplit:
     def _balanced_dataset(self, per_class=300):
+        # window_idx numbers the rows, so a row can be traced through a split
         rng = np.random.default_rng(6)
-        vectors = []
-        for label in TerrainClass:
-            for i in range(per_class):
-                vectors.append(FeatureVector(rng.normal(0, 1, 200), label, i))
-        return Dataset(vectors)
+        n = per_class * len(TerrainClass)
+        labels = np.repeat([int(t) for t in TerrainClass], per_class)
+        return Dataset(rng.normal(0, 1, (n, 200)), labels, np.arange(n))
 
     def test_table_counts(self):
         ds = self._balanced_dataset(300)
@@ -233,17 +242,23 @@ class TestSplit:
         ds = self._balanced_dataset(20)
         a_train, a_test = split(ds, 0.75, 9)
         b_train, b_test = split(ds, 0.75, 9)
-        assert [id(v) for v in a_train.vectors] == [id(v) for v in b_train.vectors]
-        assert [id(v) for v in a_test.vectors] == [id(v) for v in b_test.vectors]
+        for a, b in ((a_train, b_train), (a_test, b_test)):
+            assert np.array_equal(a.window_idx(), b.window_idx())
+            assert np.array_equal(a.features(), b.features())
+            assert np.array_equal(a.labels(), b.labels())
         assert a_train.split_seed == 9
 
     def test_disjoint_and_exhaustive(self):
         ds = self._balanced_dataset(10)
         train, test = split(ds, 0.75, 3)
-        train_ids = {id(v) for v in train.vectors}
-        test_ids = {id(v) for v in test.vectors}
+        train_ids = set(train.window_idx().tolist())
+        test_ids = set(test.window_idx().tolist())
         assert not train_ids & test_ids
-        assert train_ids | test_ids == {id(v) for v in ds.vectors}
+        assert train_ids | test_ids == set(ds.window_idx().tolist())
+        for part in (train, test):
+            rows = part.window_idx()
+            assert np.array_equal(part.features(), ds.features()[rows])
+            assert np.array_equal(part.labels(), ds.labels()[rows])
 
     def test_stratified_within_one_vector(self):
         ds = self._balanced_dataset(31)
@@ -252,10 +267,10 @@ class TestSplit:
         assert np.all(np.abs(per_class - 0.6 * 31) <= 1.0)
 
     def test_small_class_is_an_error(self):
-        vectors = [FeatureVector(np.random.default_rng(7).normal(0, 1, 200),
-                                 TerrainClass.FLAT, 0)]
+        ds = Dataset(np.random.default_rng(7).normal(0, 1, (1, 200)),
+                     [TerrainClass.FLAT], [0])
         with pytest.raises(PhysicsError):
-            split(Dataset(vectors), 0.75, 0)
+            split(ds, 0.75, 0)
 
     def test_bad_fraction_is_an_error(self):
         ds = self._balanced_dataset(5)
@@ -267,23 +282,31 @@ class TestSplit:
 class TestDatasetCsv:
     def test_lossless_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
-        vectors = [FeatureVector(rng.normal(0, 1, 200), TerrainClass(1 + i % 7), i)
-                   for i in range(11)]
-        ds = Dataset(vectors)
+        ds = Dataset(rng.normal(0, 1, (11, 200)), 1 + np.arange(11) % 7,
+                     np.arange(11))
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         again = read_dataset_csv(path)
         assert len(again) == len(ds)
-        for a, b in zip(ds.vectors, again.vectors):
-            assert np.array_equal(a.values, b.values)
-            assert a.label == b.label
-            assert a.source_window == b.source_window
+        assert np.array_equal(again.features(), ds.features())
+        assert np.array_equal(again.labels(), ds.labels())
+        assert np.array_equal(again.window_idx(), ds.window_idx())
 
     def test_header(self, tmp_path):
-        ds = Dataset([FeatureVector(np.zeros(200) + 0.5, TerrainClass.FLAT, 0)])
+        ds = Dataset(np.zeros((1, 200)) + 0.5, [TerrainClass.FLAT], [0])
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         header = path.read_text().split("\n", 1)[0].split(",")
         assert header[0] == "f000"
         assert header[199] == "f199"
         assert header[200:] == ["label", "window_idx"]
+
+    def test_short_row_is_an_error(self, tmp_path):
+        ds = Dataset(np.ones((2, 200)), [1, 2], [0, 1])
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        lines = path.read_text().split("\n")
+        lines[2] = lines[2].split(",", 1)[1]
+        path.write_text("\n".join(lines))
+        with pytest.raises(PhysicsError, match="row 2"):
+            read_dataset_csv(path)
