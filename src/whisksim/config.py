@@ -7,15 +7,13 @@ sweep grid, which is converted to meters on load).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .beam import SpringSpec
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
-
-BUILTIN_PROFILE_TABLES = ("default", "smoke")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -91,6 +89,41 @@ class ExperimentConfig:
         return jsonable(asdict(self))
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _check_types(cls, data: dict, context: str) -> None:
+    """Hold each value to its field's annotation before cls runs on it: int
+    fields take ints, float fields finite numbers (JSON allows NaN and
+    Infinity), tuple fields lists of finite numbers, str fields strings."""
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.type == "int":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif f.type == "float":
+            ok = _is_finite_number(value)
+        elif f.type == "tuple":
+            ok = (isinstance(value, (list, tuple))
+                  and all(_is_finite_number(v) for v in value))
+        elif f.type == "str":
+            ok = isinstance(value, str)
+        else:
+            continue
+        if not ok:
+            kind = {"int": "an integer", "float": "a finite number",
+                    "tuple": "a list of finite numbers", "str": "a string"}[f.type]
+            raise ConfigError(f"{context} key {f.name} must be {kind}, got {value!r}")
+
+
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
@@ -98,11 +131,10 @@ def _build(cls, data: dict, context: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    _check_types(cls, data, context)
     try:
         return cls(**data)
-    except (PhysicsError, ConfigError) as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-    except TypeError as exc:
+    except (PhysicsError, ConfigError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
@@ -116,10 +148,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "sweep" in data:
         nested["sweep"] = _build(SweepConfig, data.pop("sweep"), "sweep")
     cfg = _build(ExperimentConfig, {**data, **nested}, "config")
-    if cfg.profiles not in BUILTIN_PROFILE_TABLES:
-        # treated as a path; existence is checked when the table is loaded
-        if not isinstance(cfg.profiles, str) or not cfg.profiles:
-            raise ConfigError("profiles must be a builtin name or a file path")
+    # a builtin table name or a path, whose existence is checked on loading
+    if not cfg.profiles:
+        raise ConfigError("profiles must be a builtin name or a file path")
     return cfg
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import mlp, pipeline, terrain
 from .beam import BeamSpec, modal_sweep, spring_to_beam
 from .config import ExperimentConfig
-from .errors import PhysicsError
+from .errors import ConfigError, PhysicsError
 from .terrain import RobotRun, TerrainClass
 
 
@@ -59,8 +59,18 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create out_dir, if given, before any work; a bad path is a config error."""
+    try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV and returns the summary report."""
+    _make_out_dir(out_dir)
     beam = build_beam(cfg)
     surface = modal_sweep(beam, cfg.sweep.f_b_hz, cfg.sweep.h_b_m,
                           cfg.sensor_position_m, cfg.sweep.sample_rate_hz,
@@ -72,7 +82,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
             if abs(surface.f_dominant_hz[i, j] - fb) <= bin_width:
                 within += 1
     total = surface.f_dominant_hz.size
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     surface.write_csv(csv_path)
     report = {
@@ -87,58 +96,48 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-def synthesize_terrain_runs(cfg: ExperimentConfig, speed_m_s: float,
-                            profiles: dict, seed_scope: tuple
-                            ) -> list[tuple[terrain.TimeSeries, TerrainClass, int]]:
-    """One run per terrain at the given speed; returns (series, label, seed)."""
-    beam = build_beam(cfg)
-    runs = []
-    for tc in sorted(profiles, key=int):
-        seed = child_seed(cfg.master_seed, *seed_scope, int(tc))
-        run = RobotRun(speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed)
-        series = terrain.synthesize_run(tc, run, beam, cfg.sensor_position_m,
-                                        profile=profiles[tc])
-        runs.append((series, tc, seed))
-    return runs
+def _terrain_series(cfg: ExperimentConfig, speed_m_s: float, profiles: dict,
+                    tc: TerrainClass, seed: int) -> terrain.TimeSeries:
+    """One seeded run over terrain tc at the given speed."""
+    run = RobotRun(speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed)
+    return terrain.synthesize_run(tc, run, build_beam(cfg), cfg.sensor_position_m,
+                                  profile=profiles[tc])
 
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    runs = synthesize_terrain_runs(cfg, speed_m_s, profiles, seed_scope)
-    return pipeline.build_dataset([(series, tc) for series, tc, _ in runs],
-                                  cfg.window_s)
+    runs = [(_terrain_series(cfg, speed_m_s, profiles, tc,
+                             child_seed(cfg.master_seed, *seed_scope, int(tc))), tc)
+            for tc in sorted(profiles, key=int)]
+    return pipeline.build_dataset(runs, cfg.window_s)
+
+
+def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
+                   tc: TerrainClass) -> dict:
+    """Write terrain tc's dataset CSV; returns its manifest entry."""
+    seed = child_seed(cfg.master_seed, "synth", int(tc))
+    series = _terrain_series(cfg, cfg.speed_m_s, profiles, tc, seed)
+    ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
+    name = f"terrain_{tc.label}.csv"
+    pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
+    with open(os.path.join(out_dir, name), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"terrain": tc.label, "file": name, "seed": seed, "sha256": digest,
+            "windows": len(ds), "dropped": ds.dropped}
 
 
 def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
-    """Write one dataset CSV per terrain plus a manifest with seeds and hashes."""
+    """Write one dataset CSV per terrain, each in a worker, plus a manifest."""
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, [cfg.speed_m_s])
-    runs = synthesize_terrain_runs(cfg, cfg.speed_m_s, profiles, ("synth",))
-    os.makedirs(out_dir, exist_ok=True)
-    entries = []
-    total_windows = 0
-    total_dropped = 0
-    for series, tc, seed in runs:
-        ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
-        path = os.path.join(out_dir, f"terrain_{tc.label}.csv")
-        pipeline.write_dataset_csv(ds, path)
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        entries.append({
-            "terrain": tc.label,
-            "file": os.path.basename(path),
-            "seed": seed,
-            "sha256": digest,
-            "windows": len(ds),
-            "dropped": ds.dropped,
-        })
-        total_windows += len(ds)
-        total_dropped += ds.dropped
+    _make_out_dir(out_dir)
+    entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
+                           sorted(profiles, key=int))
     report = {
         "config": cfg.to_dict(),
         "terrains": entries,
-        "total_windows": total_windows,
-        "total_dropped": total_dropped,
+        "total_windows": sum(e["windows"] for e in entries),
+        "total_dropped": sum(e["dropped"] for e in entries),
     }
     _write_json(os.path.join(out_dir, "synth_manifest.json"), report)
     return report
@@ -160,13 +159,13 @@ def _run_task(index: int):
 def _ordered_map(fn, items: list) -> list:
     """[fn(item) for item in items], one forked worker process per CPU.
 
-    Fork hands every worker fn and items, with the dataset they hold, without
-    pickling them: only indices and results cross between processes, and
-    the workers share the parent's memory pages. Results keep input order,
-    so reports do not depend on the worker count. If items fail, the
-    exception of the first one in input order is raised, as the plain loop
-    would, and the pool is terminated. Where fork is not available
-    (Windows), the plain loop runs instead.
+    Fork hands every worker fn and items, with whatever they hold (a
+    dataset, a profile table), without pickling them: only indices and
+    results cross between processes, and the workers share the parent's
+    memory pages. Results keep input order, so reports do not depend on the
+    worker count. If items fail, the exception of the first one in input
+    order is raised, as the plain loop would, and the pool is terminated.
+    Where fork is not available (Windows), the plain loop runs instead.
     """
     import multiprocessing   # here, so that importing whisksim stays cheap
 
@@ -215,6 +214,7 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, [cfg.speed_m_s])
+    _make_out_dir(out_dir)
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
                         [("train-eval", r) for r in range(cfg.repetitions)])
@@ -232,7 +232,6 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
         "mean_confusion": confusion.mean(axis=0).tolist(),
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "train_eval_report.json"), report)
     return report
 
@@ -274,6 +273,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         raise PhysicsError("speed sweep needs at least 2 speeds")
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, cfg.speeds_m_s)
+    _make_out_dir(out_dir)
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
                              sorted(cfg.speeds_m_s))
     report = {
@@ -282,7 +282,6 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         "per_speed": per_speed,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "speed_sweep_report.json"), report)
     return report
 

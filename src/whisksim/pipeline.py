@@ -177,12 +177,12 @@ def split(dataset: Dataset, train_fraction: float, seed: int
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """CSV with columns f000..f199, label, window_idx; lossless floats."""
     header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH))
+    rows = [",".join(map(repr, values)) + f",{label},{idx}\n"
+            for values, label, idx in zip(dataset.features().tolist(),
+                                          dataset.labels().tolist(),
+                                          dataset.window_idx().tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + ",label,window_idx\n")
-        for values, label, idx in zip(dataset.features(), dataset.labels(),
-                                      dataset.window_idx()):
-            row = ",".join(repr(float(v)) for v in values)
-            fh.write(f"{row},{label},{idx}\n")
+        fh.write("".join([header, ",label,window_idx\n", *rows]))
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -12,6 +12,7 @@ import pytest
 import whisksim
 from whisksim import (
     ConfigError,
+    experiment,
     terrain,
     MlpArchitecture,
     TrainConfig,
@@ -24,6 +25,7 @@ from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.experiment import (
     _noiseless_dominant_bins,
     _ordered_map,
+    _synth_terrain,
     _train_eval_once,
     build_labeled_dataset,
     child_seed,
@@ -256,6 +258,45 @@ class TestWorkerPool:
                 "seeds": serial["seeds"],
             }
 
+    def test_synth_equals_serial_loop(self, tmp_path):
+        cfg = _tiny_config()
+        report = run_synth(cfg, tmp_path / "pool")
+        profiles = resolve_profiles(cfg)
+        (tmp_path / "serial").mkdir()
+        serial = [_synth_terrain(cfg, profiles, tmp_path / "serial", tc)
+                  for tc in sorted(profiles, key=int)]
+        assert report["terrains"] == serial
+        assert report["total_windows"] == sum(e["windows"] for e in serial)
+        for entry in serial:
+            assert (tmp_path / "pool" / entry["file"]).read_bytes() == \
+                (tmp_path / "serial" / entry["file"]).read_bytes()
+
+    def test_synth_raises_the_lowest_terrains_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # flat (id 1) has zero heights and no noise floor, so every window is
+        # degenerate; brick (id 3) fails at once, flat only after it
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 0.0}]},
+            {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 8e-5}]},
+        ]))
+        synthesize_run = terrain.synthesize_run
+
+        def brick_fails_first(tc, *args, **kwargs):
+            if tc is TerrainClass.BRICK:
+                raise whisksim.PhysicsError("brick failed")
+            time.sleep(0.5)
+            return synthesize_run(tc, *args, **kwargs)
+
+        monkeypatch.setattr(terrain, "synthesize_run", brick_fails_first)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_tiny_config(profiles=str(profiles)).to_dict()))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "synth"]) == 3
+        err = capsys.readouterr().err
+        assert "all windows were degenerate" in err
+        assert "brick" not in err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_reports_the_serial_loops_error(self, tmp_path, capsys):
@@ -433,6 +474,49 @@ class TestCli:
                      command]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, command", [
+        ('{"repetitions": 1.5}', "train-eval"),
+        ('{"train": {"epochs": 2.5}}', "train-eval"),
+        ('{"train": {"batch_size": true}}', "train-eval"),
+        ('{"sample_rate_hz": Infinity}', "synth"),
+        ('{"duration_s": NaN}', "synth"),
+        ('{"speed_m_s": NaN}', "synth"),
+        ('{"speeds_m_s": [0.1, -Infinity]}', "speed-sweep"),
+        ('{"spring": {"wire_radius_m": Infinity}}', "sweep"),
+        ('{"sweep": {"duration_s": NaN}}', "sweep"),
+        ('{"window_s": 1e200, "sample_rate_hz": 1e200}', "synth"),
+    ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
+            "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
+            "infinite-spring", "nan-sweep", "overflowing-window"])
+    def test_bad_number_is_config_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, text, command):
+        # JSON as Python reads it: NaN and Infinity are accepted literals
+        def no_work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_work)
+        monkeypatch.setattr(experiment, "modal_sweep", no_work)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     command]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train-eval"])
+    def test_unusable_out_dir_is_config_error_before_synthesis(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesis started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
+        cfg = self._write_cfg(tmp_path)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["--config", str(cfg), "--out", str(blocker / "sub"),
+                     command]) == 2
+        assert "output directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, speeds", [
         ("synth", {"speed_m_s": 0.3}),

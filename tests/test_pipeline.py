@@ -301,6 +301,17 @@ class TestDatasetCsv:
         assert header[199] == "f199"
         assert header[200:] == ["label", "window_idx"]
 
+    def test_rows_are_repr_of_each_float(self, tmp_path):
+        edge = [5e-324, 1e300, 2.0, 0.1, 1 / 3]
+        values = np.resize(edge, 200)
+        ds = Dataset(np.stack([values, -values]), [4, 7], [12, 3])
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        rows = path.read_text(encoding="utf-8").split("\n")[1:]
+        assert rows == [",".join(repr(float(v)) for v in values) + ",4,12",
+                        ",".join(repr(float(-v)) for v in values) + ",7,3", ""]
+        assert rows[0].startswith("5e-324,1e+300,2.0,0.1,0.3333333333333333,")
+
     def test_short_row_is_an_error(self, tmp_path):
         ds = Dataset(np.ones((2, 200)), [1, 2], [0, 1])
         path = tmp_path / "ds.csv"
