@@ -29,7 +29,6 @@ from .beam import (
 from .config import ExperimentConfig, SweepConfig, load_config
 from .errors import (
     ConfigError,
-    DegenerateWindowError,
     PhysicsError,
     TrainingDivergedError,
     WhisksimError,
@@ -58,8 +57,6 @@ from .pipeline import (
     fft_magnitude,
     read_dataset_csv,
     split,
-    standardize,
-    window,
     write_dataset_csv,
 )
 from .terrain import (

@@ -7,13 +7,13 @@ sweep grid, which is converted to meters on load).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .beam import SpringSpec
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
+from .terrain import is_finite_number
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -89,16 +89,6 @@ class ExperimentConfig:
         return jsonable(asdict(self))
 
 
-def _is_finite_number(value) -> bool:
-    """An int or float (not a bool) that is a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        return False
-
-
 def _check_types(cls, data: dict, context: str) -> None:
     """Hold each value to its field's annotation before cls runs on it: int
     fields take ints, float fields finite numbers (JSON allows NaN and
@@ -110,10 +100,10 @@ def _check_types(cls, data: dict, context: str) -> None:
         if f.type == "int":
             ok = isinstance(value, int) and not isinstance(value, bool)
         elif f.type == "float":
-            ok = _is_finite_number(value)
+            ok = is_finite_number(value)
         elif f.type == "tuple":
             ok = (isinstance(value, (list, tuple))
-                  and all(_is_finite_number(v) for v in value))
+                  and all(is_finite_number(v) for v in value))
         elif f.type == "str":
             ok = isinstance(value, str)
         else:
@@ -158,8 +148,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -13,9 +13,5 @@ class PhysicsError(WhisksimError, ValueError):
     """Physically invalid parameter or evaluation request."""
 
 
-class DegenerateWindowError(WhisksimError, ValueError):
-    """Signal window with (near-)zero variance; cannot be standardized."""
-
-
 class TrainingDivergedError(WhisksimError, RuntimeError):
     """Network training produced non-finite values."""

@@ -167,6 +167,23 @@ def _batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(picked, _PROB_FLOOR))
 
 
+def _backward(model: MlpModel, probs: np.ndarray, activations: list,
+              labels: np.ndarray):
+    """Yield (i, w_grad, b_grad), the mean cross-entropy gradients, from the
+    last layer back, overwriting `probs`. Layer i - 1's delta is formed before
+    layer i is yielded, so the caller may update layer i in place at once."""
+    batch = probs.shape[0]
+    delta = probs
+    delta[np.arange(batch), labels - 1] -= 1.0
+    delta /= batch
+    for i in range(model.arch.n_weight_layers - 1, -1, -1):
+        w_grad = activations[i].T @ delta
+        b_grad = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+        yield i, w_grad, b_grad
+
+
 def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     """Mean parameter gradients of the cross entropy over a batch.
 
@@ -179,18 +196,8 @@ def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     if x.shape[0] != labels.size:
         raise PhysicsError("batch and label sizes differ")
     probs, activations = _forward_cached(model, x)
-    batch = x.shape[0]
-    delta = probs.copy()
-    delta[np.arange(batch), labels - 1] -= 1.0
-    delta /= batch
-    w_grads = [None] * model.arch.n_weight_layers
-    b_grads = [None] * model.arch.n_weight_layers
-    for i in range(model.arch.n_weight_layers - 1, -1, -1):
-        w_grads[i] = activations[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
-    return w_grads, b_grads
+    layers = list(_backward(model, probs, activations, labels))[::-1]
+    return [w for _, w, _ in layers], [b for _, _, b in layers]
 
 
 def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
@@ -218,15 +225,7 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
             xb, yb = x[idx], labels[idx]
             probs, activations = _forward_cached(model, xb)
             sample_losses[idx] = _batch_losses(probs, yb)
-            batch = xb.shape[0]
-            delta = probs
-            delta[np.arange(batch), yb - 1] -= 1.0
-            delta /= batch
-            for i in range(model.arch.n_weight_layers - 1, -1, -1):
-                w_grad = activations[i].T @ delta
-                b_grad = delta.sum(axis=0)
-                if i > 0:
-                    delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
+            for i, w_grad, b_grad in _backward(model, probs, activations, yb):
                 model.weights[i] -= cfg.learning_rate * w_grad
                 model.biases[i] -= cfg.learning_rate * b_grad
         epoch_loss = float(sample_losses.sum() / n)

@@ -1,9 +1,9 @@
 """Time series to labeled frequency-domain feature vectors.
 
-Pipeline order: cut non-overlapping one-second windows, standardize each
-window to zero mean / unit standard deviation, take the full two-sided FFT
-magnitude (same width as the window, 200 bins at the default rate), attach
-the terrain label.
+One array pass per run: cut non-overlapping one-second windows as rows,
+standardize each row to zero mean / unit standard deviation (flat rows are
+dropped), take the full two-sided FFT magnitude of the stack (same width as
+the window, 200 bins at the default rate), attach the terrain label.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import TimeSeries
-from .errors import DegenerateWindowError, PhysicsError
+from .errors import PhysicsError
 from .terrain import TerrainClass
 
 FEATURE_WIDTH = 200
@@ -21,7 +21,7 @@ FEATURE_WIDTH = 200
 
 @dataclass
 class Spectrum:
-    """Two-sided DFT magnitudes with their bin spacing."""
+    """Two-sided DFT magnitudes along the last axis, with their bin spacing."""
 
     magnitudes: np.ndarray
     bin_width_hz: float
@@ -69,37 +69,15 @@ class Dataset:
         return self._window_idx
 
 
-def window(series: TimeSeries, window_seconds: float) -> list[np.ndarray]:
-    """Cut consecutive non-overlapping windows; the trailing remainder is dropped."""
-    if window_seconds <= 0.0:
-        raise PhysicsError("window_seconds must be positive")
-    n = int(round(window_seconds * series.sample_rate_hz))
-    if n < 1:
-        raise PhysicsError("window shorter than one sample")
-    count = len(series) // n
-    if count == 0:
-        raise PhysicsError(
-            f"series of {len(series)} samples is shorter than one window ({n})")
-    return [series.samples[i * n:(i + 1) * n].copy() for i in range(count)]
-
-
-def standardize(values: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Shift/scale to zero mean and unit (population) standard deviation."""
-    values = np.asarray(values, dtype=float)
-    std = float(values.std())
-    if std <= eps:
-        raise DegenerateWindowError(f"window std {std} below {eps}")
-    return (values - values.mean()) / std
-
-
 def fft_magnitude(values: np.ndarray, sample_rate_hz: float) -> Spectrum:
-    """Full two-sided magnitude spectrum of a real window."""
+    """Full two-sided magnitude spectrum of a real window, or of each row of
+    a stack of windows (the transform runs along the last axis)."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise PhysicsError("cannot transform an empty window")
     if sample_rate_hz <= 0.0:
         raise PhysicsError("sample_rate_hz must be positive")
-    return Spectrum(np.abs(np.fft.fft(values)), sample_rate_hz / values.size)
+    return Spectrum(np.abs(np.fft.fft(values)), sample_rate_hz / values.shape[-1])
 
 
 def _folded_frequencies(n: int, bin_width_hz: float) -> np.ndarray:
@@ -109,7 +87,8 @@ def _folded_frequencies(n: int, bin_width_hz: float) -> np.ndarray:
 
 
 def dominant_frequency(spectrum: Spectrum) -> float:
-    """Frequency of the largest non-DC bin; ties go to the lower frequency."""
+    """Frequency of the largest non-DC bin of one window's spectrum; ties go
+    to the lower frequency."""
     mags = spectrum.magnitudes
     n = mags.size
     if n < 3:
@@ -123,26 +102,43 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
                   window_seconds: float = 1.0) -> Dataset:
     """Segment, standardize, transform and label every run.
 
-    Degenerate (constant) windows are skipped and counted in
-    Dataset.dropped rather than failing the whole build.
+    Flat windows (standard deviation at most 1e-12) are skipped and counted
+    in Dataset.dropped; a NaN window is kept, so Dataset refuses it.
     """
     if not runs:
         raise PhysicsError("no runs supplied")
-    rows, labels, window_idx = [], [], []
-    dropped = 0
-    for series, label in runs:
-        for idx, win in enumerate(window(series, window_seconds)):
-            try:
-                flat = standardize(win)
-            except DegenerateWindowError:
-                dropped += 1
-                continue
-            rows.append(fft_magnitude(flat, series.sample_rate_hz).magnitudes)
-            labels.append(int(label))
-            window_idx.append(idx)
-    if not rows:
+    stacks, keeps = [], []
+    for series, _ in runs:
+        n = int(round(window_seconds * series.sample_rate_hz))
+        if n != FEATURE_WIDTH:
+            raise PhysicsError(f"windows of {window_seconds} s at {series.sample_rate_hz}"
+                               f" Hz hold {n} samples; features need {FEATURE_WIDTH}")
+        count = len(series) // n
+        if count == 0:
+            raise PhysicsError(
+                f"series of {len(series)} samples is shorter than one window ({n})")
+        windows = series.samples[:count * n].reshape(count, n)
+        std = windows.std(axis=1)
+        stacks.append((windows, std))
+        keeps.append(~(std <= 1e-12))
+    kept = sum(int(keep.sum()) for keep in keeps)
+    if kept == 0:
         raise PhysicsError("all windows were degenerate")
-    return Dataset(np.stack(rows), labels, window_idx, dropped=dropped)
+    features = np.empty((kept, FEATURE_WIDTH))
+    row = 0
+    for (series, _), (windows, std), keep in zip(runs, stacks, keeps):
+        if not keep.any():  # fft_magnitude refuses an empty stack
+            continue
+        flat = windows[keep]  # a copy: standardizing in place leaves the run alone
+        flat -= flat.mean(axis=1, keepdims=True)
+        flat /= std[keep, None]
+        spectra = fft_magnitude(flat, series.sample_rate_hz)
+        features[row:row + len(flat)] = spectra.magnitudes
+        row += len(flat)
+    labels = np.repeat([int(label) for _, label in runs], [keep.sum() for keep in keeps])
+    window_idx = np.concatenate([np.flatnonzero(keep) for keep in keeps])
+    return Dataset(features, labels, window_idx,
+                   dropped=sum(keep.size for keep in keeps) - kept)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int

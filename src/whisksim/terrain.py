@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,17 @@ class TerrainClass(enum.IntEnum):
         raise PhysicsError(f"unknown terrain label {label!r}")
 
 
+def is_finite_number(value) -> bool:
+    """A finite int or float; a bool, a non-number or an int beyond the
+    float range is not (JSON allows NaN, Infinity and huge integers)."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class SpectralComponent:
     """One spatial texture component of a terrain profile."""
@@ -70,12 +82,16 @@ class SpectralComponent:
     phase_jitter_rad: float = 0.0
 
     def __post_init__(self):
+        for name in ("wavelength_m", "height_m", "phase_jitter_rad"):
+            if not is_finite_number(getattr(self, name)):
+                raise PhysicsError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.wavelength_m <= 0.0:
             raise PhysicsError("wavelength_m must be positive")
         if self.height_m < 0.0:
             raise PhysicsError("height_m must be >= 0")
-        if self.phase_jitter_rad < 0.0:
-            raise PhysicsError("phase_jitter_rad must be >= 0")
+        if not 0.0 <= self.phase_jitter_rad <= math.pi:
+            # a phase drawn from [-pi, pi] already covers the circle
+            raise PhysicsError("phase_jitter_rad must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,8 @@ class SpectralProfile:
         if len(self.components) == 0:
             raise PhysicsError("profile needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
+        if not is_finite_number(self.noise_floor_m):
+            raise PhysicsError(f"noise_floor_m must be finite, got {self.noise_floor_m!r}")
         if self.noise_floor_m < 0.0:
             raise PhysicsError("noise_floor_m must be >= 0")
 
@@ -259,6 +277,8 @@ def profiles_from_json(text: str) -> dict[TerrainClass, SpectralProfile]:
     try:
         for entry in entries:
             terrain = TerrainClass.from_label(entry["terrain"])
+            if terrain in table:
+                raise PhysicsError(f"terrain {terrain.label!r} is listed twice")
             comps = tuple(
                 SpectralComponent(c["lambda_m"], c["h_m"], c.get("jitter_rad", 0.0))
                 for c in entry["components"])

@@ -1,12 +1,15 @@
-"""Property tests of config loading: any JSON-shaped dict either loads into a
-well-typed config or raises ConfigError, never another exception."""
+"""Property tests of config and profile-table loading: any JSON-shaped input
+either loads well typed or raises ConfigError, never another exception."""
 
+import json
 import math
+import os
+import tempfile
 from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
-from whisksim import ConfigError, SpringSpec, TrainConfig
+from whisksim import ConfigError, SpringSpec, TerrainClass, TrainConfig, load_profiles
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
 
 # what json.loads can return, NaN and Infinity included
@@ -65,3 +68,42 @@ def test_config_loads_well_typed_or_raises_config_error(data):
     except ConfigError:
         return
     _assert_well_typed(cfg)
+
+
+def _mostly(strategy, other):
+    """`strategy` three draws in four, `other` otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: strategy if k else other)
+
+
+# profile tables: mostly well-formed entries, each number slot mostly a
+# plausible value, else any JSON number (NaN, Infinity, huge ints, booleans)
+numbers = _mostly(st.floats(min_value=1e-6, max_value=1.0),
+                  st.floats() | st.integers() | st.booleans()
+                  | st.sampled_from([math.nan, math.inf, -math.inf, 3.2, 1e308]))
+components = st.fixed_dictionaries(
+    {"lambda_m": numbers, "h_m": numbers}, optional={"jitter_rad": numbers})
+entries = st.fixed_dictionaries(
+    {"terrain": _mostly(st.sampled_from([t.label for t in TerrainClass]), json_values),
+     "components": _mostly(st.lists(components, min_size=1, max_size=3), json_values)},
+    optional={"noise_floor_m": numbers})
+profile_tables = _mostly(st.lists(entries, min_size=1, max_size=3), json_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_tables)
+def test_profile_table_loads_finite_or_raises_config_error(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profiles.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(table, fh)
+        try:
+            loaded = load_profiles(path)
+        except ConfigError:
+            return
+    assert len(loaded) == len(table)
+    for profile in loaded.values():
+        assert math.isfinite(profile.noise_floor_m)
+        for c in profile.components:
+            assert all(math.isfinite(v) for v in
+                       (c.wavelength_m, c.height_m, c.phase_jitter_rad))
+            assert 0.0 <= c.phase_jitter_rad <= math.pi

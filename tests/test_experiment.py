@@ -54,6 +54,12 @@ def _tiny_config(**overrides):
     return config_from_dict(base)
 
 
+def _flat_profile(noise_floor_m=0.0, **component):
+    """A one-terrain profile table whose component overrides lambda, h or jitter."""
+    return json.dumps([{"terrain": "flat", "noise_floor_m": noise_floor_m,
+                        "components": [{"lambda_m": 0.04, "h_m": 2e-5, **component}]}])
+
+
 class TestChildSeed:
     def test_deterministic(self):
         assert child_seed(7, "synth", 3) == child_seed(7, "synth", 3)
@@ -421,6 +427,16 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "sweep"]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"duration_s": 10.0, "out_dir": "\xff"}')
+        assert main(["--config", str(path), "sweep"]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_physics_error_exit_code(self, tmp_path, capsys):
         # sweep grid above the Nyquist limit of its own sample rate
         cfg = self._write_cfg(tmp_path, sweep={
@@ -451,8 +467,28 @@ class TestCli:
         None,
         "[{\"terrain\": \"flat\",",
         "[{\"terrain\": \"flat\", \"noise_floor_m\": 0.0}]",
-    ], ids=["missing-file", "invalid-json", "missing-components"])
-    def test_bad_profile_file_is_config_error(self, tmp_path, capsys, content):
+        _flat_profile(lambda_m=float("nan")),
+        _flat_profile(lambda_m=float("inf")),
+        _flat_profile(h_m=float("inf")),
+        _flat_profile(h_m=float("nan")),
+        _flat_profile(h_m=True),
+        _flat_profile(jitter_rad=float("nan")),
+        _flat_profile(jitter_rad=3.2),
+        _flat_profile(jitter_rad=9e307),
+        _flat_profile(noise_floor_m=float("nan")),
+        _flat_profile(noise_floor_m=float("-inf")),
+        json.dumps([{"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]},
+                    {"terrain": "flat", "components": [{"lambda_m": 0.02, "h_m": 1e-5}]}]),
+    ], ids=["missing-file", "invalid-json", "missing-components", "nan-lambda",
+            "infinite-lambda", "infinite-h", "nan-h", "bool-h", "nan-jitter",
+            "jitter-above-pi", "huge-jitter", "nan-noise", "infinite-noise",
+            "duplicate-terrain"])
+    def test_bad_profile_file_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                              content):
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesis started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
         profiles = tmp_path / "profiles.json"
         if content is not None:
             profiles.write_text(content)
@@ -460,6 +496,7 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "train-eval"]) == 2
         assert "profile file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, command", [
         ({"master_seed": 1.5}, "synth"),

@@ -197,6 +197,19 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert history == [history[0]] * 5
 
+    def test_full_batch_epoch_is_one_gradient_step(self):
+        ds = self._toy(n=24)
+        model = init(SMALL_ARCH, 24)
+        cfg = TrainConfig(0.05, 1, 24, seed=4)
+        perm = np.random.default_rng(cfg.seed).permutation(len(ds))
+        w_grads, b_grads = gradients(model, ds.features()[perm], ds.labels()[perm])
+        trained, _ = train(model, ds, cfg)
+        for i in range(SMALL_ARCH.n_weight_layers):
+            assert np.array_equal(trained.weights[i],
+                                  model.weights[i] - cfg.learning_rate * w_grads[i])
+            assert np.array_equal(trained.biases[i],
+                                  model.biases[i] - cfg.learning_rate * b_grads[i])
+
     def test_input_model_untouched(self):
         ds = self._toy()
         model = init(SMALL_ARCH, 22)

@@ -1,4 +1,7 @@
-"""Windowing, standardization, FFT features, splits, CSV round-trips."""
+"""Windowing, standardization, FFT features, splits, CSV round-trips.
+
+build_dataset windows, standardizes and transforms each run in one array
+pass; TestWindow and TestStandardize check those two steps through it."""
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 import oracles
 from whisksim import (
     Dataset,
-    DegenerateWindowError,
     PhysicsError,
     Spectrum,
     TerrainClass,
@@ -16,8 +18,6 @@ from whisksim import (
     fft_magnitude,
     read_dataset_csv,
     split,
-    standardize,
-    window,
     write_dataset_csv,
 )
 
@@ -27,46 +27,72 @@ def _series(n, rate=200.0, rng=None):
     return TimeSeries(rng.normal(0.0, 1.0, n), rate)
 
 
+def _features(samples, label=TerrainClass.FLAT):
+    return build_dataset([(TimeSeries(samples, 200.0), label)], 1.0)
+
+
+def _reference_rows(samples, n=200):
+    """Per-window standardize-then-transform, one slice at a time."""
+    rows = []
+    for i in range(len(samples) // n):
+        w = samples[i * n:(i + 1) * n]
+        rows.append(np.abs(np.fft.fft((w - w.mean()) / w.std())))
+    return np.array(rows)
+
+
 class TestWindow:
     def test_300_windows_from_five_minutes(self):
-        wins = window(_series(60000), 1.0)
-        assert len(wins) == 300
-        assert all(w.size == 200 for w in wins)
+        ds = build_dataset([(_series(60000), TerrainClass.FLAT)], 1.0)
+        assert ds.features().shape == (300, 200)
+        assert ds.dropped == 0
 
     def test_trailing_remainder_dropped(self):
-        wins = window(_series(250), 1.0)
-        assert len(wins) == 1
-        assert wins[0].size == 200
+        series = _series(250)
+        ds = build_dataset([(series, TerrainClass.FLAT)], 1.0)
+        assert len(ds) == 1
+        assert np.array_equal(ds.features(), _reference_rows(series.samples[:200]))
 
     def test_short_series_is_an_error(self):
         with pytest.raises(PhysicsError):
-            window(_series(199), 1.0)
+            build_dataset([(_series(199), TerrainClass.FLAT)], 1.0)
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, 1e-4, 0.5])
+    def test_window_must_hold_one_feature_row(self, seconds):
+        with pytest.raises(PhysicsError, match="features need 200"):
+            build_dataset([(_series(600), TerrainClass.FLAT)], seconds)
 
     def test_windows_are_consecutive(self):
-        series = TimeSeries(np.arange(400, dtype=float), 200.0)
-        wins = window(series, 1.0)
-        assert np.array_equal(wins[0], np.arange(200))
-        assert np.array_equal(wins[1], np.arange(200, 400))
+        samples = np.random.default_rng(9).normal(0.0, 1.0, 600)
+        ds = _features(samples)
+        assert ds.window_idx().tolist() == [0, 1, 2]
+        assert np.array_equal(ds.features(), _reference_rows(samples))
 
 
 class TestStandardize:
     def test_zero_mean_unit_std(self):
-        out = standardize(np.arange(1.0, 201.0))
-        assert abs(out.mean()) < 1e-9
-        assert abs(out.std() - 1.0) < 1e-9
+        # zero mean: the DC bin vanishes; unit std: Parseval gives
+        # sum |X_k|^2 = n * sum x^2 = n^2
+        ds = _features(np.random.default_rng(1).normal(3.0, 5.0, 600))
+        assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
+        assert np.allclose((ds.features() ** 2).sum(axis=1), 200.0 ** 2, rtol=1e-12)
 
     def test_idempotent(self):
-        first = standardize(np.random.default_rng(1).normal(3.0, 5.0, 200))
-        again = standardize(first)
-        assert np.allclose(again, first, atol=1e-9)
+        samples = np.random.default_rng(1).normal(3.0, 5.0, 400)
+        standardized = np.concatenate([(w - w.mean()) / w.std()
+                                       for w in samples.reshape(2, 200)])
+        assert np.allclose(_features(standardized).features(),
+                           _features(samples).features(), atol=1e-9)
 
     def test_constant_window_is_an_error(self):
-        with pytest.raises(DegenerateWindowError):
-            standardize(np.full(200, 3.3))
+        # a constant window cannot be standardized; a run of only those
+        # leaves nothing to build
+        with pytest.raises(PhysicsError, match="degenerate"):
+            _features(np.full(400, 3.3))
 
     def test_scale_and_shift_invariant(self):
-        x = np.random.default_rng(2).normal(0.0, 1.0, 200)
-        assert np.allclose(standardize(7.5 * x - 12.0), standardize(x), atol=1e-9)
+        x = np.random.default_rng(2).normal(0.0, 1.0, 400)
+        assert np.allclose(_features(7.5 * x - 12.0).features(),
+                           _features(x).features(), atol=1e-9)
 
 
 class TestFftMagnitude:
@@ -215,6 +241,43 @@ class TestBuildDataset:
         a = build_dataset(runs, 1.0)
         b = build_dataset(runs, 1.0)
         assert np.array_equal(a.features(), b.features())
+
+    def test_rows_equal_per_window_reference_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        # an offset, so that a standard deviation taken after centering
+        # would differ in the last bit for some windows
+        first = rng.normal(5e3, 3.0, 20 * 200 + 77)
+        first[400:600] = 1.25  # a constant window in the middle
+        second = rng.normal(-1.0, 0.5, 10 * 200 + 150)
+        ds = build_dataset([(TimeSeries(first, 200.0), TerrainClass.SAND),
+                            (TimeSeries(second, 200.0), TerrainClass.BRICK)], 1.0)
+        without_constant = np.concatenate([first[:400], first[600:]])
+        expected = np.concatenate([_reference_rows(without_constant),
+                                   _reference_rows(second)])
+        assert np.array_equal(ds.features(), expected)
+        assert ds.labels().tolist() == [6] * 19 + [3] * 10
+        assert ds.window_idx().tolist() == [0, 1, *range(3, 20), *range(10)]
+        assert ds.dropped == 1
+
+    def test_input_series_left_untouched(self):
+        series = _series(600)
+        before = series.samples.copy()
+        build_dataset([(series, TerrainClass.FLAT)], 1.0)
+        assert np.array_equal(series.samples, before)
+
+    def test_constant_run_next_to_good_run(self):
+        good = self._run(TerrainClass.BRICK, seconds=3)
+        constant = (TimeSeries(np.full(600, 0.5), 200.0), TerrainClass.SAND)
+        ds = build_dataset([constant, good], 1.0)
+        assert len(ds) == 3
+        assert ds.dropped == 3
+        assert set(ds.labels().tolist()) == {int(TerrainClass.BRICK)}
+
+    def test_nan_sample_is_an_error(self):
+        samples = np.random.default_rng(11).normal(0.0, 1.0, 600)
+        samples[250] = np.nan
+        with pytest.raises(PhysicsError, match="non-finite"):
+            _features(samples)
 
     def test_standardize_then_transform_order(self):
         # the DC bin of every feature vector is ~0 because the window was
