@@ -89,7 +89,6 @@ class BeamSpec:
     density_kg_m3: float          # coil-corrected volumetric density
     bending_stiffness_nm2: float  # E*I of the equivalent beam
     damping_ratio: float = 0.04
-    mode_constants: tuple = CANTILEVER_MODE_CONSTANTS
 
     def __post_init__(self):
         for name in ("length_m", "cross_section_m2", "density_kg_m3",
@@ -98,8 +97,6 @@ class BeamSpec:
                 raise PhysicsError(f"{name} must be positive")
         if not 0.0 < self.damping_ratio < 1.0:
             raise PhysicsError("damping_ratio must lie in (0, 1)")
-        if tuple(self.mode_constants) != CANTILEVER_MODE_CONSTANTS:
-            raise PhysicsError("mode_constants must be the five clamped-free roots")
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,6 @@ class TimeSeries:
 
     samples: np.ndarray
     sample_rate_hz: float
-    start_time_s: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -193,7 +189,7 @@ def spring_to_beam(spring: SpringSpec) -> BeamSpec:
 
 def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
     """Undamped angular frequency of mode `mode_index` (0-based), rad/s."""
-    d = beam.mode_constants[mode_index]
+    d = CANTILEVER_MODE_CONSTANTS[mode_index]
     stiffness_rate = math.sqrt(
         beam.bending_stiffness_nm2 / (beam.cross_section_m2 * beam.density_kg_m3))
     return d * d * stiffness_rate / beam.length_m ** 2
@@ -214,7 +210,7 @@ def steady_state_offset(beam: BeamSpec) -> float:
 
 def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
     """Clamped-free mode shape at position x (scalar)."""
-    d = beam.mode_constants[mode_index]
+    d = CANTILEVER_MODE_CONSTANTS[mode_index]
     xi = d * x / beam.length_m
     return (math.sinh(xi) - math.sin(xi)
             + (math.cos(xi) - math.cosh(xi))
@@ -223,7 +219,7 @@ def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
 
 def _factor_norm(beam: BeamSpec, mode_index: int) -> float:
     """Modal normalization constant (scalar)."""
-    d = beam.mode_constants[mode_index]
+    d = CANTILEVER_MODE_CONSTANTS[mode_index]
     zeta = beam.damping_ratio
     sd, cd = math.sin(d), math.cos(d)
     shd, chd = math.sinh(d), math.cosh(d)
@@ -244,7 +240,7 @@ def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
     if not 0.0 <= x <= beam.length_m:
         raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
     weights = []
-    for i, d in enumerate(beam.mode_constants):
+    for i, d in enumerate(CANTILEVER_MODE_CONSTANTS):
         trig_const = ((math.cos(d) - 1.0) * (math.cosh(d) - 1.0)
                       * (math.cos(d) + math.cosh(d)))
         weights.append(2.0 * beam.cross_section_m2 * beam.length_m ** 4
@@ -260,7 +256,7 @@ def _modal_terms(beam: BeamSpec, exc: Excitation, x: float,
     s1z = math.sqrt(1.0 - zeta * zeta)
     drive_scale = exc.amplitude_m * exc.angular_frequency ** 2
     drive = np.sin(exc.angular_frequency * t)
-    terms = np.empty((len(beam.mode_constants), t.size))
+    terms = np.empty((len(CANTILEVER_MODE_CONSTANTS), t.size))
     for i, weight in enumerate(_mode_weights(beam, x)):
         om = modal_angular_frequency(beam, i)
         arg_d = om * s1z * t
@@ -280,17 +276,11 @@ def steady_state_gain(beam: BeamSpec, x: float) -> float:
     return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
-def displacement_modal_terms(beam: BeamSpec, exc: Excitation, x: float,
-                             t: float) -> np.ndarray:
-    """Per-mode contributions at (x, t); their sum equals displacement()."""
-    if t < 0.0:
-        raise PhysicsError("time must be >= 0")
-    return _modal_terms(beam, exc, x, np.array([float(t)]))[:, 0]
-
-
 def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
     """Beam lateral displacement at position x and time t, meters."""
-    return float(displacement_modal_terms(beam, exc, x, t).sum())
+    if t < 0.0:
+        raise PhysicsError("time must be >= 0")
+    return float(_modal_terms(beam, exc, x, np.array([float(t)])).sum())
 
 
 def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
@@ -320,7 +310,7 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
                    * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t)
     else:
         samples = _modal_terms(beam, exc, sensor_position_m, t).sum(axis=0)
-    return TimeSeries(samples, sample_rate_hz, t0_s)
+    return TimeSeries(samples, sample_rate_hz)
 
 
 def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: float,
@@ -352,6 +342,6 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
                 beam, Excitation(hb, fb), sensor_position_m,
                 sample_rate_hz, duration_s, t0_s)
             y_max[i, j] = float(np.max(np.abs(series.samples)))
-            f_dom[i, j] = dominant_frequency(
-                fft_magnitude(series.samples, sample_rate_hz))
+            f_dom[i, j] = dominant_frequency(fft_magnitude(series.samples),
+                                             sample_rate_hz / len(series))
     return SweepSurface(f_grid, h_grid, y_max, f_dom)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration errors (argparse uses 2 as well),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import experiment
@@ -32,50 +33,63 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _print(text: str) -> None:
+    """print() to stdout. If the reader has closed it, stdout is pointed at
+    os.devnull, so the command still ends with its own exit code and the
+    flush at interpreter exit cannot fail either."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _accuracy_cell(acc, width: int) -> str:
     """A per-class accuracy, or "-" for a class absent from the test set."""
     return f"{acc:{width}.4f}" if acc is not None else "-".rjust(width)
 
 
 def _print_accuracy_table(report: dict) -> None:
-    print(f"mean overall accuracy: {report['mean_overall_accuracy']:.4f} "
-          f"(std {report['std_overall_accuracy']:.4f}, "
-          f"{len(report['repetitions'])} repetitions)")
-    print("mean per-class accuracy:")
+    _print(f"mean overall accuracy: {report['mean_overall_accuracy']:.4f} "
+           f"(std {report['std_overall_accuracy']:.4f}, "
+           f"{len(report['repetitions'])} repetitions)")
+    _print("mean per-class accuracy:")
     from .terrain import TerrainClass
     for tc, acc in zip(TerrainClass, report["mean_per_class_accuracy"]):
-        print(f"  {tc.label:<11s} {_accuracy_cell(acc, 6)}")
-    print("mean confusion matrix (rows true, cols predicted):")
+        _print(f"  {tc.label:<11s} {_accuracy_cell(acc, 6)}")
+    _print("mean confusion matrix (rows true, cols predicted):")
     for row in report["mean_confusion"]:
-        print("  " + " ".join(f"{v:7.2f}" for v in row))
+        _print("  " + " ".join(f"{v:7.2f}" for v in row))
 
 
 def _print_speed_table(report: dict) -> None:
     from .terrain import TerrainClass
     header = "speed   overall " + " ".join(f"{tc.label:>10s}" for tc in TerrainClass)
-    print(header)
+    _print(header)
     for entry in report["per_speed"]:
         cells = " ".join(_accuracy_cell(a, 10) for a in entry["per_class_accuracy"])
-        print(f"{entry['speed_m_s']:<7.3g} {entry['overall_accuracy']:7.4f} {cells}")
+        _print(f"{entry['speed_m_s']:<7.3g} {entry['overall_accuracy']:7.4f} {cells}")
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
     report = experiment.run_sweep(cfg, cfg.out_dir)
-    print(f"sweep: {report['cells_total']} cells, "
-          f"{report['cells_f_dom_within_one_bin']} with dominant frequency "
-          f"within one bin of the drive")
-    print(f"wrote {cfg.out_dir}/sweep.csv and {cfg.out_dir}/sweep_summary.json")
+    _print(f"sweep: {report['cells_total']} cells, "
+           f"{report['cells_f_dom_within_one_bin']} with dominant frequency "
+           f"within one bin of the drive")
+    _print(f"wrote {cfg.out_dir}/sweep.csv and {cfg.out_dir}/sweep_summary.json")
     return EXIT_OK
 
 
 def _cmd_synth(cfg: ExperimentConfig) -> int:
     report = experiment.run_synth(cfg, cfg.out_dir)
-    for entry in report["terrains"]:
-        print(f"{entry['terrain']:<11s} {entry['windows']:5d} windows "
-              f"({entry['dropped']} dropped) -> {entry['file']}")
-    print(f"wrote manifest {cfg.out_dir}/synth_manifest.json")
     total = report["total_windows"] + report["total_dropped"]
-    if total and report["total_dropped"] / total > 0.01:
+    degenerate = bool(total) and report["total_dropped"] / total > 0.01
+    for entry in report["terrains"]:
+        _print(f"{entry['terrain']:<11s} {entry['windows']:5d} windows "
+               f"({entry['dropped']} dropped) -> {entry['file']}")
+    _print(f"wrote manifest {cfg.out_dir}/synth_manifest.json")
+    if degenerate:
         print(f"error: {report['total_dropped']} of {total} windows degenerate",
               file=sys.stderr)
         return EXIT_PHYSICS
@@ -85,20 +99,20 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
 def _cmd_train_eval(cfg: ExperimentConfig) -> int:
     report = experiment.run_train_eval(cfg, cfg.out_dir)
     _print_accuracy_table(report)
-    print(f"wrote {cfg.out_dir}/train_eval_report.json")
+    _print(f"wrote {cfg.out_dir}/train_eval_report.json")
     return EXIT_OK
 
 
 def _cmd_speed_sweep(cfg: ExperimentConfig) -> int:
     report = experiment.run_speed_sweep(cfg, cfg.out_dir)
     _print_speed_table(report)
-    print(f"wrote {cfg.out_dir}/speed_sweep_report.json")
+    _print(f"wrote {cfg.out_dir}/speed_sweep_report.json")
     return EXIT_OK
 
 
 def _cmd_grad_check(cfg: ExperimentConfig) -> int:
     report = experiment.run_grad_check(cfg)
-    print(f"max relative gradient error: {report['max_relative_error']:.3e}")
+    _print(f"max relative gradient error: {report['max_relative_error']:.3e}")
     if not report["passed"]:
         print("error: gradient check failed (threshold 1e-5)", file=sys.stderr)
         return EXIT_PHYSICS

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import mlp, pipeline, terrain
-from .beam import BeamSpec, modal_sweep, spring_to_beam
+from .beam import modal_sweep, spring_to_beam
 from .config import ExperimentConfig
 from .errors import ConfigError, PhysicsError
 from .terrain import RobotRun, TerrainClass
@@ -49,10 +49,6 @@ def _check_nyquist(cfg: ExperimentConfig, profiles: dict, speeds) -> None:
                 raise PhysicsError(f"{tc.label} at {speed} m/s: {exc}") from exc
 
 
-def build_beam(cfg: ExperimentConfig) -> BeamSpec:
-    return spring_to_beam(cfg.spring)
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -71,7 +67,7 @@ def _make_out_dir(out_dir) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV and returns the summary report."""
     _make_out_dir(out_dir)
-    beam = build_beam(cfg)
+    beam = spring_to_beam(cfg.spring)
     surface = modal_sweep(beam, cfg.sweep.f_b_hz, cfg.sweep.h_b_m,
                           cfg.sensor_position_m, cfg.sweep.sample_rate_hz,
                           cfg.sweep.duration_s)
@@ -100,8 +96,8 @@ def _terrain_series(cfg: ExperimentConfig, speed_m_s: float, profiles: dict,
                     tc: TerrainClass, seed: int) -> terrain.TimeSeries:
     """One seeded run over terrain tc at the given speed."""
     run = RobotRun(speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed)
-    return terrain.synthesize_run(tc, run, build_beam(cfg), cfg.sensor_position_m,
-                                  profile=profiles[tc])
+    return terrain.synthesize_run(tc, run, spring_to_beam(cfg.spring),
+                                  cfg.sensor_position_m, profile=profiles[tc])
 
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
@@ -190,16 +186,16 @@ def _report_accuracies(values) -> list:
 def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
                      seed_scope: tuple) -> dict:
     split_seed = child_seed(cfg.master_seed, *seed_scope, "split")
-    init_seed = child_seed(cfg.master_seed, *seed_scope, "init")
+    model_seed = child_seed(cfg.master_seed, *seed_scope, "init")
     shuffle_seed = child_seed(cfg.master_seed, *seed_scope, "shuffle")
     train_set, test_set = pipeline.split(dataset, cfg.train_fraction, split_seed)
-    model = mlp.init(mlp.MlpArchitecture(), init_seed)
+    model = mlp.init(mlp.MlpArchitecture(), model_seed)
     train_cfg = mlp.TrainConfig(cfg.train.learning_rate, cfg.train.epochs,
                                 cfg.train.batch_size, shuffle_seed)
     model, history = mlp.train(model, train_set, train_cfg)
     matrix = mlp.evaluate(model, test_set)
     return {
-        "seeds": {"split": split_seed, "init": init_seed, "shuffle": shuffle_seed},
+        "seeds": {"split": split_seed, "init": model_seed, "shuffle": shuffle_seed},
         "train_size": len(train_set),
         "test_size": len(test_set),
         "initial_loss": history[0],
@@ -239,7 +235,7 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
 def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
                              profiles: dict) -> dict:
     """Dominant feature-bin frequency per terrain from a noise/jitter-free window."""
-    beam = build_beam(cfg)
+    beam = spring_to_beam(cfg.spring)
     bins = {}
     for tc in sorted(profiles, key=int):
         clean = terrain.strip_randomness(profiles[tc])
@@ -247,9 +243,8 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
         series = terrain.synthesize_run(tc, run, beam, cfg.sensor_position_m,
                                         profile=clean)
         ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
-        spectrum = pipeline.Spectrum(ds.features()[0],
-                                     cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
-        bins[tc.label] = pipeline.dominant_frequency(spectrum)
+        bins[tc.label] = pipeline.dominant_frequency(
+            ds.features()[0], cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
     return bins
 
 

@@ -10,8 +10,6 @@ not imported first.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,7 +50,6 @@ class MlpModel:
     weights: list
     biases: list
     arch: MlpArchitecture
-    init_seed: int
 
     def __post_init__(self):
         sizes = self.arch.layer_sizes
@@ -67,7 +64,7 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],
                         [b.copy() for b in self.biases],
-                        self.arch, self.init_seed)
+                        self.arch)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def init(arch: MlpArchitecture, seed: int) -> MlpModel:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases, arch, seed)
+    return MlpModel(weights, biases, arch)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,16 +150,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def loss(probs: np.ndarray, label: int) -> float:
-    """Cross entropy -log p_label with the probability floored at 1e-12."""
-    probs = np.asarray(probs, dtype=float)
-    idx = int(label) - 1
-    if not 0 <= idx < probs.size:
-        raise PhysicsError(f"label {label} outside 1..{probs.size}")
-    return float(-math.log(max(float(probs[idx]), _PROB_FLOOR)))
-
-
 def _batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Cross entropy -log p_label of each row, the probability floored at 1e-12."""
     picked = probs[np.arange(labels.size), labels - 1]
     return -np.log(np.maximum(picked, _PROB_FLOOR))
 
@@ -281,31 +270,3 @@ def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
                 worst = max(worst, abs(numeric - grad_flat[idx]) / denom)
     return worst
 
-
-def model_to_json(model: MlpModel) -> str:
-    """Lossless JSON encoding (float64 bytes in base64)."""
-
-    def encode(a: np.ndarray) -> dict:
-        return {"shape": list(a.shape),
-                "data": base64.b64encode(np.ascontiguousarray(a, dtype=float).tobytes()).decode()}
-
-    doc = {
-        "arch": {"layer_sizes": list(model.arch.layer_sizes)},
-        "seed": model.init_seed,
-        "weights": [encode(w) for w in model.weights],
-        "biases": [encode(b) for b in model.biases],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def model_from_json(text: str) -> MlpModel:
-    doc = json.loads(text)
-
-    def decode(entry: dict) -> np.ndarray:
-        data = np.frombuffer(base64.b64decode(entry["data"]), dtype=float)
-        return data.reshape(entry["shape"]).copy()
-
-    arch = MlpArchitecture(tuple(doc["arch"]["layer_sizes"]))
-    return MlpModel([decode(w) for w in doc["weights"]],
-                    [decode(b) for b in doc["biases"]],
-                    arch, int(doc["seed"]))

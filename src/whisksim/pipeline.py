@@ -8,8 +8,6 @@ the window, 200 bins at the default rate), attach the terrain label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .beam import TimeSeries
@@ -17,19 +15,6 @@ from .errors import PhysicsError
 from .terrain import TerrainClass
 
 FEATURE_WIDTH = 200
-
-
-@dataclass
-class Spectrum:
-    """Two-sided DFT magnitudes along the last axis, with their bin spacing."""
-
-    magnitudes: np.ndarray
-    bin_width_hz: float
-
-    def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=float)
-        if self.bin_width_hz <= 0.0:
-            raise PhysicsError("bin_width_hz must be positive")
 
 
 class Dataset:
@@ -69,31 +54,26 @@ class Dataset:
         return self._window_idx
 
 
-def fft_magnitude(values: np.ndarray, sample_rate_hz: float) -> Spectrum:
+def fft_magnitude(values: np.ndarray) -> np.ndarray:
     """Full two-sided magnitude spectrum of a real window, or of each row of
     a stack of windows (the transform runs along the last axis)."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise PhysicsError("cannot transform an empty window")
-    if sample_rate_hz <= 0.0:
-        raise PhysicsError("sample_rate_hz must be positive")
-    return Spectrum(np.abs(np.fft.fft(values)), sample_rate_hz / values.shape[-1])
+    return np.abs(np.fft.fft(values))
 
 
-def _folded_frequencies(n: int, bin_width_hz: float) -> np.ndarray:
-    """Physical frequency of each two-sided bin (bin n-k mirrors bin k)."""
-    k = np.arange(n)
-    return np.minimum(k, n - k) * bin_width_hz
-
-
-def dominant_frequency(spectrum: Spectrum) -> float:
-    """Frequency of the largest non-DC bin of one window's spectrum; ties go
-    to the lower frequency."""
-    mags = spectrum.magnitudes
+def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
+    """Frequency of the largest non-DC bin of one window's two-sided
+    spectrum (bin n-k mirrors bin k); ties go to the lower frequency."""
+    mags = np.asarray(magnitudes, dtype=float)
     n = mags.size
     if n < 3:
         raise PhysicsError("need at least 3 bins to pick a dominant frequency")
-    freqs = _folded_frequencies(n, spectrum.bin_width_hz)
+    if bin_width_hz <= 0.0:
+        raise PhysicsError("bin_width_hz must be positive")
+    k = np.arange(n)
+    freqs = np.minimum(k, n - k) * bin_width_hz
     best = mags[1:].max()
     return float(freqs[1:][mags[1:] == best].min())
 
@@ -103,12 +83,13 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
     """Segment, standardize, transform and label every run.
 
     Flat windows (standard deviation at most 1e-12) are skipped and counted
-    in Dataset.dropped; a NaN window is kept, so Dataset refuses it.
+    in Dataset.dropped. A window whose standard deviation is not finite (NaN
+    samples, or samples so large that their squares overflow) is an error.
     """
     if not runs:
         raise PhysicsError("no runs supplied")
     stacks, keeps = [], []
-    for series, _ in runs:
+    for series, label in runs:
         n = int(round(window_seconds * series.sample_rate_hz))
         if n != FEATURE_WIDTH:
             raise PhysicsError(f"windows of {window_seconds} s at {series.sample_rate_hz}"
@@ -118,22 +99,25 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
             raise PhysicsError(
                 f"series of {len(series)} samples is shorter than one window ({n})")
         windows = series.samples[:count * n].reshape(count, n)
-        std = windows.std(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            std = windows.std(axis=1)
+        if not np.isfinite(std).all():
+            raise PhysicsError(f"a window of the label {int(label)} run has a "
+                               "non-finite standard deviation")
         stacks.append((windows, std))
-        keeps.append(~(std <= 1e-12))
+        keeps.append(std > 1e-12)
     kept = sum(int(keep.sum()) for keep in keeps)
     if kept == 0:
         raise PhysicsError("all windows were degenerate")
     features = np.empty((kept, FEATURE_WIDTH))
     row = 0
-    for (series, _), (windows, std), keep in zip(runs, stacks, keeps):
+    for (windows, std), keep in zip(stacks, keeps):
         if not keep.any():  # fft_magnitude refuses an empty stack
             continue
         flat = windows[keep]  # a copy: standardizing in place leaves the run alone
         flat -= flat.mean(axis=1, keepdims=True)
         flat /= std[keep, None]
-        spectra = fft_magnitude(flat, series.sample_rate_hz)
-        features[row:row + len(flat)] = spectra.magnitudes
+        features[row:row + len(flat)] = fft_magnitude(flat)
         row += len(flat)
     labels = np.repeat([int(label) for _, label in runs], [keep.sum() for keep in keeps])
     window_idx = np.concatenate([np.flatnonzero(keep) for keep in keeps])

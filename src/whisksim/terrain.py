@@ -249,7 +249,7 @@ def synthesize_run(terrain: TerrainClass, run: RobotRun, beam: BeamSpec,
         total += series.samples
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, n)
-    return TimeSeries(total, run.sample_rate_hz, t0)
+    return TimeSeries(total, run.sample_rate_hz)
 
 
 def profiles_to_json(table: dict[TerrainClass, SpectralProfile]) -> str:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import oracles
-from whisksim import (
+from whisksim.beam import (
     BeamSpec,
     Excitation,
-    PhysicsError,
     SpringSpec,
     TimeSeries,
+    _factor_norm,
+    _factor_shape,
+    _modal_terms,
     displacement,
     displacement_series,
     modal_angular_frequency,
@@ -23,12 +25,7 @@ from whisksim import (
     steady_state_offset,
     transient_time_constant,
 )
-from whisksim.beam import (
-    CANTILEVER_MODE_CONSTANTS,
-    _factor_norm,
-    _factor_shape,
-    displacement_modal_terms,
-)
+from whisksim.errors import PhysicsError
 
 GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "data",
                                      "golden_beam.json")))
@@ -72,7 +69,6 @@ class TestSpringToBeam:
 
     def test_defaults_and_damping(self, beam):
         assert beam.damping_ratio == 0.04
-        assert beam.mode_constants == CANTILEVER_MODE_CONSTANTS
 
     @pytest.mark.parametrize("kwargs", [
         {"free_length_m": -0.06},
@@ -92,12 +88,6 @@ class TestSpringToBeam:
         with pytest.raises(PhysicsError):
             BeamSpec(beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
                      beam.bending_stiffness_nm2, damping_ratio=0.0)
-
-    def test_mode_constants_pinned(self, beam):
-        with pytest.raises(PhysicsError):
-            BeamSpec(beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
-                     beam.bending_stiffness_nm2,
-                     mode_constants=(1.9, 4.7, 7.9, 11.0, 14.1))
 
 
 class TestDisplacement:
@@ -132,7 +122,7 @@ class TestDisplacement:
                 assert _factor_shape(beam, i, 0.005) == pytest.approx(
                     float(shape), rel=1e-9)
                 assert _factor_norm(beam, i) == pytest.approx(float(norm), rel=1e-9)
-                term = displacement_modal_terms(beam, drive, 0.005, t)[i]
+                term = _modal_terms(beam, drive, 0.005, np.array([t]))[i, 0]
                 assert term == pytest.approx(
                     float(-(forcing * shape * mix) / norm), rel=1e-9)
 
@@ -154,19 +144,16 @@ class TestDisplacement:
             assert abs(got - ref) / scale < 1e-9
 
     def test_modal_terms_sum_to_displacement(self, beam, drive):
-        terms = displacement_modal_terms(beam, drive, 0.005, 0.3137)
-        assert terms.shape == (5,)
+        terms = _modal_terms(beam, drive, 0.005, np.array([0.3137]))
+        assert terms.shape == (5, 1)
         assert terms.sum() == displacement(beam, drive, 0.005, 0.3137)
 
     def test_mode_five_smaller_than_mode_one(self, beam):
         # five modes suffice at drive frequencies up to 300 Hz
         t_grid = steady_state_offset(beam) + np.linspace(0.0, 0.05, 40)
         for f_b in (50.0, 100.0, 200.0, 300.0):
-            exc = Excitation(1e-4, f_b)
-            amp = np.zeros(5)
-            for t in t_grid:
-                amp = np.maximum(amp, np.abs(
-                    displacement_modal_terms(beam, exc, 0.005, t)))
+            amp = np.abs(_modal_terms(beam, Excitation(1e-4, f_b), 0.005,
+                                      t_grid)).max(axis=1)
             assert amp[4] < amp[0]
 
 

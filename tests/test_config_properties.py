@@ -9,8 +9,11 @@ from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
-from whisksim import ConfigError, SpringSpec, TerrainClass, TrainConfig, load_profiles
+from whisksim.beam import SpringSpec
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
+from whisksim.errors import ConfigError
+from whisksim.mlp import TrainConfig
+from whisksim.terrain import TerrainClass, load_profiles
 
 # what json.loads can return, NaN and Infinity included
 json_values = st.recursive(

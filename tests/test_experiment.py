@@ -10,18 +10,10 @@ import numpy as np
 import pytest
 
 import whisksim
-from whisksim import (
-    ConfigError,
-    experiment,
-    terrain,
-    MlpArchitecture,
-    TrainConfig,
-    TrainingDivergedError,
-    init,
-    train,
-)
+from whisksim import experiment, terrain
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
+from whisksim.errors import ConfigError, PhysicsError, TrainingDivergedError
 from whisksim.experiment import (
     _noiseless_dominant_bins,
     _ordered_map,
@@ -36,6 +28,7 @@ from whisksim.experiment import (
     run_synth,
     run_train_eval,
 )
+from whisksim.mlp import MlpArchitecture, TrainConfig, init, train
 from whisksim.pipeline import split
 from whisksim.terrain import TerrainClass
 
@@ -215,7 +208,6 @@ class TestRunSpeedSweep:
 
     def test_needs_two_speeds(self, tmp_path):
         cfg = _tiny_config(speeds_m_s=[0.2])
-        from whisksim import PhysicsError
         with pytest.raises(PhysicsError):
             run_speed_sweep(cfg, tmp_path)
 
@@ -290,7 +282,7 @@ class TestWorkerPool:
 
         def brick_fails_first(tc, *args, **kwargs):
             if tc is TerrainClass.BRICK:
-                raise whisksim.PhysicsError("brick failed")
+                raise PhysicsError("brick failed")
             time.sleep(0.5)
             return synthesize_run(tc, *args, **kwargs)
 
@@ -324,12 +316,19 @@ class TestWorkerPool:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_env_after_import(**preset) -> dict:
-    """BLAS thread variables seen by a fresh interpreter after `import whisksim`."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+def _child_env(drop=(), **preset) -> dict:
+    """This environment for a fresh interpreter that imports the whisksim
+    under test, less the variables in `drop`, plus `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env.update(preset)
     src = os.path.dirname(os.path.dirname(whisksim.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _blas_env_after_import(**preset) -> dict:
+    """BLAS thread variables seen by a fresh interpreter after `import whisksim`."""
+    env = _child_env(BLAS_THREAD_VARS, **preset)
     code = ("import json, os, whisksim; "
             f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -345,6 +344,31 @@ class TestBlasThreads:
         env = _blas_env_after_import(OPENBLAS_NUM_THREADS="3")
         assert env == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
                        "MKL_NUM_THREADS": "1"}
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`whisksim train-eval | head -1`)
+    changes neither the exit code nor stderr."""
+
+    def test_exit_code_and_stderr_match_an_open_stdout(self, tmp_path):
+        cfg = tmp_path / "smoke.json"
+        cfg.write_text(json.dumps({"repetitions": 1, "duration_s": 5,
+                                   "train": {"epochs": 1, "batch_size": 8}}))
+        argv = [sys.executable, "-m", "whisksim.cli", "--config", str(cfg),
+                "--out", str(tmp_path / "out"), "train-eval"]
+        opened = subprocess.run(argv, env=_child_env(), capture_output=True,
+                                timeout=120)
+        assert opened.returncode == 0 and b"mean overall accuracy" in opened.stdout
+        # with and without stdout buffering: the closed pipe must show
+        # neither at a print nor at the flush when the interpreter exits
+        for env in (_child_env(PYTHONUNBUFFERED="1"),
+                    _child_env(["PYTHONUNBUFFERED"])):
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == opened.returncode
+            assert err == opened.stderr
 
 
 class TestRunGradCheck:
@@ -612,6 +636,21 @@ class TestCli:
             cells = list(zip(*table))
         for tc, column in zip(TerrainClass, cells):
             assert column and all((c == "-") == (tc not in present) for c in column)
+
+    def test_overflowing_noise_floor_is_physics_error(self, tmp_path, capsys):
+        # 1e300 is finite, so the profile loads, but the squares of the noisy
+        # samples overflow and the flat windows' standard deviation is inf
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "noise_floor_m": 1e300,
+             "components": [{"lambda_m": 0.04, "h_m": 2e-5}]},
+            {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 8e-5}]},
+        ]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profiles": str(profiles), "duration_s": 5}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "synth"]) == 3
+        assert "non-finite standard deviation" in capsys.readouterr().err
 
     def test_empty_sweep_grid_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

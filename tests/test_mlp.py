@@ -5,23 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from whisksim import (
-    Dataset,
+from whisksim.errors import PhysicsError, TrainingDivergedError
+from whisksim.mlp import (
+    DEFAULT_LAYER_SIZES,
     MlpArchitecture,
-    MlpModel,
-    PhysicsError,
     TrainConfig,
-    TrainingDivergedError,
+    _batch_losses,
+    _forward_cached,
     evaluate,
     forward,
     gradients,
     init,
-    loss,
-    model_from_json,
-    model_to_json,
     train,
 )
-from whisksim.mlp import DEFAULT_LAYER_SIZES, _batch_losses, _forward_cached
+from whisksim.pipeline import Dataset
 
 SMALL_ARCH = MlpArchitecture((200, 16, 8, 7))
 
@@ -116,20 +113,17 @@ class TestForward:
 
 class TestLoss:
     def test_certain_prediction_is_zero(self):
-        probs = np.zeros(7)
-        probs[2] = 1.0
-        assert loss(probs, 3) == 0.0
+        probs = np.zeros((1, 7))
+        probs[0, 2] = 1.0
+        assert _batch_losses(probs, np.array([3]))[0] == 0.0
 
     def test_uniform_is_ln_seven(self):
-        assert loss(np.full(7, 1.0 / 7.0), 4) == pytest.approx(math.log(7.0))
+        losses = _batch_losses(np.full((1, 7), 1.0 / 7.0), np.array([4]))
+        assert losses[0] == pytest.approx(math.log(7.0))
 
     def test_probability_floor(self):
-        probs = np.full(7, 1e-20)
-        assert loss(probs, 1) == pytest.approx(-math.log(1e-12))
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(PhysicsError):
-            loss(np.full(7, 1.0 / 7.0), 8)
+        probs = np.full((1, 7), 1e-20)
+        assert _batch_losses(probs, np.array([1]))[0] == pytest.approx(-math.log(1e-12))
 
 
 class TestGradients:
@@ -306,20 +300,3 @@ class TestEvaluate:
         with pytest.raises(PhysicsError):
             evaluate(init(SMALL_ARCH, 45),
                      Dataset(np.empty((0, 200)), [], []))
-
-
-class TestSerialization:
-    def test_roundtrip_reproduces_forward_exactly(self):
-        model = init(MlpArchitecture(), 46)
-        again = model_from_json(model_to_json(model))
-        assert again.arch == model.arch
-        assert again.init_seed == model.init_seed
-        x, _ = _random_batch(3, seed=13)
-        assert np.max(np.abs(forward(model, x) - forward(again, x))) <= 1e-12
-
-    def test_parameters_exact(self):
-        model = init(SMALL_ARCH, 47)
-        again = model_from_json(model_to_json(model))
-        for a, b in zip(model.weights + model.biases,
-                        again.weights + again.biases):
-            assert np.array_equal(a, b)

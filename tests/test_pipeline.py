@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
-from whisksim import (
+from whisksim.beam import TimeSeries
+from whisksim.errors import PhysicsError
+from whisksim.pipeline import (
     Dataset,
-    PhysicsError,
-    Spectrum,
-    TerrainClass,
-    TimeSeries,
     build_dataset,
     dominant_frequency,
     fft_magnitude,
@@ -20,6 +18,7 @@ from whisksim import (
     split,
     write_dataset_csv,
 )
+from whisksim.terrain import TerrainClass
 
 
 def _series(n, rate=200.0, rng=None):
@@ -99,21 +98,17 @@ class TestFftMagnitude:
     def test_sinusoid_peaks_mirror(self):
         n, k = 200, 17
         x = np.sin(2.0 * np.pi * k * np.arange(n) / n)
-        mags = fft_magnitude(x, 200.0).magnitudes
+        mags = fft_magnitude(x)
         top = set(np.argsort(mags)[-2:])
         assert top == {k, n - k}
 
     def test_zeros_stay_zero(self):
-        mags = fft_magnitude(np.zeros(200), 200.0).magnitudes
+        mags = fft_magnitude(np.zeros(200))
         assert np.all(mags == 0.0)
-
-    def test_bin_width(self):
-        spec = fft_magnitude(np.ones(400), 200.0)
-        assert spec.bin_width_hz == pytest.approx(0.5)
 
     def test_eight_samples_match_naive_dft(self):
         x = np.random.default_rng(3).normal(0.0, 1.0, 8)
-        got = fft_magnitude(x, 8.0).magnitudes
+        got = fft_magnitude(x)
         ref = oracles.naive_dft_magnitudes(list(x))
         assert np.max(np.abs(got - np.array(ref))) < 1e-9
 
@@ -121,7 +116,7 @@ class TestFftMagnitude:
         rng = np.random.default_rng(4)
         for n in range(1, 65):
             x = rng.normal(0.0, 1.0, n)
-            got = fft_magnitude(x, float(n)).magnitudes
+            got = fft_magnitude(x)
             ref = np.array(oracles.naive_dft_magnitudes(list(x)))
             assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -129,51 +124,57 @@ class TestFftMagnitude:
         rng = np.random.default_rng(5)
         for n in (64, 200, 333):
             x = rng.normal(0.0, 2.0, n)
-            mags = fft_magnitude(x, float(n)).magnitudes
+            mags = fft_magnitude(x)
             time_energy = np.sum(x ** 2)
             freq_energy = np.sum(mags ** 2) / n
             assert freq_energy == pytest.approx(time_energy, rel=1e-6)
 
     def test_empty_window_is_an_error(self):
         with pytest.raises(PhysicsError):
-            fft_magnitude(np.array([]), 200.0)
+            fft_magnitude(np.array([]))
 
 
 class TestDominantFrequency:
     def test_pure_sinusoid(self):
         t = np.arange(1000) / 1000.0
         x = np.sin(2.0 * np.pi * 100.0 * t)
-        assert dominant_frequency(fft_magnitude(x, 1000.0)) == pytest.approx(100.0)
+        assert dominant_frequency(fft_magnitude(x), 1.0) == pytest.approx(100.0)
 
     def test_beam_signal_at_300hz(self):
-        from whisksim import Excitation, SpringSpec, displacement_series, \
+        from whisksim.beam import Excitation, SpringSpec, displacement_series, \
             spring_to_beam, steady_state_offset
         beam = spring_to_beam(SpringSpec())
         series = displacement_series(beam, Excitation(3e-4, 300.0), 0.005,
                                      1000.0, 1.0, t0_s=steady_state_offset(beam))
         assert dominant_frequency(
-            fft_magnitude(series.samples, 1000.0)) == pytest.approx(300.0)
+            fft_magnitude(series.samples), 1.0) == pytest.approx(300.0)
 
     def test_tie_breaks_to_lower_frequency(self):
         mags = np.zeros(200)
         mags[40] = 5.0
         mags[60] = 5.0
-        assert dominant_frequency(Spectrum(mags, 1.0)) == 40.0
+        assert dominant_frequency(mags, 1.0) == 40.0
 
     def test_mirror_bins_resolve_to_folded_frequency(self):
         mags = np.zeros(200)
         mags[150] = 9.0  # mirror of bin 50
-        assert dominant_frequency(Spectrum(mags, 1.0)) == 50.0
+        assert dominant_frequency(mags, 1.0) == 50.0
 
     def test_dc_excluded(self):
         mags = np.zeros(64)
         mags[0] = 100.0
         mags[5] = 1.0
-        assert dominant_frequency(Spectrum(mags, 1.0)) == 5.0
+        assert dominant_frequency(mags, 1.0) == 5.0
 
     def test_needs_three_bins(self):
         with pytest.raises(PhysicsError):
-            dominant_frequency(Spectrum(np.ones(2), 1.0))
+            dominant_frequency(np.ones(2), 1.0)
+
+    def test_rejects_non_positive_bin_width(self):
+        mags = np.zeros(200)
+        mags[40] = 1.0
+        with pytest.raises(PhysicsError):
+            dominant_frequency(mags, 0.0)
 
 
 class TestDataset:
