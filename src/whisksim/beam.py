@@ -33,8 +33,8 @@ exactly
 The modal frequencies drop out of this form: the steady response is a pure
 sinusoid at the drive frequency whose amplitude grows as f_b^2, with no
 resonance near the first mode (46.0 Hz for the default spring) or any
-other. displacement_series uses it for series that start at or after the
-offset, and the modal sum for series that start earlier.
+other. displacement_series samples only this form, with a drive phase; the
+modal sum stays as the reference that displacement() evaluates at any t.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
 """
@@ -285,13 +285,13 @@ def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
 
 def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
                         sample_rate_hz: float, duration_s: float,
-                        t0_s: float = 0.0) -> TimeSeries:
-    """Sample the sensor displacement on a uniform grid starting at t0_s.
+                        phase_rad: float = 0.0) -> TimeSeries:
+    """Sample the steady sensor displacement with the drive phase shifted.
 
-    t0_s lets callers skip the transient and sample the periodic regime; a
-    series that starts at or after steady_state_offset(beam) is sampled from
-    the steady-state form, an earlier one from the modal sum. The sample
-    rate must resolve the drive: sample_rate_hz > 2 * f_b.
+    Returns steady_state_gain * h_b * f_b^2 * sin(w_b t + phase_rad) on the
+    grid t = steady_state_offset(beam) + k / sample_rate_hz: with phase 0 it
+    equals the modal sum displacement() there. The sample rate must resolve
+    the drive: sample_rate_hz > 2 * f_b.
     """
     if duration_s <= 0.0:
         raise PhysicsError("duration_s must be positive")
@@ -299,23 +299,17 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
         raise PhysicsError(
             f"sample rate {sample_rate_hz} Hz cannot resolve {exc.frequency_hz} Hz "
             "(need sample_rate > 2 * f_b)")
-    if t0_s < 0.0:
-        raise PhysicsError("t0_s must be >= 0")
     n = int(round(duration_s * sample_rate_hz))
     if n < 1:
         raise PhysicsError("duration too short for one sample")
-    t = t0_s + np.arange(n) / sample_rate_hz
-    if t0_s >= steady_state_offset(beam):
-        samples = (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
-                   * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t)
-    else:
-        samples = _modal_terms(beam, exc, sensor_position_m, t).sum(axis=0)
+    t = steady_state_offset(beam) + np.arange(n) / sample_rate_hz
+    samples = (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
+               * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t + phase_rad)
     return TimeSeries(samples, sample_rate_hz)
 
 
 def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: float,
-                sample_rate_hz: float, duration_s: float,
-                t0_s: float | None = None) -> SweepSurface:
+                sample_rate_hz: float, duration_s: float) -> SweepSurface:
     """Evaluate max displacement and dominant frequency over a drive grid.
 
     Each cell samples the late-time (steady) response and reads the dominant
@@ -332,15 +326,13 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
         if sample_rate_hz <= 2.0 * fb:
             raise PhysicsError(
                 f"sample rate {sample_rate_hz} Hz cannot resolve grid point {fb} Hz")
-    if t0_s is None:
-        t0_s = steady_state_offset(beam)
     y_max = np.empty((f_grid.size, h_grid.size))
     f_dom = np.empty_like(y_max)
     for i, fb in enumerate(f_grid):
         for j, hb in enumerate(h_grid):
             series = displacement_series(
                 beam, Excitation(hb, fb), sensor_position_m,
-                sample_rate_hz, duration_s, t0_s)
+                sample_rate_hz, duration_s)
             y_max[i, j] = float(np.max(np.abs(series.samples)))
             f_dom[i, j] = dominant_frequency(fft_magnitude(series.samples),
                                              sample_rate_hz / len(series))

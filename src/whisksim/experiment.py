@@ -123,10 +123,17 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
 
 
 def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
-    """Write one dataset CSV per terrain, each in a worker, plus a manifest."""
+    """Write one dataset CSV per terrain, each in a worker, then the manifest;
+    an old manifest goes first, so a failed run leaves none beside the CSVs."""
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, [cfg.speed_m_s])
     _make_out_dir(out_dir)
+    manifest = os.path.join(out_dir, "synth_manifest.json")
+    try:
+        if os.path.lexists(manifest):
+            os.remove(manifest)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove old manifest {manifest}: {exc}") from exc
     entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
                            sorted(profiles, key=int))
     report = {
@@ -135,7 +142,7 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
         "total_windows": sum(e["windows"] for e in entries),
         "total_dropped": sum(e["dropped"] for e in entries),
     }
-    _write_json(os.path.join(out_dir, "synth_manifest.json"), report)
+    _write_json(manifest, report)
     return report
 
 

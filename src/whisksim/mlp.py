@@ -196,7 +196,7 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
     The input model is left untouched. The returned history holds one mean
     loss per epoch, evaluated on the parameters current within that epoch
     (summed in sample order, so it is independent of the shuffle when the
-    learning rate is zero). Non-finite loss aborts with the epoch index.
+    learning rate is zero). Divergence aborts naming the epoch and batch.
     """
     model = model.copy()
     x = train_set.features()
@@ -206,21 +206,24 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
         raise PhysicsError(f"batch_size {cfg.batch_size} exceeds training size {n}")
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        sample_losses = np.empty(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            xb, yb = x[idx], labels[idx]
-            probs, activations = _forward_cached(model, xb)
-            sample_losses[idx] = _batch_losses(probs, yb)
-            for i, w_grad, b_grad in _backward(model, probs, activations, yb):
-                model.weights[i] -= cfg.learning_rate * w_grad
-                model.biases[i] -= cfg.learning_rate * b_grad
-        epoch_loss = float(sample_losses.sum() / n)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"loss diverged at epoch {epoch}")
-        history.append(epoch_loss)
+    try:
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            sample_losses = np.empty(n)
+            for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = perm[start:start + cfg.batch_size]
+                xb, yb = x[idx], labels[idx]
+                probs, activations = _forward_cached(model, xb)
+                sample_losses[idx] = _batch_losses(probs, yb)
+                for i, w_grad, b_grad in _backward(model, probs, activations, yb):
+                    model.weights[i] -= cfg.learning_rate * w_grad
+                    model.biases[i] -= cfg.learning_rate * b_grad
+            epoch_loss = float(sample_losses.sum() / n)
+            if not math.isfinite(epoch_loss):
+                raise TrainingDivergedError("non-finite mean loss over the epoch")
+            history.append(epoch_loss)
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {exc}") from exc
     return model, history
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamSpec, Excitation, TimeSeries, displacement_series, steady_state_offset
+from .beam import BeamSpec, Excitation, TimeSeries, displacement_series
 from .errors import ConfigError, PhysicsError
 
 
@@ -228,9 +228,9 @@ def synthesize_run(terrain: TerrainClass, run: RobotRun, beam: BeamSpec,
                    profile: SpectralProfile | None = None) -> TimeSeries:
     """Simulated steady-state sensor signal for one terrain traversal.
 
-    Superposes the beam response to every profile component (one phase
-    jitter draw per component per run), then adds the white noise floor.
-    Deterministic for a fixed run seed.
+    Superposes the steady beam response to every profile component at a
+    drive phase drawn from +-phase_jitter_rad (one draw per component, in
+    order), then adds the white noise floor. Deterministic per run seed.
     """
     if profile is None:
         profile = default_profiles()[TerrainClass(terrain)]
@@ -238,15 +238,12 @@ def synthesize_run(terrain: TerrainClass, run: RobotRun, beam: BeamSpec,
     excitations = temporal_components(profile, run.speed_m_s, run.sample_rate_hz)
     phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
               for c in profile.components]
-    t0 = steady_state_offset(beam)
     n = int(round(run.duration_s * run.sample_rate_hz))
     total = np.zeros(n)
     for exc, phase in zip(excitations, phases):
-        shift = phase / exc.angular_frequency
-        series = displacement_series(beam, exc, sensor_position_m,
+        total += displacement_series(beam, exc, sensor_position_m,
                                      run.sample_rate_hz, run.duration_s,
-                                     t0_s=t0 + shift)
-        total += series.samples
+                                     phase_rad=phase).samples
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, n)
     return TimeSeries(total, run.sample_rate_hz)

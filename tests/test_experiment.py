@@ -652,6 +652,37 @@ class TestCli:
                      "synth"]) == 3
         assert "non-finite standard deviation" in capsys.readouterr().err
 
+    def test_failed_synth_leaves_no_stale_manifest(self, tmp_path, capsys):
+        # the second run rewrites terrain_brick.csv, then fails on soft-soil's
+        # overflowing noise floor: the first run's manifest, whose brick hash
+        # no longer matches, must not survive it
+        out = tmp_path / "out"
+        assert main(["--config", str(self._write_cfg(tmp_path)),
+                     "--out", str(out), "synth"]) == 0
+        old_brick = (out / "terrain_brick.csv").read_bytes()
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 9e-5}]},
+            {"terrain": "soft-soil", "noise_floor_m": 1e300,
+             "components": [{"lambda_m": 0.2 / 52.0, "h_m": 3e-5}]},
+        ]))
+        cfg = self._write_cfg(tmp_path, profiles=str(profiles))
+        assert main(["--config", str(cfg), "--out", str(out), "synth"]) == 3
+        assert "non-finite standard deviation" in capsys.readouterr().err
+        assert (out / "terrain_brick.csv").read_bytes() != old_brick
+        assert not (out / "synth_manifest.json").exists()
+
+    def test_unremovable_manifest_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesis started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
+        (tmp_path / "out" / "synth_manifest.json").mkdir(parents=True)
+        assert main(["--config", str(self._write_cfg(tmp_path)),
+                     "--out", str(tmp_path / "out"), "synth"]) == 2
+        assert "cannot remove old manifest" in capsys.readouterr().err
+
     def test_empty_sweep_grid_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sweep": {

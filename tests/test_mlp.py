@@ -233,7 +233,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts_with_epoch_index(self):
         ds = self._toy(n=32, seed=9)
-        with pytest.raises(TrainingDivergedError, match=r"epoch \d+|layer"):
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^epoch \d+, batch \d+: non-finite .*layer \d+$"):
             train(init(SMALL_ARCH, 26), ds, TrainConfig(1e18, 6, 8, seed=6))
 
     def test_separable_two_class_toy_converges(self):

@@ -142,10 +142,10 @@ class TestDominantFrequency:
 
     def test_beam_signal_at_300hz(self):
         from whisksim.beam import Excitation, SpringSpec, displacement_series, \
-            spring_to_beam, steady_state_offset
+            spring_to_beam
         beam = spring_to_beam(SpringSpec())
         series = displacement_series(beam, Excitation(3e-4, 300.0), 0.005,
-                                     1000.0, 1.0, t0_s=steady_state_offset(beam))
+                                     1000.0, 1.0)
         assert dominant_frequency(
             fft_magnitude(series.samples), 1.0) == pytest.approx(300.0)
 

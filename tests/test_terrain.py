@@ -6,6 +6,7 @@ import pytest
 from whisksim.beam import (
     Excitation,
     SpringSpec,
+    displacement,
     displacement_series,
     spring_to_beam,
     steady_state_offset,
@@ -156,9 +157,32 @@ class TestSynthesizeRun:
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
         run = RobotRun(0.2, 2.0, 200.0, seed=7)
         got = synthesize_run(TerrainClass.BRICK, run, beam, 0.005, profile=profile)
-        want = displacement_series(beam, Excitation(3e-5, 20.0), 0.005, 200.0,
-                                   2.0, t0_s=steady_state_offset(beam))
+        want = displacement_series(beam, Excitation(3e-5, 20.0), 0.005, 200.0, 2.0)
         assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
+    def test_jitter_is_a_drive_phase(self, beam, tc):
+        # one phase per component, drawn in component order before the noise;
+        # a phase phi is the modal sum started phi / omega later, up to rounding
+        profile = SpectralProfile(default_profiles()[tc].components, 0.0)
+        seed = 1000 + int(tc)
+        got = synthesize_run(tc, RobotRun(0.2, 1.0, 200.0, seed=seed), beam,
+                             0.005, profile=profile).samples
+        rng = np.random.default_rng(seed)
+        phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
+                  for c in profile.components]
+        excitations = temporal_components(profile, 0.2)
+        steady = np.zeros(got.size)
+        for exc, phase in zip(excitations, phases):
+            steady += displacement_series(beam, exc, 0.005, 200.0, 1.0,
+                                          phase_rad=phase).samples
+        assert np.array_equal(got, steady)
+        times = steady_state_offset(beam) + np.arange(got.size) / 200.0
+        modal = np.array([sum(displacement(beam, exc, 0.005,
+                                           t + phase / exc.angular_frequency)
+                              for exc, phase in zip(excitations, phases))
+                          for t in times])
+        assert np.max(np.abs(got - modal)) <= 1e-12 * np.max(np.abs(modal))
 
     def test_sample_count_five_minutes(self, beam):
         run = RobotRun(0.2, 300.0, 200.0, seed=0)
