@@ -108,13 +108,17 @@ def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
     return pipeline.build_dataset(runs, cfg.window_s)
 
 
+def _csv_name(tc: TerrainClass) -> str:
+    return f"terrain_{tc.label}.csv"
+
+
 def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
     """Write terrain tc's dataset CSV; returns its manifest entry."""
     seed = child_seed(cfg.master_seed, "synth", int(tc))
     series = _terrain_series(cfg, cfg.speed_m_s, profiles, tc, seed)
     ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
-    name = f"terrain_{tc.label}.csv"
+    name = _csv_name(tc)
     pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     with open(os.path.join(out_dir, name), "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -123,17 +127,23 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
 
 
 def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
-    """Write one dataset CSV per terrain, each in a worker, then the manifest;
-    an old manifest goes first, so a failed run leaves none beside the CSVs."""
+    """Write one dataset CSV per terrain, each in a worker, then the manifest.
+
+    An earlier run's manifest and terrain CSVs go first, so the directory
+    holds only this run's files: a failed run leaves no manifest, and no
+    CSV of a terrain this run did not write.
+    """
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, [cfg.speed_m_s])
     _make_out_dir(out_dir)
     manifest = os.path.join(out_dir, "synth_manifest.json")
-    try:
-        if os.path.lexists(manifest):
-            os.remove(manifest)
-    except OSError as exc:
-        raise ConfigError(f"cannot remove old manifest {manifest}: {exc}") from exc
+    for path in [manifest] + [os.path.join(out_dir, _csv_name(tc))
+                              for tc in TerrainClass]:
+        try:
+            if os.path.lexists(path):
+                os.remove(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove old output {path}: {exc}") from exc
     entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
                            sorted(profiles, key=int))
     report = {
@@ -146,42 +156,95 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-_worker_task = None   # (fn, items) inside a forked _ordered_map worker
+def _serve(conn, fn, items) -> None:
+    """Forked worker: for each index received, send back (True, result) or
+    (False, exception) of fn(items[index]); it is terminated when done."""
+    while True:
+        index = conn.recv()
+        try:
+            reply = True, fn(items[index])
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
 
 
-def _install_task(fn, items) -> None:
-    global _worker_task
-    _worker_task = fn, items
+def _worker_count(n: int, cpus: int, fill_last_round: bool = False) -> int:
+    """Workers for n equal items on cpus CPUs: min(n, cpus), or with
+    fill_last_round the fewest w in [min(n, cpus), min(n, 2 * cpus)] whose
+    last round of n % w items (w when it divides n) still holds every CPU.
+    The kernel shares the CPUs among the w >= cpus runnable workers, so n
+    equal items take about n / cpus item-times instead of ceil(n / cpus):
+    5 trainings on 2 CPUs run on 3 workers in 2.5 training-times, not 3.
+    Where no w in range fills the last round, min(n, cpus) is kept."""
+    fewest = min(n, cpus)
+    if fill_last_round:
+        for w in range(fewest, min(n, 2 * cpus) + 1):
+            if n % w == 0 or n % w >= cpus:
+                return w
+    return fewest
 
 
-def _run_task(index: int):
-    fn, items = _worker_task
-    return fn(items[index])
+def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
+    """[fn(item) for item in items] in forked worker processes, one per CPU,
+    or with fill_last_round up to two per CPU (see _worker_count).
 
-
-def _ordered_map(fn, items: list) -> list:
-    """[fn(item) for item in items], one forked worker process per CPU.
+    Only multi-second trainings fill the last round: there the idle CPU of
+    a short last round costs more than an extra worker. A synth terrain is
+    about 0.1 s of float formatting, so each extra forked worker (its page
+    faults and start-up) costs more than the idle tail it would save.
 
     Fork hands every worker fn and items, with whatever they hold (a
     dataset, a profile table), without pickling them: only indices and
-    results cross between processes, and the workers share the parent's
-    memory pages. Results keep input order, so reports do not depend on the
-    worker count. If items fail, the exception of the first one in input
-    order is raised, as the plain loop would, and the pool is terminated.
-    Where fork is not available (Windows), the plain loop runs instead.
+    results cross between processes, each worker on a pipe of its own, and
+    the workers share the parent's memory pages. Items go out in input
+    order, each to the next idle worker. Results keep input order, so
+    reports do not depend on the worker count. If items fail, the exception
+    of the first one in input order is raised as soon as every item before
+    it has succeeded, as the plain loop would, and the workers are
+    terminated. No lock is shared with a worker, so terminating one cannot
+    leave the parent waiting (multiprocessing.Pool can hang there: it may
+    kill a worker that holds its result queue's lock). Where fork is not
+    available (Windows), the plain loop runs instead.
     """
     import multiprocessing   # here, so that importing whisksim stays cheap
+    from multiprocessing.connection import wait
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     context = multiprocessing.get_context("fork")
-    with context.Pool(min(len(items), cpus), initializer=_install_task,
-                      initargs=(fn, items)) as pool:
-        # imap yields in order, so the first failure it meets is the
-        # lowest-index one; leaving the with block terminates the rest
-        return list(pool.imap(_run_task, range(len(items))))
+    workers = []
+    try:
+        for _ in range(_worker_count(len(items), cpus, fill_last_round)):
+            conn, child_conn = context.Pipe()
+            proc = context.Process(target=_serve, args=(child_conn, fn, items),
+                                   daemon=True)
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+        idle = [conn for _, conn in workers]
+        sent, running, replies, results = 0, {}, {}, []
+        while len(results) < len(items):
+            while idle and sent < len(items):
+                conn = idle.pop()
+                conn.send(sent)
+                running[conn] = sent
+                sent += 1
+            for conn in wait(list(running)):
+                replies[running.pop(conn)] = conn.recv()
+                idle.append(conn)
+            while len(results) in replies:
+                ok, value = replies.pop(len(results))
+                if not ok:
+                    raise value
+                results.append(value)
+        return results
+    finally:
+        for proc, conn in workers:
+            proc.terminate()
+            proc.join()
+            conn.close()
 
 
 def _report_accuracies(values) -> list:
@@ -220,7 +283,8 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
     _make_out_dir(out_dir)
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
-                        [("train-eval", r) for r in range(cfg.repetitions)])
+                        [("train-eval", r) for r in range(cfg.repetitions)],
+                        fill_last_round=True)
     overall = np.array([r["overall_accuracy"] for r in reps])
     per_class = np.array([r["per_class_accuracy"] for r in reps], dtype=float)
     confusion = np.array([r["confusion"] for r in reps], dtype=float)
@@ -277,7 +341,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     _check_nyquist(cfg, profiles, cfg.speeds_m_s)
     _make_out_dir(out_dir)
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
-                             sorted(cfg.speeds_m_s))
+                             sorted(cfg.speeds_m_s), fill_last_round=True)
     report = {
         "config": cfg.to_dict(),
         "speeds_m_s": [s["speed_m_s"] for s in per_speed],

@@ -146,7 +146,10 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise PhysicsError("input contains non-finite values")
     single = x.ndim == 1
-    probs, _ = _forward_cached(model, np.atleast_2d(x))
+    # a model that diverged on its last training batch overflows here;
+    # _forward_cached refuses the non-finite values, so no warning is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, _ = _forward_cached(model, np.atleast_2d(x))
     return probs[0] if single else probs
 
 
@@ -206,24 +209,27 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
         raise PhysicsError(f"batch_size {cfg.batch_size} exceeds training size {n}")
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    try:
-        for epoch in range(cfg.epochs):
-            perm = rng.permutation(n)
-            sample_losses = np.empty(n)
-            for batch, start in enumerate(range(0, n, cfg.batch_size)):
-                idx = perm[start:start + cfg.batch_size]
-                xb, yb = x[idx], labels[idx]
-                probs, activations = _forward_cached(model, xb)
-                sample_losses[idx] = _batch_losses(probs, yb)
-                for i, w_grad, b_grad in _backward(model, probs, activations, yb):
-                    model.weights[i] -= cfg.learning_rate * w_grad
-                    model.biases[i] -= cfg.learning_rate * b_grad
-            epoch_loss = float(sample_losses.sum() / n)
-            if not math.isfinite(epoch_loss):
-                raise TrainingDivergedError("non-finite mean loss over the epoch")
-            history.append(epoch_loss)
-    except TrainingDivergedError as exc:
-        raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {exc}") from exc
+    # overflow and NaN warnings are silenced: the finiteness checks below
+    # refuse every non-finite value with a TrainingDivergedError
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for epoch in range(cfg.epochs):
+                perm = rng.permutation(n)
+                sample_losses = np.empty(n)
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    idx = perm[start:start + cfg.batch_size]
+                    xb, yb = x[idx], labels[idx]
+                    probs, activations = _forward_cached(model, xb)
+                    sample_losses[idx] = _batch_losses(probs, yb)
+                    for i, w_grad, b_grad in _backward(model, probs, activations, yb):
+                        model.weights[i] -= cfg.learning_rate * w_grad
+                        model.biases[i] -= cfg.learning_rate * b_grad
+                epoch_loss = float(sample_losses.sum() / n)
+                if not math.isfinite(epoch_loss):
+                    raise TrainingDivergedError("non-finite mean loss over the epoch")
+                history.append(epoch_loss)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {exc}") from exc
     return model, history
 
 

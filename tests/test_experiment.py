@@ -1,9 +1,12 @@
 """Experiment drivers and the command line interface."""
 
 import json
+import multiprocessing.context
 import os
+import re
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ from whisksim.experiment import (
     _ordered_map,
     _synth_terrain,
     _train_eval_once,
+    _worker_count,
     build_labeled_dataset,
     child_seed,
     resolve_profiles,
@@ -221,6 +225,20 @@ def _fail_in_the_wrong_order(item):
     return item * item
 
 
+def _serial_speed_point(cfg, profiles, speed):
+    """A speed-sweep report entry computed in this process."""
+    scope = ("speed-sweep", repr(speed))
+    dataset = build_labeled_dataset(cfg, speed, profiles, scope)
+    serial = _train_eval_once(cfg, dataset, scope)
+    return {
+        "speed_m_s": speed,
+        "overall_accuracy": serial["overall_accuracy"],
+        "per_class_accuracy": serial["per_class_accuracy"],
+        "dominant_bin_hz": _noiseless_dominant_bins(cfg, speed, profiles),
+        "seeds": serial["seeds"],
+    }
+
+
 class TestWorkerPool:
     def test_results_keep_input_order(self):
         assert _ordered_map(lambda i: i * i, list(range(7))) == \
@@ -245,16 +263,93 @@ class TestWorkerPool:
         report = run_speed_sweep(cfg)
         profiles = resolve_profiles(cfg)
         for entry, speed in zip(report["per_speed"], [0.15, 0.25]):
-            scope = ("speed-sweep", repr(speed))
-            dataset = build_labeled_dataset(cfg, speed, profiles, scope)
-            serial = _train_eval_once(cfg, dataset, scope)
-            assert entry == {
-                "speed_m_s": speed,
-                "overall_accuracy": serial["overall_accuracy"],
-                "per_class_accuracy": serial["per_class_accuracy"],
-                "dominant_bin_hz": _noiseless_dominant_bins(cfg, speed, profiles),
-                "seeds": serial["seeds"],
-            }
+            assert entry == _serial_speed_point(cfg, profiles, speed)
+
+    def test_worker_count_fills_the_last_round(self):
+        # a last round keeps as many CPUs busy as a full round does
+        def fills(n, cpus, w):
+            last = n - w * ((n - 1) // w)
+            return min(last, cpus) == min(w, cpus)
+
+        for cpus in range(1, 9):
+            for n in range(1, 41):
+                w = _worker_count(n, cpus, fill_last_round=True)
+                allowed = range(min(n, cpus), min(n, 2 * cpus) + 1)
+                assert w in allowed
+                filling = [v for v in allowed if fills(n, cpus, v)]
+                assert w == (filling[0] if filling else min(n, cpus)), (n, cpus)
+                assert _worker_count(n, cpus) == min(n, cpus)
+
+    @pytest.mark.parametrize("n, workers", [(5, 3), (4, 2), (7, 4), (13, 2),
+                                            (20, 2)])
+    def test_worker_count_at_two_cpus(self, n, workers):
+        assert _worker_count(n, 2, fill_last_round=True) == workers
+        assert _worker_count(n, 2) == 2
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Two CPUs in the affinity mask; returns the PIDs of the workers."""
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def recording_start(proc):
+            start(proc)
+            started.append(proc.pid)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            recording_start)
+        return started
+
+    def test_train_eval_on_more_workers_than_cpus_equals_serial_loop(
+            self, two_cpus):
+        cfg = _tiny_config(repetitions=3)
+        report = run_train_eval(cfg)
+        assert len(two_cpus) == 3
+        dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
+                                        resolve_profiles(cfg), ("synth",))
+        assert report["repetitions"] == [
+            _train_eval_once(cfg, dataset, ("train-eval", r)) for r in range(3)]
+
+    def test_speed_sweep_on_more_workers_than_cpus_equals_serial_loop(
+            self, two_cpus):
+        cfg = _tiny_config(speeds_m_s=[0.25, 0.15, 0.2], duration_s=8.0)
+        report = run_speed_sweep(cfg)
+        assert len(two_cpus) == 3
+        profiles = resolve_profiles(cfg)
+        for entry, speed in zip(report["per_speed"], [0.15, 0.2, 0.25]):
+            assert entry == _serial_speed_point(cfg, profiles, speed)
+
+    def test_failing_items_never_hang_the_pool(self):
+        # multiprocessing.Pool hung in about one such run in six: terminating
+        # it could kill a worker that held its result queue's lock
+        script = textwrap.dedent("""
+            import random, time
+            from whisksim.experiment import _ordered_map
+
+            def item(spec):
+                delay, fails = spec
+                time.sleep(delay)
+                if fails:
+                    raise ValueError("failed")
+                return delay
+
+            rng = random.Random(3)
+            for _ in range(300):
+                specs = [(rng.choice([0.0, 0.001, 0.005]), rng.random() < 0.3)
+                         for _ in range(rng.randint(1, 6))]
+                try:
+                    result = _ordered_map(item, specs,
+                                          fill_last_round=rng.random() < 0.5)
+                except ValueError:
+                    assert any(fails for _, fails in specs)
+                else:
+                    assert result == [delay for delay, _ in specs]
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_synth_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()
@@ -295,8 +390,7 @@ class TestWorkerPool:
         assert "all windows were degenerate" in err
         assert "brick" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_the_serial_loops_error(self, tmp_path, capsys):
         overrides = {"train": {"learning_rate": 1e6, "epochs": 3},
                      "repetitions": 2, "duration_s": 10}
@@ -369,6 +463,21 @@ class TestClosedStdout:
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == opened.returncode
             assert err == opened.stderr
+
+
+class TestDivergenceStderr:
+    def test_only_the_divergence_line_reaches_stderr(self, tmp_path):
+        # overflowing activations must not print numpy RuntimeWarnings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"learning_rate": 1e6, "epochs": 2},
+                                   "repetitions": 1, "duration_s": 10}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "whisksim.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "train-eval"],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert re.fullmatch(r"training diverged: epoch \d+, batch \d+: "
+                            r"non-finite [^\n]*\n", proc.stderr), proc.stderr
 
 
 class TestRunGradCheck:
@@ -470,8 +579,7 @@ class TestCli:
                      "sweep"]) == 3
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = self._write_cfg(
             tmp_path, train={"learning_rate": 1e18, "epochs": 3, "batch_size": 8})
@@ -652,10 +760,11 @@ class TestCli:
                      "synth"]) == 3
         assert "non-finite standard deviation" in capsys.readouterr().err
 
-    def test_failed_synth_leaves_no_stale_manifest(self, tmp_path, capsys):
-        # the second run rewrites terrain_brick.csv, then fails on soft-soil's
-        # overflowing noise floor: the first run's manifest, whose brick hash
-        # no longer matches, must not survive it
+    def _synth_twice(self, tmp_path, capsys):
+        """A tiny synth into out/, then one whose second terrain fails: the
+        brick + soft-soil run rewrites terrain_brick.csv and then fails on
+        soft-soil's overflowing noise floor. Returns out/ and the first
+        run's brick CSV."""
         out = tmp_path / "out"
         assert main(["--config", str(self._write_cfg(tmp_path)),
                      "--out", str(out), "synth"]) == 0
@@ -669,8 +778,18 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, profiles=str(profiles))
         assert main(["--config", str(cfg), "--out", str(out), "synth"]) == 3
         assert "non-finite standard deviation" in capsys.readouterr().err
+        return out, old_brick
+
+    def test_failed_synth_leaves_no_stale_manifest(self, tmp_path, capsys):
+        # the first run's manifest, whose brick hash no longer matches, must
+        # not survive the second run
+        out, old_brick = self._synth_twice(tmp_path, capsys)
         assert (out / "terrain_brick.csv").read_bytes() != old_brick
         assert not (out / "synth_manifest.json").exists()
+
+    def test_failed_synth_leaves_no_csv_of_an_earlier_run(self, tmp_path, capsys):
+        out, _ = self._synth_twice(tmp_path, capsys)
+        assert sorted(os.listdir(out)) == ["terrain_brick.csv"]
 
     def test_unremovable_manifest_is_config_error(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -678,10 +797,13 @@ class TestCli:
             raise RuntimeError("synthesis started")
 
         monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
-        (tmp_path / "out" / "synth_manifest.json").mkdir(parents=True)
-        assert main(["--config", str(self._write_cfg(tmp_path)),
-                     "--out", str(tmp_path / "out"), "synth"]) == 2
-        assert "cannot remove old manifest" in capsys.readouterr().err
+        for name in ("synth_manifest.json", "terrain_sand.csv"):
+            out = tmp_path / name.split(".")[0]
+            (out / name).mkdir(parents=True)
+            assert main(["--config", str(self._write_cfg(tmp_path)),
+                         "--out", str(out), "synth"]) == 2
+            assert f"cannot remove old output {out / name}" in \
+                capsys.readouterr().err
 
     def test_empty_sweep_grid_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -230,7 +230,7 @@ class TestTrain:
         with pytest.raises(PhysicsError):
             train(init(SMALL_ARCH, 25), ds, TrainConfig(0.01, 1, 9, seed=5))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts_with_epoch_index(self):
         ds = self._toy(n=32, seed=9)
         with pytest.raises(TrainingDivergedError,
