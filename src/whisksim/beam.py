@@ -118,24 +118,6 @@ class Excitation:
 
 
 @dataclass
-class TimeSeries:
-    """Uniformly sampled displacement signal."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise PhysicsError("samples must be a nonempty 1-D array")
-        if self.sample_rate_hz <= 0.0:
-            raise PhysicsError("sample_rate_hz must be positive")
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
-@dataclass
 class SweepSurface:
     """Max displacement and dominant frequency over an excitation grid."""
 
@@ -285,7 +267,7 @@ def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
 
 def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
                         sample_rate_hz: float, duration_s: float,
-                        phase_rad: float = 0.0) -> TimeSeries:
+                        phase_rad: float = 0.0) -> np.ndarray:
     """Sample the steady sensor displacement with the drive phase shifted.
 
     Returns steady_state_gain * h_b * f_b^2 * sin(w_b t + phase_rad) on the
@@ -303,9 +285,8 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
     if n < 1:
         raise PhysicsError("duration too short for one sample")
     t = steady_state_offset(beam) + np.arange(n) / sample_rate_hz
-    samples = (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
-               * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t + phase_rad)
-    return TimeSeries(samples, sample_rate_hz)
+    return (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
+            * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t + phase_rad)
 
 
 def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: float,
@@ -330,10 +311,10 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
     f_dom = np.empty_like(y_max)
     for i, fb in enumerate(f_grid):
         for j, hb in enumerate(h_grid):
-            series = displacement_series(
+            samples = displacement_series(
                 beam, Excitation(hb, fb), sensor_position_m,
                 sample_rate_hz, duration_s)
-            y_max[i, j] = float(np.max(np.abs(series.samples)))
-            f_dom[i, j] = dominant_frequency(fft_magnitude(series.samples),
-                                             sample_rate_hz / len(series))
+            y_max[i, j] = float(np.max(np.abs(samples)))
+            f_dom[i, j] = dominant_frequency(fft_magnitude(samples),
+                                             sample_rate_hz / len(samples))
     return SweepSurface(f_grid, h_grid, y_max, f_dom)

@@ -22,14 +22,9 @@ EXIT_DIVERGED = 4
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
     if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
         from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, master_seed=args.seed)
     return cfg
 
 
@@ -72,23 +67,23 @@ def _print_speed_table(report: dict) -> None:
         _print(f"{entry['speed_m_s']:<7.3g} {entry['overall_accuracy']:7.4f} {cells}")
 
 
-def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    report = experiment.run_sweep(cfg, cfg.out_dir)
+def _cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
+    report = experiment.run_sweep(cfg, out_dir)
     _print(f"sweep: {report['cells_total']} cells, "
            f"{report['cells_f_dom_within_one_bin']} with dominant frequency "
            f"within one bin of the drive")
-    _print(f"wrote {cfg.out_dir}/sweep.csv and {cfg.out_dir}/sweep_summary.json")
+    _print(f"wrote {out_dir}/sweep.csv and {out_dir}/sweep_summary.json")
     return EXIT_OK
 
 
-def _cmd_synth(cfg: ExperimentConfig) -> int:
-    report = experiment.run_synth(cfg, cfg.out_dir)
+def _cmd_synth(cfg: ExperimentConfig, out_dir: str) -> int:
+    report = experiment.run_synth(cfg, out_dir)
     total = report["total_windows"] + report["total_dropped"]
     degenerate = bool(total) and report["total_dropped"] / total > 0.01
     for entry in report["terrains"]:
         _print(f"{entry['terrain']:<11s} {entry['windows']:5d} windows "
                f"({entry['dropped']} dropped) -> {entry['file']}")
-    _print(f"wrote manifest {cfg.out_dir}/synth_manifest.json")
+    _print(f"wrote manifest {out_dir}/synth_manifest.json")
     if degenerate:
         print(f"error: {report['total_dropped']} of {total} windows degenerate",
               file=sys.stderr)
@@ -96,21 +91,21 @@ def _cmd_synth(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_train_eval(cfg: ExperimentConfig) -> int:
-    report = experiment.run_train_eval(cfg, cfg.out_dir)
+def _cmd_train_eval(cfg: ExperimentConfig, out_dir: str) -> int:
+    report = experiment.run_train_eval(cfg, out_dir)
     _print_accuracy_table(report)
-    _print(f"wrote {cfg.out_dir}/train_eval_report.json")
+    _print(f"wrote {out_dir}/train_eval_report.json")
     return EXIT_OK
 
 
-def _cmd_speed_sweep(cfg: ExperimentConfig) -> int:
-    report = experiment.run_speed_sweep(cfg, cfg.out_dir)
+def _cmd_speed_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
+    report = experiment.run_speed_sweep(cfg, out_dir)
     _print_speed_table(report)
-    _print(f"wrote {cfg.out_dir}/speed_sweep_report.json")
+    _print(f"wrote {out_dir}/speed_sweep_report.json")
     return EXIT_OK
 
 
-def _cmd_grad_check(cfg: ExperimentConfig) -> int:
+def _cmd_grad_check(cfg: ExperimentConfig, out_dir: str) -> int:
     report = experiment.run_grad_check(cfg)
     _print(f"max relative gradient error: {report['max_relative_error']:.3e}")
     if not report["passed"]:
@@ -134,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spring-whisker vibration simulation and terrain classification")
     parser.add_argument("--config", help="experiment config JSON path")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument("--out", default="out",
+                        help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("sweep", help="drive-grid response sweep (CSV + summary)")
     sub.add_parser("synth", help="synthesize per-terrain feature datasets")
@@ -148,7 +144,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,18 @@ from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
 from .terrain import is_finite_number
 
+MAX_RUN_SAMPLES = 2 ** 27   # 1 GiB of float64; the default run holds 60 000
+
+
+def _check_run_size(duration_s: float, sample_rate_hz: float) -> None:
+    """Refuse a run of more than MAX_RUN_SAMPLES samples, an overflowing
+    product included, before anything allocates it."""
+    if not duration_s * sample_rate_hz <= MAX_RUN_SAMPLES + 0.5:
+        raise ConfigError("duration_s * sample_rate_hz must be at most "
+                          f"{MAX_RUN_SAMPLES} samples; got {duration_s} s * "
+                          f"{sample_rate_hz} Hz")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     f_b_hz: tuple = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
@@ -29,6 +41,7 @@ class SweepConfig:
             raise ConfigError("sweep grids must be nonempty")
         if self.sample_rate_hz <= 0.0 or self.duration_s <= 0.0:
             raise ConfigError("sweep sample rate and duration must be positive")
+        _check_run_size(self.duration_s, self.sample_rate_hz)
 
     @property
     def h_b_m(self) -> tuple:
@@ -49,7 +62,6 @@ class ExperimentConfig:
     sample_rate_hz: float = 200.0
     train_fraction: float = 0.75
     repetitions: int = 20
-    out_dir: str = "out"
     master_seed: int = 7041
 
     def __post_init__(self):
@@ -70,6 +82,7 @@ class ExperimentConfig:
                 f"window_s * sample_rate_hz must be {FEATURE_WIDTH} samples, the "
                 f"network's input width; got {self.window_s} s * "
                 f"{self.sample_rate_hz} Hz")
+        _check_run_size(self.duration_s, self.sample_rate_hz)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:

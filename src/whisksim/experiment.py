@@ -92,20 +92,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-def _terrain_series(cfg: ExperimentConfig, speed_m_s: float, profiles: dict,
-                    tc: TerrainClass, seed: int) -> terrain.TimeSeries:
-    """One seeded run over terrain tc at the given speed."""
+def _terrain_samples(cfg: ExperimentConfig, speed_m_s: float,
+                     profile: terrain.SpectralProfile, seed: int) -> np.ndarray:
+    """One seeded run over the profile at the given speed."""
     run = RobotRun(speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed)
-    return terrain.synthesize_run(tc, run, spring_to_beam(cfg.spring),
-                                  cfg.sensor_position_m, profile=profiles[tc])
+    return terrain.synthesize_run(profile, run, spring_to_beam(cfg.spring),
+                                  cfg.sensor_position_m)
 
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    runs = [(_terrain_series(cfg, speed_m_s, profiles, tc,
-                             child_seed(cfg.master_seed, *seed_scope, int(tc))), tc)
+    runs = [(_terrain_samples(cfg, speed_m_s, profiles[tc],
+                              child_seed(cfg.master_seed, *seed_scope, int(tc))), tc)
             for tc in sorted(profiles, key=int)]
-    return pipeline.build_dataset(runs, cfg.window_s)
+    return pipeline.build_dataset(runs)
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -116,8 +116,8 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
     """Write terrain tc's dataset CSV; returns its manifest entry."""
     seed = child_seed(cfg.master_seed, "synth", int(tc))
-    series = _terrain_series(cfg, cfg.speed_m_s, profiles, tc, seed)
-    ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
+    samples = _terrain_samples(cfg, cfg.speed_m_s, profiles[tc], seed)
+    ds = pipeline.build_dataset([(samples, tc)])
     name = _csv_name(tc)
     pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     with open(os.path.join(out_dir, name), "rb") as fh:
@@ -255,17 +255,16 @@ def _report_accuracies(values) -> list:
 
 def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
                      seed_scope: tuple) -> dict:
-    split_seed = child_seed(cfg.master_seed, *seed_scope, "split")
-    model_seed = child_seed(cfg.master_seed, *seed_scope, "init")
-    shuffle_seed = child_seed(cfg.master_seed, *seed_scope, "shuffle")
-    train_set, test_set = pipeline.split(dataset, cfg.train_fraction, split_seed)
-    model = mlp.init(mlp.MlpArchitecture(), model_seed)
+    seeds = {purpose: child_seed(cfg.master_seed, *seed_scope, purpose)
+             for purpose in ("split", "init", "shuffle")}
+    train_set, test_set = pipeline.split(dataset, cfg.train_fraction, seeds["split"])
+    model = mlp.init(mlp.MlpArchitecture(), seeds["init"])
     train_cfg = mlp.TrainConfig(cfg.train.learning_rate, cfg.train.epochs,
-                                cfg.train.batch_size, shuffle_seed)
+                                cfg.train.batch_size, seeds["shuffle"])
     model, history = mlp.train(model, train_set, train_cfg)
     matrix = mlp.evaluate(model, test_set)
     return {
-        "seeds": {"split": split_seed, "init": model_seed, "shuffle": shuffle_seed},
+        "seeds": seeds,
         "train_size": len(train_set),
         "test_size": len(test_set),
         "initial_loss": history[0],
@@ -309,11 +308,10 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
     beam = spring_to_beam(cfg.spring)
     bins = {}
     for tc in sorted(profiles, key=int):
-        clean = terrain.strip_randomness(profiles[tc])
         run = RobotRun(speed_m_s, cfg.window_s, cfg.sample_rate_hz, seed=0)
-        series = terrain.synthesize_run(tc, run, beam, cfg.sensor_position_m,
-                                        profile=clean)
-        ds = pipeline.build_dataset([(series, tc)], cfg.window_s)
+        samples = terrain.synthesize_run(terrain.strip_randomness(profiles[tc]),
+                                         run, beam, cfg.sensor_position_m)
+        ds = pipeline.build_dataset([(samples, tc)])
         bins[tc.label] = pipeline.dominant_frequency(
             ds.features()[0], cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
     return bins
@@ -336,7 +334,7 @@ def _speed_point(cfg: ExperimentConfig, profiles: dict, speed: float) -> dict:
 def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Synth + train + evaluate at each configured speed (ascending order)."""
     if len(cfg.speeds_m_s) < 2:
-        raise PhysicsError("speed sweep needs at least 2 speeds")
+        raise ConfigError("speed sweep needs at least 2 speeds")
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, cfg.speeds_m_s)
     _make_out_dir(out_dir)

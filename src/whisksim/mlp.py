@@ -146,7 +146,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise PhysicsError("input contains non-finite values")
     single = x.ndim == 1
-    # a model that diverged on its last training batch overflows here;
+    # huge but finite weights from training can overflow on new inputs;
     # _forward_cached refuses the non-finite values, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
         probs, _ = _forward_cached(model, np.atleast_2d(x))
@@ -228,6 +228,11 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
                 if not math.isfinite(epoch_loss):
                     raise TrainingDivergedError("non-finite mean loss over the epoch")
                 history.append(epoch_loss)
+            # no forward pass in the loop sees the last batch's update: its
+            # parameters must be finite and carry that batch through
+            if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+                raise TrainingDivergedError("non-finite parameters after the last update")
+            _forward_cached(model, xb)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {exc}") from exc
     return model, history

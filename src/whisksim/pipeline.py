@@ -1,16 +1,15 @@
-"""Time series to labeled frequency-domain feature vectors.
+"""Sample arrays to labeled frequency-domain feature vectors.
 
-One array pass per run: cut non-overlapping one-second windows as rows,
-standardize each row to zero mean / unit standard deviation (flat rows are
-dropped), take the full two-sided FFT magnitude of the stack (same width as
-the window, 200 bins at the default rate), attach the terrain label.
+One array pass per run: cut non-overlapping FEATURE_WIDTH-sample windows
+as rows, standardize each row to zero mean / unit standard deviation (flat
+rows are dropped), take the full two-sided FFT magnitude of the stack (same
+width as the window), attach the terrain label.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .beam import TimeSeries
 from .errors import PhysicsError
 from .terrain import TerrainClass
 
@@ -18,15 +17,14 @@ FEATURE_WIDTH = 200
 
 
 class Dataset:
-    """Labeled feature rows plus the seed of the split that produced them.
+    """Labeled feature rows.
 
     features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
     labels() holds terrain ids 1..7 and window_idx() each row's window index
     within its run. `dropped` counts degenerate windows skipped in the build.
     """
 
-    def __init__(self, features, labels, window_idx, split_seed: int = 0,
-                 dropped: int = 0):
+    def __init__(self, features, labels, window_idx, dropped: int = 0):
         self._features = np.asarray(features, dtype=float)
         self._labels = np.asarray(labels, dtype=int)
         self._window_idx = np.asarray(window_idx, dtype=int)
@@ -38,7 +36,6 @@ class Dataset:
             raise PhysicsError("feature rows contain non-finite values")
         if np.any((self._labels < 1) | (self._labels > len(TerrainClass))):
             raise PhysicsError(f"labels must be terrain ids 1..{len(TerrainClass)}")
-        self.split_seed = split_seed
         self.dropped = dropped
 
     def __len__(self) -> int:
@@ -78,9 +75,9 @@ def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
     return float(freqs[1:][mags[1:] == best].min())
 
 
-def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
-                  window_seconds: float = 1.0) -> Dataset:
-    """Segment, standardize, transform and label every run.
+def build_dataset(runs: list[tuple[np.ndarray, TerrainClass]]) -> Dataset:
+    """Cut each run of samples into FEATURE_WIDTH-sample windows, then
+    standardize, transform and label them.
 
     Flat windows (standard deviation at most 1e-12) are skipped and counted
     in Dataset.dropped. A window whose standard deviation is not finite (NaN
@@ -89,16 +86,12 @@ def build_dataset(runs: list[tuple[TimeSeries, TerrainClass]],
     if not runs:
         raise PhysicsError("no runs supplied")
     stacks, keeps = [], []
-    for series, label in runs:
-        n = int(round(window_seconds * series.sample_rate_hz))
-        if n != FEATURE_WIDTH:
-            raise PhysicsError(f"windows of {window_seconds} s at {series.sample_rate_hz}"
-                               f" Hz hold {n} samples; features need {FEATURE_WIDTH}")
-        count = len(series) // n
+    for samples, label in runs:
+        count = len(samples) // FEATURE_WIDTH
         if count == 0:
-            raise PhysicsError(
-                f"series of {len(series)} samples is shorter than one window ({n})")
-        windows = series.samples[:count * n].reshape(count, n)
+            raise PhysicsError(f"run of {len(samples)} samples is shorter than "
+                               f"one window ({FEATURE_WIDTH})")
+        windows = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             std = windows.std(axis=1)
         if not np.isfinite(std).all():
@@ -149,7 +142,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int
     def subset(parts) -> Dataset:
         rows = np.sort(np.concatenate(parts))
         return Dataset(dataset.features()[rows], labels[rows],
-                       dataset.window_idx()[rows], split_seed=seed)
+                       dataset.window_idx()[rows])
 
     return subset(train_parts), subset(test_parts)
 

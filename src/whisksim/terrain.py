@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamSpec, Excitation, TimeSeries, displacement_series
+from .beam import BeamSpec, Excitation, displacement_series
 from .errors import ConfigError, PhysicsError
 
 
@@ -223,17 +223,14 @@ def temporal_components(profile: SpectralProfile, speed_m_s: float,
     return excitations
 
 
-def synthesize_run(terrain: TerrainClass, run: RobotRun, beam: BeamSpec,
-                   sensor_position_m: float,
-                   profile: SpectralProfile | None = None) -> TimeSeries:
-    """Simulated steady-state sensor signal for one terrain traversal.
+def synthesize_run(profile: SpectralProfile, run: RobotRun, beam: BeamSpec,
+                   sensor_position_m: float) -> np.ndarray:
+    """Simulated steady-state sensor samples for one traversal of a profile.
 
     Superposes the steady beam response to every profile component at a
     drive phase drawn from +-phase_jitter_rad (one draw per component, in
     order), then adds the white noise floor. Deterministic per run seed.
     """
-    if profile is None:
-        profile = default_profiles()[TerrainClass(terrain)]
     rng = np.random.default_rng(run.seed)
     excitations = temporal_components(profile, run.speed_m_s, run.sample_rate_hz)
     phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
@@ -243,10 +240,10 @@ def synthesize_run(terrain: TerrainClass, run: RobotRun, beam: BeamSpec,
     for exc, phase in zip(excitations, phases):
         total += displacement_series(beam, exc, sensor_position_m,
                                      run.sample_rate_hz, run.duration_s,
-                                     phase_rad=phase).samples
+                                     phase_rad=phase)
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, n)
-    return TimeSeries(total, run.sample_rate_hz)
+    return total
 
 
 def profiles_to_json(table: dict[TerrainClass, SpectralProfile]) -> str:

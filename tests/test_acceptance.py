@@ -22,7 +22,7 @@ from whisksim.beam import (
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
 from whisksim.experiment import resolve_profiles, run_speed_sweep, run_train_eval
 from whisksim.mlp import MlpArchitecture, _batch_losses, _forward_cached, gradients, init
-from whisksim.pipeline import dominant_frequency, fft_magnitude, split
+from whisksim.pipeline import FEATURE_WIDTH, dominant_frequency, fft_magnitude, split
 from whisksim.terrain import TerrainClass
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_dominant_frequency_fidelity(beam):
         for h_b in (1e-4, 3e-4):
             series = displacement_series(beam, Excitation(h_b, f_b), 0.005,
                                          rate, duration)
-            f_dom = dominant_frequency(fft_magnitude(series.samples), bin_width)
+            f_dom = dominant_frequency(fft_magnitude(series), bin_width)
             if abs(f_dom - f_b) > bin_width:
                 failures.append((f_b, h_b, f_dom))
     elapsed = time.perf_counter() - start
@@ -199,7 +199,7 @@ def test_criterion_8_speed_sweep_structure(tmp_path):
     cfg = ExperimentConfig()
     report = run_speed_sweep(cfg, tmp_path)
     profiles = resolve_profiles(cfg)
-    bin_width = 1.0 / cfg.window_s
+    bin_width = cfg.sample_rate_hz / FEATURE_WIDTH
     speeds = report["speeds_m_s"]
     cells = []
     bin_errors = []

@@ -12,7 +12,6 @@ from whisksim.beam import (
     BeamSpec,
     Excitation,
     SpringSpec,
-    TimeSeries,
     _factor_norm,
     _factor_shape,
     _modal_terms,
@@ -174,7 +173,7 @@ class TestSteadyState:
             series = displacement_series(beam, exc, 0.005, 200.0, 0.05)
             times = t0 + np.arange(len(series)) / 200.0
             modal = np.array([displacement(beam, exc, 0.005, t) for t in times])
-            worst = np.max(np.abs(series.samples - modal))
+            worst = np.max(np.abs(series - modal))
             assert worst <= 1e-12 * np.max(np.abs(modal)), f_b
 
     def test_peak_over_h_f_squared_is_constant(self, beam, f_b_grid):
@@ -197,14 +196,13 @@ class TestDisplacementSeries:
     def test_sample_count(self, beam, drive):
         series = displacement_series(beam, drive, 0.005, 1000.0, 1.0)
         assert len(series) == 1000
-        assert series.sample_rate_hz == 1000.0
 
     def test_doubling_amplitude_doubles_samples_exactly(self, beam):
         s1 = displacement_series(beam, Excitation(1e-4, 100.0), 0.005,
                                  1000.0, 0.5)
         s2 = displacement_series(beam, Excitation(2e-4, 100.0), 0.005,
                                  1000.0, 0.5)
-        assert np.array_equal(2.0 * s1.samples, s2.samples)
+        assert np.array_equal(2.0 * s1, s2)
 
     def test_nyquist_violation_is_an_error(self, beam):
         with pytest.raises(PhysicsError):
@@ -276,16 +274,6 @@ class TestModalSweep:
         assert float(first[0]) == 50.0 and float(first[1]) == 1e-4
         second = lines[2].split(",")
         assert float(second[0]) == 50.0 and float(second[1]) == 2e-4
-
-
-class TestTimeSeries:
-    def test_rejects_empty(self):
-        with pytest.raises(PhysicsError):
-            TimeSeries(np.array([]), 100.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(PhysicsError):
-            TimeSeries(np.ones(4), 0.0)
 
 
 class TestExcitation:

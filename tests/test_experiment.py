@@ -212,7 +212,7 @@ class TestRunSpeedSweep:
 
     def test_needs_two_speeds(self, tmp_path):
         cfg = _tiny_config(speeds_m_s=[0.2])
-        with pytest.raises(PhysicsError):
+        with pytest.raises(ConfigError):
             run_speed_sweep(cfg, tmp_path)
 
 
@@ -375,11 +375,11 @@ class TestWorkerPool:
         ]))
         synthesize_run = terrain.synthesize_run
 
-        def brick_fails_first(tc, *args, **kwargs):
-            if tc is TerrainClass.BRICK:
+        def brick_fails_first(profile, *args, **kwargs):
+            if profile.components[0].wavelength_m == 0.01:   # brick's
                 raise PhysicsError("brick failed")
             time.sleep(0.5)
-            return synthesize_run(tc, *args, **kwargs)
+            return synthesize_run(profile, *args, **kwargs)
 
         monkeypatch.setattr(terrain, "synthesize_run", brick_fails_first)
         cfg = tmp_path / "cfg.json"
@@ -587,6 +587,33 @@ class TestCli:
                      "train-eval"]) == 4
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_in_the_last_update_names_epoch_and_batch(
+            self, tmp_path, capsys):
+        # one batch of the whole training set: its update leaves finite but
+        # huge weights, which no forward pass of the epoch loop sees
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 5, "repetitions": 1, "train": {
+            "epochs": 1, "batch_size": 28, "learning_rate": 1e300}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 4
+        assert re.match(r"training diverged: epoch \d+, batch \d+: ",
+                        capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, report_name", [
+        ("train-eval", "train_eval_report.json"),
+        ("synth", "synth_manifest.json"),
+    ])
+    def test_output_path_does_not_change_the_report(self, tmp_path, command,
+                                                    report_name):
+        cfg = self._write_cfg(tmp_path, duration_s=5.0, repetitions=1)
+        reports = []
+        for out in (tmp_path / "out", tmp_path / "elsewhere" / "out2"):
+            assert main(["--config", str(cfg), "--seed", "3", "--out", str(out),
+                         command]) == 0
+            reports.append((out / report_name).read_bytes())
+        assert reports[0] == reports[1]
+
     def test_window_rate_mismatch_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sample_rate_hz": 250}))
@@ -634,7 +661,8 @@ class TestCli:
         ({"master_seed": 1.5}, "synth"),
         ({"master_seed": True}, "synth"),
         ({"speeds_m_s": [0.1, 0.2, 0.1]}, "speed-sweep"),
-    ], ids=["float-seed", "bool-seed", "duplicate-speeds"])
+        ({"speeds_m_s": [0.2]}, "speed-sweep"),
+    ], ids=["float-seed", "bool-seed", "duplicate-speeds", "one-speed"])
     def test_bad_seed_or_speeds_is_config_error(self, tmp_path, capsys,
                                                 overrides, command):
         bad = tmp_path / "bad.json"
@@ -655,9 +683,12 @@ class TestCli:
         ('{"spring": {"wire_radius_m": Infinity}}', "sweep"),
         ('{"sweep": {"duration_s": NaN}}', "sweep"),
         ('{"window_s": 1e200, "sample_rate_hz": 1e200}', "synth"),
+        ('{"sweep": {"sample_rate_hz": 1e12}}', "sweep"),
+        ('{"window_s": 2e-198, "sample_rate_hz": 1e200, "duration_s": 1}', "synth"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
-            "infinite-spring", "nan-sweep", "overflowing-window"])
+            "infinite-spring", "nan-sweep", "overflowing-window",
+            "huge-sweep-run", "huge-run"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals

@@ -144,21 +144,23 @@ class TestTemporalComponents:
 class TestSynthesizeRun:
     def test_seeded_determinism(self, beam):
         run = RobotRun(0.2, 5.0, 200.0, seed=123)
-        a = synthesize_run(TerrainClass.SAND, run, beam, 0.005)
-        b = synthesize_run(TerrainClass.SAND, run, beam, 0.005)
-        assert a.samples.tobytes() == b.samples.tobytes()
+        sand = default_profiles()[TerrainClass.SAND]
+        a = synthesize_run(sand, run, beam, 0.005)
+        b = synthesize_run(sand, run, beam, 0.005)
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self, beam):
-        a = synthesize_run(TerrainClass.SAND, RobotRun(0.2, 5.0, seed=1), beam, 0.005)
-        b = synthesize_run(TerrainClass.SAND, RobotRun(0.2, 5.0, seed=2), beam, 0.005)
-        assert not np.array_equal(a.samples, b.samples)
+        sand = default_profiles()[TerrainClass.SAND]
+        a = synthesize_run(sand, RobotRun(0.2, 5.0, seed=1), beam, 0.005)
+        b = synthesize_run(sand, RobotRun(0.2, 5.0, seed=2), beam, 0.005)
+        assert not np.array_equal(a, b)
 
     def test_single_component_no_noise_equals_beam_series(self, beam):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
         run = RobotRun(0.2, 2.0, 200.0, seed=7)
-        got = synthesize_run(TerrainClass.BRICK, run, beam, 0.005, profile=profile)
+        got = synthesize_run(profile, run, beam, 0.005)
         want = displacement_series(beam, Excitation(3e-5, 20.0), 0.005, 200.0, 2.0)
-        assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
     def test_jitter_is_a_drive_phase(self, beam, tc):
@@ -166,8 +168,8 @@ class TestSynthesizeRun:
         # a phase phi is the modal sum started phi / omega later, up to rounding
         profile = SpectralProfile(default_profiles()[tc].components, 0.0)
         seed = 1000 + int(tc)
-        got = synthesize_run(tc, RobotRun(0.2, 1.0, 200.0, seed=seed), beam,
-                             0.005, profile=profile).samples
+        got = synthesize_run(profile, RobotRun(0.2, 1.0, 200.0, seed=seed), beam,
+                             0.005)
         rng = np.random.default_rng(seed)
         phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
                   for c in profile.components]
@@ -175,7 +177,7 @@ class TestSynthesizeRun:
         steady = np.zeros(got.size)
         for exc, phase in zip(excitations, phases):
             steady += displacement_series(beam, exc, 0.005, 200.0, 1.0,
-                                          phase_rad=phase).samples
+                                          phase_rad=phase)
         assert np.array_equal(got, steady)
         times = steady_state_offset(beam) + np.arange(got.size) / 200.0
         modal = np.array([sum(displacement(beam, exc, 0.005,
@@ -186,9 +188,10 @@ class TestSynthesizeRun:
 
     def test_sample_count_five_minutes(self, beam):
         run = RobotRun(0.2, 300.0, 200.0, seed=0)
-        series = synthesize_run(TerrainClass.FLAT, run, beam, 0.005)
+        series = synthesize_run(default_profiles()[TerrainClass.FLAT], run, beam,
+                                0.005)
         assert len(series) == 60000
-        ds = build_dataset([(series, TerrainClass.FLAT)], 1.0)
+        ds = build_dataset([(series, TerrainClass.FLAT)])
         assert len(ds) == 300
 
     def test_superposition_consistency(self, beam):
@@ -196,20 +199,17 @@ class TestSynthesizeRun:
                  SpectralComponent(0.02, 1e-5, 0.0),
                  SpectralComponent(0.004, 2e-6, 0.0))
         run = RobotRun(0.2, 2.0, 200.0, seed=99)
-        full = synthesize_run(TerrainClass.SAND, run, beam, 0.005,
-                              profile=SpectralProfile(comps, 0.0))
-        parts = [synthesize_run(TerrainClass.SAND, run, beam, 0.005,
-                                profile=SpectralProfile((c,), 0.0)).samples
+        full = synthesize_run(SpectralProfile(comps, 0.0), run, beam, 0.005)
+        parts = [synthesize_run(SpectralProfile((c,), 0.0), run, beam, 0.005)
                  for c in comps]
-        assert np.array_equal(full.samples, parts[0] + parts[1] + parts[2])
+        assert np.array_equal(full, parts[0] + parts[1] + parts[2])
 
     def test_speed_scales_dominant_frequency(self, beam):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
         for v, expected in ((0.1, 10.0), (0.2, 20.0), (0.3, 30.0)):
             run = RobotRun(v, 1.0, 200.0, seed=0)
-            series = synthesize_run(TerrainClass.BRICK, run, beam, 0.005,
-                                    profile=profile)
-            mags = np.abs(np.fft.fft(series.samples))
+            series = synthesize_run(profile, run, beam, 0.005)
+            mags = np.abs(np.fft.fft(series))
             assert dominant_frequency(mags, 1.0) == pytest.approx(expected)
 
     def test_strip_randomness(self):
@@ -232,9 +232,8 @@ class TestNoSidebands:
         cfg = ExperimentConfig()
         profile = strip_randomness(default_profiles()[tc])
         run = RobotRun(cfg.speed_m_s, cfg.window_s, cfg.sample_rate_hz)
-        series = synthesize_run(tc, run, beam, cfg.sensor_position_m,
-                                profile=profile)
-        mags = np.abs(np.fft.fft(series.samples))
+        series = synthesize_run(profile, run, beam, cfg.sensor_position_m)
+        mags = np.abs(np.fft.fft(series))
         n = mags.size
         on_bin = np.zeros(n, dtype=bool)
         for comp in profile.components:
