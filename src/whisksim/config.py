@@ -49,9 +49,24 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
+class TrainSection:
+    """The config's train keys: each training gets its own shuffle seed,
+    derived from the master seed, so the section holds none."""
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+
+    def __post_init__(self):
+        self.with_seed(0)   # TrainConfig checks the values
+
+    def with_seed(self, seed: int) -> TrainConfig:
+        return TrainConfig(self.learning_rate, self.epochs, self.batch_size, seed)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     spring: SpringSpec = field(default_factory=SpringSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainSection = field(default_factory=TrainSection)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     sensor_position_m: float = 0.005
     profiles: str = "default"   # builtin table name or a profile JSON path
@@ -147,7 +162,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "spring" in data:
         nested["spring"] = _build(SpringSpec, data.pop("spring"), "spring")
     if "train" in data:
-        nested["train"] = _build(TrainConfig, data.pop("train"), "train")
+        nested["train"] = _build(TrainSection, data.pop("train"), "train")
     if "sweep" in data:
         nested["sweep"] = _build(SweepConfig, data.pop("sweep"), "sweep")
     cfg = _build(ExperimentConfig, {**data, **nested}, "config")

@@ -119,9 +119,7 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
     samples = _terrain_samples(cfg, cfg.speed_m_s, profiles[tc], seed)
     ds = pipeline.build_dataset([(samples, tc)])
     name = _csv_name(tc)
-    pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
-    with open(os.path.join(out_dir, name), "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     return {"terrain": tc.label, "file": name, "seed": seed, "sha256": digest,
             "windows": len(ds), "dropped": ds.dropped}
 
@@ -201,7 +199,9 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
     reports do not depend on the worker count. If items fail, the exception
     of the first one in input order is raised as soon as every item before
     it has succeeded, as the plain loop would, and the workers are
-    terminated. No lock is shared with a worker, so terminating one cannot
+    terminated. A worker that dies before replying (killed by the kernel,
+    say) fails its item with a RuntimeError naming the item and the exit
+    code. No lock is shared with a worker, so terminating one cannot
     leave the parent waiting (multiprocessing.Pool can hang there: it may
     kill a worker that holds its result queue's lock). Where fork is not
     available (Windows), the plain loop runs instead.
@@ -223,7 +223,8 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
             proc.start()
             child_conn.close()
             workers.append((proc, conn))
-        idle = [conn for _, conn in workers]
+        procs = {conn: proc for proc, conn in workers}
+        idle = list(procs)
         sent, running, replies, results = 0, {}, {}, []
         while len(results) < len(items):
             while idle and sent < len(items):
@@ -232,8 +233,17 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
                 running[conn] = sent
                 sent += 1
             for conn in wait(list(running)):
-                replies[running.pop(conn)] = conn.recv()
-                idle.append(conn)
+                index = running.pop(conn)
+                try:
+                    replies[index] = conn.recv()
+                except EOFError:   # the worker died; it takes no more items
+                    proc = procs[conn]
+                    proc.join()
+                    replies[index] = False, RuntimeError(
+                        f"worker for item {index} exited with code "
+                        f"{proc.exitcode} before replying")
+                else:
+                    idle.append(conn)
             while len(results) in replies:
                 ok, value = replies.pop(len(results))
                 if not ok:
@@ -259,9 +269,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
              for purpose in ("split", "init", "shuffle")}
     train_set, test_set = pipeline.split(dataset, cfg.train_fraction, seeds["split"])
     model = mlp.init(mlp.MlpArchitecture(), seeds["init"])
-    train_cfg = mlp.TrainConfig(cfg.train.learning_rate, cfg.train.epochs,
-                                cfg.train.batch_size, seeds["shuffle"])
-    model, history = mlp.train(model, train_set, train_cfg)
+    model, history = mlp.train(model, train_set, cfg.train.with_seed(seeds["shuffle"]))
     matrix = mlp.evaluate(model, test_set)
     return {
         "seeds": seeds,

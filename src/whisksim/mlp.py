@@ -160,16 +160,19 @@ def _batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _backward(model: MlpModel, probs: np.ndarray, activations: list,
-              labels: np.ndarray):
+              labels: np.ndarray, w_grads: list):
     """Yield (i, w_grad, b_grad), the mean cross-entropy gradients, from the
-    last layer back, overwriting `probs`. Layer i - 1's delta is formed before
-    layer i is yielded, so the caller may update layer i in place at once."""
+    last layer back, overwriting `probs`. w_grad is written into w_grads[i],
+    an array shaped like weights[i]; these may share memory, as layer i - 1's
+    gradient is formed only after layer i is yielded. Layer i - 1's delta is
+    formed before layer i is yielded, so the caller may update layer i in
+    place at once."""
     batch = probs.shape[0]
     delta = probs
     delta[np.arange(batch), labels - 1] -= 1.0
     delta /= batch
     for i in range(model.arch.n_weight_layers - 1, -1, -1):
-        w_grad = activations[i].T @ delta
+        w_grad = np.matmul(activations[i].T, delta, out=w_grads[i])
         b_grad = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
@@ -188,8 +191,9 @@ def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     if x.shape[0] != labels.size:
         raise PhysicsError("batch and label sizes differ")
     probs, activations = _forward_cached(model, x)
-    layers = list(_backward(model, probs, activations, labels))[::-1]
-    return [w for _, w, _ in layers], [b for _, _, b in layers]
+    w_grads = [np.empty_like(w) for w in model.weights]
+    layers = list(_backward(model, probs, activations, labels, w_grads))[::-1]
+    return w_grads, [b for _, _, b in layers]
 
 
 def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
@@ -209,6 +213,11 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
         raise PhysicsError(f"batch_size {cfg.batch_size} exceeds training size {n}")
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
+    # every layer's weight gradient is formed and scaled in place in one
+    # buffer: a fresh array the size of the largest layer at each step costs
+    # page faults whenever glibc maps it afresh
+    buffer = np.empty(max(w.size for w in model.weights))
+    w_grads = [buffer[:w.size].reshape(w.shape) for w in model.weights]
     # overflow and NaN warnings are silenced: the finiteness checks below
     # refuse every non-finite value with a TrainingDivergedError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,9 +230,12 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
                     xb, yb = x[idx], labels[idx]
                     probs, activations = _forward_cached(model, xb)
                     sample_losses[idx] = _batch_losses(probs, yb)
-                    for i, w_grad, b_grad in _backward(model, probs, activations, yb):
-                        model.weights[i] -= cfg.learning_rate * w_grad
-                        model.biases[i] -= cfg.learning_rate * b_grad
+                    for i, w_grad, b_grad in _backward(model, probs, activations,
+                                                       yb, w_grads):
+                        w_grad *= cfg.learning_rate
+                        model.weights[i] -= w_grad
+                        b_grad *= cfg.learning_rate
+                        model.biases[i] -= b_grad
                 epoch_loss = float(sample_losses.sum() / n)
                 if not math.isfinite(epoch_loss):
                     raise TrainingDivergedError("non-finite mean loss over the epoch")

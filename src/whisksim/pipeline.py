@@ -8,12 +8,15 @@ width as the window), attach the terrain label.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .errors import PhysicsError
 from .terrain import TerrainClass
 
 FEATURE_WIDTH = 200
+CSV_BLOCK_ROWS = 16   # dataset rows per block written and hashed
 
 
 class Dataset:
@@ -147,15 +150,30 @@ def split(dataset: Dataset, train_fraction: float, seed: int
     return subset(train_parts), subset(test_parts)
 
 
-def write_dataset_csv(dataset: Dataset, path) -> None:
-    """CSV with columns f000..f199, label, window_idx; lossless floats."""
-    header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH))
-    rows = [",".join(map(repr, values)) + f",{label},{idx}\n"
-            for values, label, idx in zip(dataset.features().tolist(),
-                                          dataset.labels().tolist(),
-                                          dataset.window_idx().tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([header, ",label,window_idx\n", *rows]))
+def write_dataset_csv(dataset: Dataset, path) -> str:
+    """CSV with columns f000..f199, label, window_idx; lossless floats.
+
+    Rows are formatted, written and hashed CSV_BLOCK_ROWS at a time, so the
+    file is never held in memory whole. Returns the SHA-256 hex digest of
+    the bytes written.
+    """
+    features = dataset.features()
+    labels, window_idx = dataset.labels().tolist(), dataset.window_idx().tolist()
+    header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def emit(text: str) -> None:
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+
+        emit(header)
+        for start in range(0, len(labels), CSV_BLOCK_ROWS):
+            # one row's floats at a time: a block's would outweigh its text
+            emit("".join(",".join(map(repr, features[i].tolist()))
+                         + f",{labels[i]},{window_idx[i]}\n"
+                         for i in range(start, min(start + CSV_BLOCK_ROWS, len(labels)))))
+    return digest.hexdigest()
 
 
 def read_dataset_csv(path) -> Dataset:

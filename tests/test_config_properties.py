@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from whisksim.beam import SpringSpec
 from whisksim.cli import main
-from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
+from whisksim.config import ExperimentConfig, SweepConfig, TrainSection, config_from_dict
 from whisksim.errors import ConfigError
-from whisksim.mlp import TrainConfig
 from whisksim.terrain import TerrainClass, is_finite_number, load_profiles
 
 # what json.loads can return, NaN and Infinity included
@@ -26,7 +25,7 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8)
 
-SECTIONS = {"spring": SpringSpec, "train": TrainConfig, "sweep": SweepConfig}
+SECTIONS = {"spring": SpringSpec, "train": TrainSection, "sweep": SweepConfig}
 
 
 def _plausible(value):

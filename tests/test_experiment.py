@@ -97,6 +97,8 @@ class TestConfig:
             config_from_dict({"not_a_key": 1})
         with pytest.raises(ConfigError):
             config_from_dict({"train": {"nope": 2}})
+        with pytest.raises(ConfigError):
+            config_from_dict({"train": {"seed": 1}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -350,6 +352,27 @@ class TestWorkerPool:
         proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_a_dead_worker_is_named(self):
+        # a worker killed mid-item (an OOM kill, say) never replies
+        script = textwrap.dedent("""
+            import os
+            from whisksim.experiment import _ordered_map
+
+            def item(i):
+                if i == 1:
+                    os._exit(3)
+                return i
+
+            try:
+                _ordered_map(item, [0, 1, 2])
+            except RuntimeError as exc:
+                print(exc)
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "worker for item 1 exited with code 3 before replying\n"
 
     def test_synth_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()

@@ -1,10 +1,15 @@
 """Network init, forward/loss/backprop, training behavior, evaluation."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import whisksim
 from whisksim.errors import PhysicsError, TrainingDivergedError
 from whisksim.mlp import (
     DEFAULT_LAYER_SIZES,
@@ -255,6 +260,38 @@ class TestTrain:
         _, history = train(init(SMALL_ARCH, 27), ds,
                            TrainConfig(0.01, 200, 8, seed=7))
         assert history[-1] < 0.05
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_sgd_steps_cause_no_page_faults():
+    # fresh w_grad and lr * w_grad arrays of the 200 x 256 layer at each
+    # step took 100 to 250 minor faults a step: glibc mapped them afresh
+    script = textwrap.dedent("""
+        import math, resource
+        from whisksim import experiment, mlp, pipeline
+        from whisksim.config import config_from_dict
+
+        cfg = config_from_dict({"duration_s": 100})
+        dataset = experiment.build_labeled_dataset(
+            cfg, cfg.speed_m_s, experiment.resolve_profiles(cfg), ("synth",))
+        train_set, _ = pipeline.split(dataset, cfg.train_fraction, 0)
+        model = mlp.init(mlp.MlpArchitecture(), 0)
+        train_cfg = mlp.TrainConfig(epochs=5)   # the default network and batch
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        mlp.train(model, train_set, train_cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        steps = train_cfg.epochs * math.ceil(len(train_set) / train_cfg.batch_size)
+        print(len(train_set), faults / steps)
+        """)
+    src = os.path.dirname(os.path.dirname(whisksim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    vectors, faults_per_step = out.split()
+    assert int(vectors) == 525
+    assert float(faults_per_step) < 20
 
 
 class TestEvaluate:

@@ -3,12 +3,18 @@
 build_dataset windows, standardizes and transforms each run in one array
 pass; TestWindow and TestStandardize check those two steps through it."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from whisksim.beam import spring_to_beam
+from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
 from whisksim.pipeline import (
+    CSV_BLOCK_ROWS,
     Dataset,
     build_dataset,
     dominant_frequency,
@@ -17,7 +23,7 @@ from whisksim.pipeline import (
     split,
     write_dataset_csv,
 )
-from whisksim.terrain import TerrainClass
+from whisksim.terrain import RobotRun, TerrainClass, default_profiles, synthesize_run
 
 
 def _series(n):
@@ -336,9 +342,10 @@ class TestSplit:
 
 class TestDatasetCsv:
     def test_lossless_roundtrip(self, tmp_path):
+        n = 2 * CSV_BLOCK_ROWS + 3   # two whole blocks and part of a third
         rng = np.random.default_rng(8)
-        ds = Dataset(rng.normal(0, 1, (11, 200)), 1 + np.arange(11) % 7,
-                     np.arange(11))
+        ds = Dataset(rng.normal(0, 1, (n, 200)), 1 + np.arange(n) % 7,
+                     np.arange(n))
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         again = read_dataset_csv(path)
@@ -366,6 +373,26 @@ class TestDatasetCsv:
         assert rows == [",".join(repr(float(v)) for v in values) + ",4,12",
                         ",".join(repr(float(-v)) for v in values) + ",7,3", ""]
         assert rows[0].startswith("5e-324,1e+300,2.0,0.1,0.3333333333333333,")
+
+    def test_write_streams_the_default_terrain_through_its_sha256(self, tmp_path):
+        # one default terrain, 300 rows and about 1.1 MB of text; holding
+        # the whole text once took 3.0 times the file size
+        cfg = ExperimentConfig()
+        run = RobotRun(cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed=5)
+        samples = synthesize_run(default_profiles()[TerrainClass.BRICK], run,
+                                 spring_to_beam(cfg.spring), cfg.sensor_position_m)
+        ds = build_dataset([(samples, TerrainClass.BRICK)])
+        assert len(ds) == 300
+        path = tmp_path / "brick.csv"
+        tracemalloc.start()
+        try:
+            digest = write_dataset_csv(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < len(data) / 4
 
     def test_short_row_is_an_error(self, tmp_path):
         ds = Dataset(np.ones((2, 200)), [1, 2], [0, 1])
