@@ -34,7 +34,7 @@ The modal frequencies drop out of this form: the steady response is a pure
 sinusoid at the drive frequency whose amplitude grows as f_b^2, with no
 resonance near the first mode (46.0 Hz for the default spring) or any
 other. displacement_series samples only this form, with a drive phase; the
-modal sum stays as the reference that displacement() evaluates at any t.
+modal sum stays as the tests' reference (tests/oracles.py), at any t.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
 """
@@ -231,23 +231,6 @@ def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
     return weights
 
 
-def _modal_terms(beam: BeamSpec, exc: Excitation, x: float,
-                 t: np.ndarray) -> np.ndarray:
-    """Per-mode displacement contributions in the folded form, shape (5, len(t))."""
-    zeta = beam.damping_ratio
-    s1z = math.sqrt(1.0 - zeta * zeta)
-    drive_scale = exc.amplitude_m * exc.angular_frequency ** 2
-    drive = np.sin(exc.angular_frequency * t)
-    terms = np.empty((len(CANTILEVER_MODE_CONSTANTS), t.size))
-    for i, weight in enumerate(_mode_weights(beam, x)):
-        om = modal_angular_frequency(beam, i)
-        arg_d = om * s1z * t
-        decay = np.exp(-zeta * om * t)
-        terms[i] = -(drive_scale * weight) * drive * (
-            decay * (zeta * np.sin(arg_d) + s1z * np.cos(arg_d)) - s1z)
-    return terms
-
-
 def steady_state_gain(beam: BeamSpec, x: float) -> float:
     """Steady displacement amplitude at x per unit h_b * f_b^2, m / (m Hz^2).
 
@@ -258,13 +241,6 @@ def steady_state_gain(beam: BeamSpec, x: float) -> float:
     return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
-def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
-    """Beam lateral displacement at position x and time t, meters."""
-    if t < 0.0:
-        raise PhysicsError("time must be >= 0")
-    return float(_modal_terms(beam, exc, x, np.array([float(t)])).sum())
-
-
 def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
                         sample_rate_hz: float, duration_s: float,
                         phase_rad: float = 0.0) -> np.ndarray:
@@ -272,7 +248,7 @@ def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: floa
 
     Returns steady_state_gain * h_b * f_b^2 * sin(w_b t + phase_rad) on the
     grid t = steady_state_offset(beam) + k / sample_rate_hz: with phase 0 it
-    equals the modal sum displacement() there. The sample rate must resolve
+    equals the modal sum there. The sample rate must resolve
     the drive: sample_rate_hz > 2 * f_b.
     """
     if duration_s <= 0.0:

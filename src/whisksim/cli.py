@@ -1,7 +1,8 @@
 """Command line harness: sweep, synth, train-eval, speed-sweep, grad-check.
 
 Exit codes: 0 success, 2 configuration errors (argparse uses 2 as well),
-3 physics/signal errors, 4 training divergence.
+3 physics/signal errors, 4 training divergence, 5 a worker process died
+before it finished its item (killed by the kernel, say).
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ import sys
 
 from . import experiment
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, PhysicsError, TrainingDivergedError, WhisksimError
+from .errors import (ConfigError, PhysicsError, TrainingDivergedError,
+                     WhisksimError, WorkerDiedError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_DIVERGED = 4
+EXIT_WORKER_DIED = 5
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -151,6 +154,9 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except (PhysicsError, WhisksimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

@@ -15,3 +15,7 @@ class PhysicsError(WhisksimError, ValueError):
 
 class TrainingDivergedError(WhisksimError, RuntimeError):
     """Network training produced non-finite values."""
+
+
+class WorkerDiedError(WhisksimError, RuntimeError):
+    """A forked worker exited before it replied (killed by the kernel, say)."""

@@ -19,7 +19,7 @@ import numpy as np
 from . import mlp, pipeline, terrain
 from .beam import modal_sweep, spring_to_beam
 from .config import ExperimentConfig
-from .errors import ConfigError, PhysicsError
+from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import RobotRun, TerrainClass
 
 
@@ -102,10 +102,14 @@ def _terrain_samples(cfg: ExperimentConfig, speed_m_s: float,
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    runs = [(_terrain_samples(cfg, speed_m_s, profiles[tc],
+    """One run per terrain, each synthesized only as build_dataset takes it,
+    so a single run's samples are held at a time beside the feature matrix."""
+    terrains = sorted(profiles, key=int)
+    runs = ((_terrain_samples(cfg, speed_m_s, profiles[tc],
                               child_seed(cfg.master_seed, *seed_scope, int(tc))), tc)
-            for tc in sorted(profiles, key=int)]
-    return pipeline.build_dataset(runs)
+            for tc in terrains)
+    per_run = int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
+    return pipeline.build_dataset(runs, len(terrains) * per_run)
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -200,7 +204,7 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
     of the first one in input order is raised as soon as every item before
     it has succeeded, as the plain loop would, and the workers are
     terminated. A worker that dies before replying (killed by the kernel,
-    say) fails its item with a RuntimeError naming the item and the exit
+    say) fails its item with a WorkerDiedError naming the item and the exit
     code. No lock is shared with a worker, so terminating one cannot
     leave the parent waiting (multiprocessing.Pool can hang there: it may
     kill a worker that holds its result queue's lock). Where fork is not
@@ -239,7 +243,7 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
                 except EOFError:   # the worker died; it takes no more items
                     proc = procs[conn]
                     proc.join()
-                    replies[index] = False, RuntimeError(
+                    replies[index] = False, WorkerDiedError(
                         f"worker for item {index} exited with code "
                         f"{proc.exitcode} before replying")
                 else:

@@ -124,17 +124,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    """Returns (probabilities, list of post-activation values per layer)."""
-    activations = [x]
+def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
+    """(probabilities, activations) for the rows of x. Each layer is formed
+    in place in one new array; with keep, activations holds x and every
+    hidden layer's post-activation values, for _backward, else it is empty."""
+    activations = []
     h = x
-    n_layers = model.arch.n_weight_layers
-    for i in range(n_layers - 1):
-        h = np.maximum(h @ model.weights[i] + model.biases[i], 0.0)
+    for i in range(model.arch.n_weight_layers - 1):
+        if keep:
+            activations.append(h)
+        h = h @ model.weights[i]
+        h += model.biases[i]
+        np.maximum(h, 0.0, out=h)
         if not np.isfinite(h).all():
             raise TrainingDivergedError(f"non-finite activations after layer {i}")
+    if keep:
         activations.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
+    logits = h @ model.weights[-1]
+    logits += model.biases[-1]
     if not np.isfinite(logits).all():
         raise TrainingDivergedError("non-finite logits at the output layer")
     return _softmax(logits), activations
@@ -147,9 +154,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise PhysicsError("input contains non-finite values")
     single = x.ndim == 1
     # huge but finite weights from training can overflow on new inputs;
-    # _forward_cached refuses the non-finite values, so no warning is needed
+    # _forward refuses the non-finite values, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
-        probs, _ = _forward_cached(model, np.atleast_2d(x))
+        probs, _ = _forward(model, np.atleast_2d(x))
     return probs[0] if single else probs
 
 
@@ -190,7 +197,7 @@ def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
         raise PhysicsError("empty batch")
     if x.shape[0] != labels.size:
         raise PhysicsError("batch and label sizes differ")
-    probs, activations = _forward_cached(model, x)
+    probs, activations = _forward(model, x, keep=True)
     w_grads = [np.empty_like(w) for w in model.weights]
     layers = list(_backward(model, probs, activations, labels, w_grads))[::-1]
     return w_grads, [b for _, _, b in layers]
@@ -206,9 +213,9 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
     learning rate is zero). Divergence aborts naming the epoch and batch.
     """
     model = model.copy()
-    x = train_set.features()
+    matrix, rows = train_set.feature_rows()   # batches are gathered from matrix
     labels = train_set.labels()
-    n = x.shape[0]
+    n = len(rows)
     if cfg.batch_size > n:
         raise PhysicsError(f"batch_size {cfg.batch_size} exceeds training size {n}")
     rng = np.random.default_rng(cfg.seed)
@@ -227,8 +234,8 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
                 sample_losses = np.empty(n)
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     idx = perm[start:start + cfg.batch_size]
-                    xb, yb = x[idx], labels[idx]
-                    probs, activations = _forward_cached(model, xb)
+                    xb, yb = matrix[rows[idx]], labels[idx]
+                    probs, activations = _forward(model, xb, keep=True)
                     sample_losses[idx] = _batch_losses(probs, yb)
                     for i, w_grad, b_grad in _backward(model, probs, activations,
                                                        yb, w_grads):
@@ -244,7 +251,7 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
             # parameters must be finite and carry that batch through
             if not all(np.isfinite(p).all() for p in model.weights + model.biases):
                 raise TrainingDivergedError("non-finite parameters after the last update")
-            _forward_cached(model, xb)
+            _forward(model, xb)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"epoch {epoch}, batch {batch}: {exc}") from exc
     return model, history
@@ -274,7 +281,7 @@ def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     w_grads, b_grads = gradients(model, x, labels)
 
     def mean_loss(m: MlpModel) -> float:
-        probs, _ = _forward_cached(m, x)
+        probs, _ = _forward(m, x)
         return float(_batch_losses(probs, labels).mean())
 
     worst = 0.0

@@ -8,6 +8,7 @@ width as the window), attach the terrain label.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -25,10 +26,13 @@ class Dataset:
     features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
     labels() holds terrain ids 1..7 and window_idx() each row's window index
     within its run. `dropped` counts degenerate windows skipped in the build.
+    A subset from take() holds only its row indices into its parent's
+    feature matrix: features() gathers them anew, feature_rows() gives both.
     """
 
     def __init__(self, features, labels, window_idx, dropped: int = 0):
         self._features = np.asarray(features, dtype=float)
+        self._rows = None   # every row of _features, in order
         self._labels = np.asarray(labels, dtype=int)
         self._window_idx = np.asarray(window_idx, dtype=int)
         if (self._labels.ndim != 1 or self._window_idx.shape != self._labels.shape
@@ -44,8 +48,20 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._labels)
 
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The rows at these indices, sharing this dataset's feature matrix."""
+        part = copy.copy(self)
+        part._rows = rows if self._rows is None else self._rows[rows]
+        part._labels, part._window_idx = self._labels[rows], self._window_idx[rows]
+        part.dropped = 0
+        return part
+
+    def feature_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(matrix, rows): features() is matrix[rows]."""
+        return self._features, np.arange(len(self)) if self._rows is None else self._rows
+
     def features(self) -> np.ndarray:
-        return self._features
+        return self._features if self._rows is None else self._features[self._rows]
 
     def labels(self) -> np.ndarray:
         return self._labels
@@ -78,52 +94,60 @@ def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
     return float(freqs[1:][mags[1:] == best].min())
 
 
-def build_dataset(runs: list[tuple[np.ndarray, TerrainClass]]) -> Dataset:
+def build_dataset(runs, windows: int | None = None) -> Dataset:
     """Cut each run of samples into FEATURE_WIDTH-sample windows, then
-    standardize, transform and label them.
+    standardize, transform and label them, into one matrix of `windows` rows.
 
-    Flat windows (standard deviation at most 1e-12) are skipped and counted
-    in Dataset.dropped. A window whose standard deviation is not finite (NaN
-    samples, or samples so large that their squares overflow) is an error.
+    `runs` may be a generator that synthesizes each run as it is taken: a
+    run is let go before the next is taken. Its caller must give `windows`,
+    the count of whole windows in all runs; for a list it is counted. Flat
+    windows (standard deviation at most 1e-12) are skipped, counted in
+    Dataset.dropped, and cut from the matrix in a copy. A window whose
+    standard deviation is not finite (NaN samples, or samples so large that
+    their squares overflow) is an error.
     """
-    if not runs:
-        raise PhysicsError("no runs supplied")
-    stacks, keeps = [], []
+    if windows is None:
+        runs = list(runs)
+        windows = sum(len(samples) // FEATURE_WIDTH for samples, _ in runs)
+    features = np.empty((windows, FEATURE_WIDTH))
+    labels, window_idx, total, row = [], [], 0, 0
     for samples, label in runs:
         count = len(samples) // FEATURE_WIDTH
         if count == 0:
             raise PhysicsError(f"run of {len(samples)} samples is shorter than "
                                f"one window ({FEATURE_WIDTH})")
-        windows = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
+        total += count
+        if total > windows:
+            raise PhysicsError(f"the runs hold more than the {windows} windows given")
+        stack = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            std = windows.std(axis=1)
+            std = stack.std(axis=1)
         if not np.isfinite(std).all():
             raise PhysicsError(f"a window of the label {int(label)} run has a "
                                "non-finite standard deviation")
-        stacks.append((windows, std))
-        keeps.append(std > 1e-12)
-    kept = sum(int(keep.sum()) for keep in keeps)
-    if kept == 0:
-        raise PhysicsError("all windows were degenerate")
-    features = np.empty((kept, FEATURE_WIDTH))
-    row = 0
-    for (windows, std), keep in zip(stacks, keeps):
-        if not keep.any():  # fft_magnitude refuses an empty stack
-            continue
-        flat = windows[keep]  # a copy: standardizing in place leaves the run alone
-        flat -= flat.mean(axis=1, keepdims=True)
-        flat /= std[keep, None]
-        features[row:row + len(flat)] = fft_magnitude(flat)
-        row += len(flat)
-    labels = np.repeat([int(label) for _, label in runs], [keep.sum() for keep in keeps])
-    window_idx = np.concatenate([np.flatnonzero(keep) for keep in keeps])
-    return Dataset(features, labels, window_idx,
-                   dropped=sum(keep.size for keep in keeps) - kept)
+        keep = std > 1e-12
+        if keep.any():  # fft_magnitude refuses an empty stack
+            flat = stack[keep]  # a copy: standardizing in place leaves the run alone
+            flat -= flat.mean(axis=1, keepdims=True)
+            flat /= std[keep, None]
+            features[row:row + len(flat)] = fft_magnitude(flat)
+            row += len(flat)
+            labels.append(np.full(len(flat), int(label)))
+            window_idx.append(np.flatnonzero(keep))
+        samples = stack = flat = None   # let the run go before the next is taken
+    if not labels:
+        raise PhysicsError("no runs supplied" if total == 0
+                           else "all windows were degenerate")
+    if row < windows:
+        features = features[:row].copy()
+    return Dataset(features, np.concatenate(labels), np.concatenate(window_idx),
+                   dropped=total - row)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int
           ) -> tuple[Dataset, Dataset]:
-    """Seeded stratified split; per-class proportions held within one vector."""
+    """Seeded stratified split; per-class proportions held within one vector.
+    Both subsets share the dataset's feature matrix (see Dataset.take)."""
     if not 0.0 < train_fraction < 1.0:
         raise PhysicsError("train_fraction must lie in (0, 1)")
     if len(dataset) == 0:
@@ -142,12 +166,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int
         train_parts.append(idx[perm[:n_train]])
         test_parts.append(idx[perm[n_train:]])
 
-    def subset(parts) -> Dataset:
-        rows = np.sort(np.concatenate(parts))
-        return Dataset(dataset.features()[rows], labels[rows],
-                       dataset.window_idx()[rows])
-
-    return subset(train_parts), subset(test_parts)
+    return (dataset.take(np.sort(np.concatenate(train_parts))),
+            dataset.take(np.sort(np.concatenate(test_parts))))
 
 
 def write_dataset_csv(dataset: Dataset, path) -> str:
@@ -175,22 +195,3 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
                          for i in range(start, min(start + CSV_BLOCK_ROWS, len(labels)))))
     return digest.hexdigest()
 
-
-def read_dataset_csv(path) -> Dataset:
-    rows, labels, window_idx = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = [f"f{i:03d}" for i in range(FEATURE_WIDTH)] + ["label", "window_idx"]
-        if header != expected:
-            raise PhysicsError(f"unexpected dataset header in {path}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(expected):
-                raise PhysicsError(f"row {len(rows) + 1} of {path} has "
-                                   f"{len(parts)} fields, not {len(expected)}")
-            rows.append([float(p) for p in parts[:FEATURE_WIDTH]])
-            labels.append(int(parts[FEATURE_WIDTH]))
-            window_idx.append(int(parts[FEATURE_WIDTH + 1]))
-    if not rows:
-        raise PhysicsError(f"dataset file {path} contains no vectors")
-    return Dataset(rows, labels, window_idx)

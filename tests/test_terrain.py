@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from whisksim.beam import (
     Excitation,
     SpringSpec,
-    displacement,
     displacement_series,
     spring_to_beam,
     steady_state_offset,
@@ -180,7 +180,7 @@ class TestSynthesizeRun:
                                           phase_rad=phase)
         assert np.array_equal(got, steady)
         times = steady_state_offset(beam) + np.arange(got.size) / 200.0
-        modal = np.array([sum(displacement(beam, exc, 0.005,
+        modal = np.array([sum(oracles.displacement(beam, exc, 0.005,
                                            t + phase / exc.angular_frequency)
                               for exc, phase in zip(excitations, phases))
                           for t in times])
