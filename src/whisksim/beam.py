@@ -126,15 +126,6 @@ class SweepSurface:
     y_max_m: np.ndarray       # shape (len(f_b_grid), len(h_b_grid))
     f_dominant_hz: np.ndarray  # same shape
 
-    def __post_init__(self):
-        self.f_b_grid_hz = np.asarray(self.f_b_grid_hz, dtype=float)
-        self.h_b_grid_m = np.asarray(self.h_b_grid_m, dtype=float)
-        self.y_max_m = np.asarray(self.y_max_m, dtype=float)
-        self.f_dominant_hz = np.asarray(self.f_dominant_hz, dtype=float)
-        shape = (self.f_b_grid_hz.size, self.h_b_grid_m.size)
-        if self.y_max_m.shape != shape or self.f_dominant_hz.shape != shape:
-            raise PhysicsError("sweep matrices must match the grid dimensions")
-
     def write_csv(self, path) -> None:
         """Row-major CSV over the f_b grid: f_b_hz,h_b_m,y_max_m,f_dom_hz."""
         with open(path, "w", encoding="utf-8") as fh:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration errors (argparse uses 2 as well),
 3 physics/signal errors, 4 training divergence, 5 a worker process died
-before it finished its item (killed by the kernel, say).
+before it finished its item (killed by the kernel, say), 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_DIVERGED = 4
 EXIT_WORKER_DIED = 5
+EXIT_INTERRUPTED = 130   # 128 + SIGINT, as a shell reports it
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -160,6 +162,9 @@ def main(argv=None) -> int:
     except (PhysicsError, WhisksimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

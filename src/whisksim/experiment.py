@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 from functools import partial
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import mlp, pipeline, terrain
 from .beam import modal_sweep, spring_to_beam
 from .config import ExperimentConfig
 from .errors import ConfigError, PhysicsError, WorkerDiedError
-from .terrain import RobotRun, TerrainClass
+from .terrain import TerrainClass
 
 
 def child_seed(master_seed: int, *parts) -> int:
@@ -50,16 +51,24 @@ def _check_nyquist(cfg: ExperimentConfig, profiles: dict, speeds) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write payload through a temp file in path's directory and os.replace
+    it into place, so a killed run leaves the old file or none, never a
+    truncated one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def _make_out_dir(out_dir) -> None:
-    """Create out_dir, if given, before any work; a bad path is a config error."""
+    """Create out_dir before any work; a bad path is a config error."""
     try:
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
@@ -72,11 +81,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                           cfg.sensor_position_m, cfg.sweep.sample_rate_hz,
                           cfg.sweep.duration_s)
     bin_width = 1.0 / cfg.sweep.duration_s
-    within = 0
-    for i, fb in enumerate(surface.f_b_grid_hz):
-        for j in range(surface.h_b_grid_m.size):
-            if abs(surface.f_dominant_hz[i, j] - fb) <= bin_width:
-                within += 1
+    within = np.count_nonzero(
+        np.abs(surface.f_dominant_hz - surface.f_b_grid_hz[:, None]) <= bin_width)
     total = surface.f_dominant_hz.size
     csv_path = os.path.join(out_dir, "sweep.csv")
     surface.write_csv(csv_path)
@@ -95,9 +101,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 def _terrain_samples(cfg: ExperimentConfig, speed_m_s: float,
                      profile: terrain.SpectralProfile, seed: int) -> np.ndarray:
     """One seeded run over the profile at the given speed."""
-    run = RobotRun(speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed)
-    return terrain.synthesize_run(profile, run, spring_to_beam(cfg.spring),
-                                  cfg.sensor_position_m)
+    return terrain.synthesize_run(profile, speed_m_s, cfg.duration_s,
+                                  cfg.sample_rate_hz, seed,
+                                  spring_to_beam(cfg.spring), cfg.sensor_position_m)
 
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
@@ -160,7 +166,10 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _serve(conn, fn, items) -> None:
     """Forked worker: for each index received, send back (True, result) or
-    (False, exception) of fn(items[index]); it is terminated when done."""
+    (False, exception) of fn(items[index]); it is terminated when done. It
+    ignores SIGINT: a Ctrl-C reaches the whole process group, and the parent
+    terminates its workers as it unwinds."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         index = conn.recv()
         try:
@@ -287,7 +296,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
     }
 
 
-def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = resolve_profiles(cfg)
     _check_nyquist(cfg, profiles, [cfg.speed_m_s])
@@ -309,8 +318,7 @@ def run_train_eval(cfg: ExperimentConfig, out_dir=None) -> dict:
         "mean_per_class_accuracy": _report_accuracies(per_class.mean(axis=0)),
         "mean_confusion": confusion.mean(axis=0).tolist(),
     }
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "train_eval_report.json"), report)
+    _write_json(os.path.join(out_dir, "train_eval_report.json"), report)
     return report
 
 
@@ -320,9 +328,10 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
     beam = spring_to_beam(cfg.spring)
     bins = {}
     for tc in sorted(profiles, key=int):
-        run = RobotRun(speed_m_s, cfg.window_s, cfg.sample_rate_hz, seed=0)
         samples = terrain.synthesize_run(terrain.strip_randomness(profiles[tc]),
-                                         run, beam, cfg.sensor_position_m)
+                                         speed_m_s, cfg.window_s,
+                                         cfg.sample_rate_hz, 0, beam,
+                                         cfg.sensor_position_m)
         ds = pipeline.build_dataset([(samples, tc)])
         bins[tc.label] = pipeline.dominant_frequency(
             ds.features()[0], cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
@@ -343,7 +352,7 @@ def _speed_point(cfg: ExperimentConfig, profiles: dict, speed: float) -> dict:
     }
 
 
-def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Synth + train + evaluate at each configured speed (ascending order)."""
     if len(cfg.speeds_m_s) < 2:
         raise ConfigError("speed sweep needs at least 2 speeds")
@@ -357,8 +366,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir=None) -> dict:
         "speeds_m_s": [s["speed_m_s"] for s in per_speed],
         "per_speed": per_speed,
     }
-    if out_dir is not None:
-        _write_json(os.path.join(out_dir, "speed_sweep_report.json"), report)
+    _write_json(os.path.join(out_dir, "speed_sweep_report.json"), report)
     return report
 
 

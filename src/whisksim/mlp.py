@@ -148,16 +148,15 @@ def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector or a batch of them."""
+    """Class probabilities, one row per row of the batch x."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise PhysicsError("input contains non-finite values")
-    single = x.ndim == 1
     # huge but finite weights from training can overflow on new inputs;
     # _forward refuses the non-finite values, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
-        probs, _ = _forward(model, np.atleast_2d(x))
-    return probs[0] if single else probs
+        probs, _ = _forward(model, x)
+    return probs
 
 
 def _batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -110,36 +110,6 @@ class SpectralProfile:
         if self.noise_floor_m < 0.0:
             raise PhysicsError("noise_floor_m must be >= 0")
 
-    def dominant_component(self) -> SpectralComponent:
-        """Component with the largest response weight h / lambda^2.
-
-        The beam response to one component scales with h * f^2 and
-        f = v / lambda, so the ranking is speed-independent.
-        """
-        return max(self.components,
-                   key=lambda c: c.height_m / c.wavelength_m ** 2)
-
-    def dominant_frequency_at(self, speed_m_s: float) -> float:
-        return speed_m_s / self.dominant_component().wavelength_m
-
-
-@dataclass(frozen=True)
-class RobotRun:
-    """One constant-speed traversal producing a sampled sensor signal."""
-
-    speed_m_s: float
-    duration_s: float
-    sample_rate_hz: float = 200.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.speed_m_s <= 0.0:
-            raise PhysicsError("speed_m_s must be positive")
-        if self.duration_s <= 0.0:
-            raise PhysicsError("duration_s must be positive")
-        if self.sample_rate_hz <= 0.0:
-            raise PhysicsError("sample_rate_hz must be positive")
-
 
 def default_profiles() -> dict[TerrainClass, SpectralProfile]:
     """The frozen seven-terrain profile table documented in the module header."""
@@ -208,14 +178,15 @@ def strip_randomness(profile: SpectralProfile) -> SpectralProfile:
 
 
 def temporal_components(profile: SpectralProfile, speed_m_s: float,
-                        sample_rate_hz: float | None = None) -> list[Excitation]:
-    """Map each spatial component to a base excitation at f = v / lambda."""
+                        sample_rate_hz: float) -> list[Excitation]:
+    """Map each spatial component to a base excitation at f = v / lambda,
+    below the Nyquist limit of a run sampled at sample_rate_hz."""
     if speed_m_s <= 0.0:
         raise PhysicsError("speed_m_s must be positive")
     excitations = []
     for comp in profile.components:
         f_b = speed_m_s / comp.wavelength_m
-        if sample_rate_hz is not None and sample_rate_hz <= 2.0 * f_b:
+        if sample_rate_hz <= 2.0 * f_b:
             raise PhysicsError(
                 f"component at {f_b:.3g} Hz exceeds the Nyquist limit of a "
                 f"{sample_rate_hz:.3g} Hz run")
@@ -223,43 +194,29 @@ def temporal_components(profile: SpectralProfile, speed_m_s: float,
     return excitations
 
 
-def synthesize_run(profile: SpectralProfile, run: RobotRun, beam: BeamSpec,
+def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float,
+                   sample_rate_hz: float, seed: int, beam: BeamSpec,
                    sensor_position_m: float) -> np.ndarray:
-    """Simulated steady-state sensor samples for one traversal of a profile.
+    """Simulated steady-state sensor samples for one constant-speed traversal.
 
     Superposes the steady beam response to every profile component at a
     drive phase drawn from +-phase_jitter_rad (one draw per component, in
-    order), then adds the white noise floor. Deterministic per run seed.
+    order), then adds the white noise floor. Deterministic per seed.
     """
-    rng = np.random.default_rng(run.seed)
-    excitations = temporal_components(profile, run.speed_m_s, run.sample_rate_hz)
+    rng = np.random.default_rng(seed)
+    excitations = temporal_components(profile, speed_m_s, sample_rate_hz)
     phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
               for c in profile.components]
-    n = int(round(run.duration_s * run.sample_rate_hz))
+    if duration_s <= 0.0:
+        raise PhysicsError("duration_s must be positive")
+    n = int(round(duration_s * sample_rate_hz))
     total = np.zeros(n)
     for exc, phase in zip(excitations, phases):
         total += displacement_series(beam, exc, sensor_position_m,
-                                     run.sample_rate_hz, run.duration_s,
-                                     phase_rad=phase)
+                                     sample_rate_hz, duration_s, phase_rad=phase)
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, n)
     return total
-
-
-def profiles_to_json(table: dict[TerrainClass, SpectralProfile]) -> str:
-    """Serialize a profile table; inverse of profiles_from_json."""
-    entries = []
-    for terrain in sorted(table, key=int):
-        profile = table[terrain]
-        entries.append({
-            "terrain": terrain.label,
-            "components": [
-                {"lambda_m": c.wavelength_m, "h_m": c.height_m,
-                 "jitter_rad": c.phase_jitter_rad}
-                for c in profile.components],
-            "noise_floor_m": profile.noise_floor_m,
-        })
-    return json.dumps(entries, indent=2, sort_keys=True)
 
 
 def profiles_from_json(text: str) -> dict[TerrainClass, SpectralProfile]:
@@ -284,11 +241,6 @@ def profiles_from_json(text: str) -> dict[TerrainClass, SpectralProfile]:
     if not table:
         raise PhysicsError("profile JSON contains no terrains")
     return table
-
-
-def save_profiles(table: dict[TerrainClass, SpectralProfile], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profiles_to_json(table) + "\n")
 
 
 def load_profiles(path) -> dict[TerrainClass, SpectralProfile]:

@@ -172,3 +172,11 @@ def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
     if t < 0.0:
         raise PhysicsError("time must be >= 0")
     return float(modal_terms(beam, exc, x, np.array([float(t)])).sum())
+
+
+def dominant_frequency(profile, speed_m_s: float) -> float:
+    """v / lambda of the profile component with the largest response weight
+    h / lambda^2: the steady beam response to a component scales with
+    h * f^2 and f = v / lambda, so the ranking does not depend on speed."""
+    return speed_m_s / max(profile.components,
+                           key=lambda c: c.height_m / c.wavelength_m ** 2).wavelength_m

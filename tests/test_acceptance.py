@@ -153,12 +153,14 @@ def test_criterion_6_dataset_shape(default_dataset):
 
 
 @pytest.fixture(scope="module")
-def train_eval_reports():
+def train_eval_reports(tmp_path_factory):
     """Default and smoke train-eval reports, run once for the module, and
     the seconds the two runs took together."""
     start = time.perf_counter()
-    default_report = run_train_eval(ExperimentConfig())
-    smoke_report = run_train_eval(config_from_dict({"profiles": "smoke"}))
+    default_report = run_train_eval(ExperimentConfig(),
+                                    tmp_path_factory.mktemp("default"))
+    smoke_report = run_train_eval(config_from_dict({"profiles": "smoke"}),
+                                  tmp_path_factory.mktemp("smoke"))
     return default_report, smoke_report, time.perf_counter() - start
 
 
@@ -205,7 +207,7 @@ def test_criterion_8_speed_sweep_structure(tmp_path):
     for entry in report["per_speed"]:
         cells.extend(entry["per_class_accuracy"])
         for tc in TerrainClass:
-            predicted = profiles[tc].dominant_frequency_at(entry["speed_m_s"])
+            predicted = oracles.dominant_frequency(profiles[tc], entry["speed_m_s"])
             bin_errors.append(
                 abs(entry["dominant_bin_hz"][tc.label] - predicted))
     ok = (speeds == [0.1, 0.15, 0.2, 0.25, 0.3]

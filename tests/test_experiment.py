@@ -4,6 +4,7 @@ import json
 import multiprocessing.context
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -12,8 +13,10 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 import whisksim
 from whisksim import experiment, terrain
+from whisksim.beam import SweepSurface
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.errors import ConfigError, PhysicsError, TrainingDivergedError
@@ -125,6 +128,20 @@ class TestRunSweep:
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert summary["config"] == cfg.to_dict()
 
+    def test_counts_cells_within_one_bin_as_a_cell_loop_does(self, tmp_path,
+                                                             monkeypatch):
+        f_b = np.array([50.0, 100.0])
+        f_dom = np.array([[50.0, 51.0, 52.0], [98.5, 100.0, np.nan]])
+        surface = SweepSurface(f_b, np.array([1e-4, 2e-4, 3e-4]), np.ones((2, 3)),
+                               f_dom)
+        monkeypatch.setattr(experiment, "modal_sweep", lambda *args: surface)
+        report = run_sweep(_tiny_config(), tmp_path)   # 1 s sweep: 1 Hz bins
+        within = sum(abs(f_dom[i, j] - f_b[i]) <= 1.0
+                     for i in range(2) for j in range(3))
+        assert report["cells_f_dom_within_one_bin"] == within == 3
+        assert report["cells_total"] == 6
+        assert report["f_dom_matches_f_b"] is False
+
     def test_default_grid_is_35_cells(self, tmp_path):
         cfg = _tiny_config(sweep={})
         report = run_sweep(cfg, tmp_path)
@@ -208,7 +225,7 @@ class TestRunSpeedSweep:
         for entry in report["per_speed"]:
             v = entry["speed_m_s"]
             for tc in TerrainClass:
-                predicted = profiles[tc].dominant_frequency_at(v)
+                predicted = oracles.dominant_frequency(profiles[tc], v)
                 assert abs(entry["dominant_bin_hz"][tc.label] - predicted) \
                     <= bin_width
 
@@ -216,6 +233,17 @@ class TestRunSpeedSweep:
         cfg = _tiny_config(speeds_m_s=[0.2])
         with pytest.raises(ConfigError):
             run_speed_sweep(cfg, tmp_path)
+
+
+class TestWriteJson:
+    def test_a_failed_write_leaves_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "report.json"
+        experiment._write_json(path, {"old": 1})
+        # "a" is written before json.dump reaches the object it cannot encode
+        with pytest.raises(TypeError):
+            experiment._write_json(path, {"a": 1, "b": object()})
+        assert path.read_text() == '{\n  "old": 1\n}\n'
+        assert os.listdir(tmp_path) == ["report.json"]
 
 
 def _fail_in_the_wrong_order(item):
@@ -251,18 +279,18 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="item 1"):
             _ordered_map(_fail_in_the_wrong_order, [0, 1, 2, 3])
 
-    def test_train_eval_equals_serial_loop(self):
+    def test_train_eval_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()
-        report = run_train_eval(cfg)
+        report = run_train_eval(cfg, tmp_path)
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
                                         resolve_profiles(cfg), ("synth",))
         serial = [_train_eval_once(cfg, dataset, ("train-eval", r))
                   for r in range(cfg.repetitions)]
         assert report["repetitions"] == serial
 
-    def test_speed_sweep_equals_serial_loop(self):
+    def test_speed_sweep_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config(speeds_m_s=[0.25, 0.15], duration_s=8.0)
-        report = run_speed_sweep(cfg)
+        report = run_speed_sweep(cfg, tmp_path)
         profiles = resolve_profiles(cfg)
         for entry, speed in zip(report["per_speed"], [0.15, 0.25]):
             assert entry == _serial_speed_point(cfg, profiles, speed)
@@ -305,9 +333,9 @@ class TestWorkerPool:
         return started
 
     def test_train_eval_on_more_workers_than_cpus_equals_serial_loop(
-            self, two_cpus):
+            self, two_cpus, tmp_path):
         cfg = _tiny_config(repetitions=3)
-        report = run_train_eval(cfg)
+        report = run_train_eval(cfg, tmp_path)
         assert len(two_cpus) == 3
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
                                         resolve_profiles(cfg), ("synth",))
@@ -315,9 +343,9 @@ class TestWorkerPool:
             _train_eval_once(cfg, dataset, ("train-eval", r)) for r in range(3)]
 
     def test_speed_sweep_on_more_workers_than_cpus_equals_serial_loop(
-            self, two_cpus):
+            self, two_cpus, tmp_path):
         cfg = _tiny_config(speeds_m_s=[0.25, 0.15, 0.2], duration_s=8.0)
-        report = run_speed_sweep(cfg)
+        report = run_speed_sweep(cfg, tmp_path)
         assert len(two_cpus) == 3
         profiles = resolve_profiles(cfg)
         for entry, speed in zip(report["per_speed"], [0.15, 0.2, 0.25]):
@@ -401,6 +429,37 @@ class TestWorkerPool:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ("error: worker for item 2 exited with code 9 "
                                "before replying\n")
+
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        # Ctrl-C in a terminal sends SIGINT to the whole process group:
+        # the parent, waiting on its worker, and the worker, in training
+        script = textwrap.dedent("""
+            import sys, time
+            from whisksim import cli, mlp
+
+            def train_until_killed(*args):
+                print("training", flush=True)
+                time.sleep(60)
+
+            mlp.train = train_until_killed
+            raise SystemExit(cli.main(sys.argv[1:]))
+            """)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 2, "repetitions": 1}))
+        proc = subprocess.Popen([sys.executable, "-c", script, "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"), "train-eval"],
+                                env=_child_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == "training\n"
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+        assert not (tmp_path / "out" / "train_eval_report.json").exists()
 
     def test_synth_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()

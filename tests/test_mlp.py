@@ -88,17 +88,17 @@ class TestForward:
         assert np.all(probs > 0.0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_single_vector_in_vector_out(self):
+    def test_batch_of_one_gives_one_row(self):
         model = init(SMALL_ARCH, 3)
         x, _ = _random_batch(1, seed=2)
-        probs = forward(model, x[0])
-        assert probs.shape == (7,)
+        probs = forward(model, x)
+        assert probs.shape == (1, 7)
 
     def test_zero_parameters_give_uniform(self):
         model = init(SMALL_ARCH, 0)
         for w in model.weights:
             w[:] = 0.0
-        probs = forward(model, np.ones(200))
+        probs = forward(model, np.ones((1, 200)))
         assert np.allclose(probs, 1.0 / 7.0, atol=1e-12)
 
     def test_logit_shift_invariance(self):
@@ -110,8 +110,8 @@ class TestForward:
 
     def test_rejects_non_finite_input(self):
         model = init(SMALL_ARCH, 5)
-        bad = np.ones(200)
-        bad[0] = np.inf
+        bad = np.ones((2, 200))
+        bad[1, 0] = np.inf
         with pytest.raises(PhysicsError):
             forward(model, bad)
 
@@ -172,7 +172,7 @@ class TestGradients:
         model.biases[-1][:] = -500.0
         model.biases[-1][2] = 500.0
         x, _ = _random_batch(1, seed=6)
-        assert forward(model, x[0])[2] == 1.0
+        assert forward(model, x)[0, 2] == 1.0
         w_grads, b_grads = gradients(model, x, np.array([3]))
         assert np.all(w_grads[-1] == 0.0)
         assert np.all(b_grads[-1] == 0.0)

@@ -25,7 +25,7 @@ from whisksim.pipeline import (
     split,
     write_dataset_csv,
 )
-from whisksim.terrain import RobotRun, TerrainClass, default_profiles, synthesize_run
+from whisksim.terrain import TerrainClass, default_profiles, synthesize_run
 
 
 def _series(n):
@@ -451,8 +451,8 @@ class TestDatasetCsv:
         # one default terrain, 300 rows and about 1.1 MB of text; holding
         # the whole text once took 3.0 times the file size
         cfg = ExperimentConfig()
-        run = RobotRun(cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, seed=5)
-        samples = synthesize_run(default_profiles()[TerrainClass.BRICK], run,
+        samples = synthesize_run(default_profiles()[TerrainClass.BRICK],
+                                 cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, 5,
                                  spring_to_beam(cfg.spring), cfg.sensor_position_m)
         ds = build_dataset([(samples, TerrainClass.BRICK)])
         assert len(ds) == 300

@@ -1,5 +1,7 @@
 """Terrain profiles, speed mapping, and synthesized runs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,12 @@ from whisksim.beam import (
 from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
 from whisksim.terrain import (
-    RobotRun,
     SpectralComponent,
     SpectralProfile,
     TerrainClass,
     default_profiles,
+    load_profiles,
     profiles_from_json,
-    profiles_to_json,
     smoke_profiles,
     strip_randomness,
     synthesize_run,
@@ -66,7 +67,7 @@ class TestDefaultProfiles:
         # at 0.2 m/s with 1 s / 200 Hz windows (1 Hz bins) every pair of
         # dominant frequencies must be at least 2 bins apart
         table = default_profiles()
-        doms = sorted(p.dominant_frequency_at(0.2) for p in table.values())
+        doms = sorted(oracles.dominant_frequency(p, 0.2) for p in table.values())
         assert doms == pytest.approx([5.0, 12.0, 20.0, 28.0, 36.0, 44.0, 52.0])
         gaps = np.diff(doms)
         assert np.all(gaps >= 2.0)
@@ -98,32 +99,25 @@ class TestSpectralTypes:
         with pytest.raises(PhysicsError):
             SpectralProfile(components=())
 
-    def test_robot_run_validation(self):
-        with pytest.raises(PhysicsError):
-            RobotRun(0.0, 10.0)
-        with pytest.raises(PhysicsError):
-            RobotRun(0.2, -1.0)
-        assert RobotRun(0.2, 10.0).sample_rate_hz == 200.0
-
 
 class TestTemporalComponents:
     def test_wavelength_to_frequency(self):
         profile = SpectralProfile((SpectralComponent(0.05, 1e-5),))
-        (exc,) = temporal_components(profile, 0.2)
+        (exc,) = temporal_components(profile, 0.2, 200.0)
         assert exc.frequency_hz == pytest.approx(4.0)
         assert exc.amplitude_m == 1e-5
 
     def test_doubling_speed_doubles_frequency(self):
         profile = default_profiles()[TerrainClass.SAND]
-        slow = temporal_components(profile, 0.15)
-        fast = temporal_components(profile, 0.30)
+        slow = temporal_components(profile, 0.15, 200.0)
+        fast = temporal_components(profile, 0.30, 200.0)
         for a, b in zip(slow, fast):
             assert b.frequency_hz == pytest.approx(2.0 * a.frequency_hz)
             assert b.amplitude_m == a.amplitude_m
 
     def test_ordering_preserved(self):
         profile = default_profiles()[TerrainClass.SAND]
-        excs = temporal_components(profile, 0.2)
+        excs = temporal_components(profile, 0.2, 200.0)
         expected = [0.2 / c.wavelength_m for c in profile.components]
         assert [e.frequency_hz for e in excs] == pytest.approx(expected)
 
@@ -134,31 +128,35 @@ class TestTemporalComponents:
 
     def test_brick_shift_with_speed_is_closed_form(self):
         profile = default_profiles()[TerrainClass.BRICK]
-        lam = profile.dominant_component().wavelength_m
-        f_slow = profile.dominant_frequency_at(0.2)
-        f_fast = profile.dominant_frequency_at(0.25)
-        assert f_fast - f_slow == pytest.approx(0.05 / lam)
+        f_slow = oracles.dominant_frequency(profile, 0.2)
+        f_fast = oracles.dominant_frequency(profile, 0.25)
+        # 0.05 m/s faster over brick's 10 mm dominant wavelength
         assert f_fast - f_slow == pytest.approx(5.0)
 
 
 class TestSynthesizeRun:
+    def test_rejects_bad_run_parameters(self, beam):
+        flat = default_profiles()[TerrainClass.FLAT]
+        for speed, duration, rate in ((0.0, 10.0, 200.0), (0.2, -1.0, 200.0),
+                                      (0.2, 10.0, 0.0)):
+            with pytest.raises(PhysicsError):
+                synthesize_run(flat, speed, duration, rate, 0, beam, 0.005)
+
     def test_seeded_determinism(self, beam):
-        run = RobotRun(0.2, 5.0, 200.0, seed=123)
         sand = default_profiles()[TerrainClass.SAND]
-        a = synthesize_run(sand, run, beam, 0.005)
-        b = synthesize_run(sand, run, beam, 0.005)
+        a = synthesize_run(sand, 0.2, 5.0, 200.0, 123, beam, 0.005)
+        b = synthesize_run(sand, 0.2, 5.0, 200.0, 123, beam, 0.005)
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self, beam):
         sand = default_profiles()[TerrainClass.SAND]
-        a = synthesize_run(sand, RobotRun(0.2, 5.0, seed=1), beam, 0.005)
-        b = synthesize_run(sand, RobotRun(0.2, 5.0, seed=2), beam, 0.005)
+        a = synthesize_run(sand, 0.2, 5.0, 200.0, 1, beam, 0.005)
+        b = synthesize_run(sand, 0.2, 5.0, 200.0, 2, beam, 0.005)
         assert not np.array_equal(a, b)
 
     def test_single_component_no_noise_equals_beam_series(self, beam):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
-        run = RobotRun(0.2, 2.0, 200.0, seed=7)
-        got = synthesize_run(profile, run, beam, 0.005)
+        got = synthesize_run(profile, 0.2, 2.0, 200.0, 7, beam, 0.005)
         want = displacement_series(beam, Excitation(3e-5, 20.0), 0.005, 200.0, 2.0)
         assert np.array_equal(got, want)
 
@@ -168,12 +166,11 @@ class TestSynthesizeRun:
         # a phase phi is the modal sum started phi / omega later, up to rounding
         profile = SpectralProfile(default_profiles()[tc].components, 0.0)
         seed = 1000 + int(tc)
-        got = synthesize_run(profile, RobotRun(0.2, 1.0, 200.0, seed=seed), beam,
-                             0.005)
+        got = synthesize_run(profile, 0.2, 1.0, 200.0, seed, beam, 0.005)
         rng = np.random.default_rng(seed)
         phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
                   for c in profile.components]
-        excitations = temporal_components(profile, 0.2)
+        excitations = temporal_components(profile, 0.2, 200.0)
         steady = np.zeros(got.size)
         for exc, phase in zip(excitations, phases):
             steady += displacement_series(beam, exc, 0.005, 200.0, 1.0,
@@ -187,9 +184,8 @@ class TestSynthesizeRun:
         assert np.max(np.abs(got - modal)) <= 1e-12 * np.max(np.abs(modal))
 
     def test_sample_count_five_minutes(self, beam):
-        run = RobotRun(0.2, 300.0, 200.0, seed=0)
-        series = synthesize_run(default_profiles()[TerrainClass.FLAT], run, beam,
-                                0.005)
+        series = synthesize_run(default_profiles()[TerrainClass.FLAT], 0.2, 300.0,
+                                200.0, 0, beam, 0.005)
         assert len(series) == 60000
         ds = build_dataset([(series, TerrainClass.FLAT)])
         assert len(ds) == 300
@@ -198,17 +194,17 @@ class TestSynthesizeRun:
         comps = (SpectralComponent(0.01, 3e-5, 0.0),
                  SpectralComponent(0.02, 1e-5, 0.0),
                  SpectralComponent(0.004, 2e-6, 0.0))
-        run = RobotRun(0.2, 2.0, 200.0, seed=99)
-        full = synthesize_run(SpectralProfile(comps, 0.0), run, beam, 0.005)
-        parts = [synthesize_run(SpectralProfile((c,), 0.0), run, beam, 0.005)
+        full = synthesize_run(SpectralProfile(comps, 0.0), 0.2, 2.0, 200.0, 99,
+                              beam, 0.005)
+        parts = [synthesize_run(SpectralProfile((c,), 0.0), 0.2, 2.0, 200.0, 99,
+                                beam, 0.005)
                  for c in comps]
         assert np.array_equal(full, parts[0] + parts[1] + parts[2])
 
     def test_speed_scales_dominant_frequency(self, beam):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
         for v, expected in ((0.1, 10.0), (0.2, 20.0), (0.3, 30.0)):
-            run = RobotRun(v, 1.0, 200.0, seed=0)
-            series = synthesize_run(profile, run, beam, 0.005)
+            series = synthesize_run(profile, v, 1.0, 200.0, 0, beam, 0.005)
             mags = np.abs(np.fft.fft(series))
             assert dominant_frequency(mags, 1.0) == pytest.approx(expected)
 
@@ -231,8 +227,8 @@ class TestNoSidebands:
     def test_default_terrain_energy_only_at_component_bins(self, beam, tc):
         cfg = ExperimentConfig()
         profile = strip_randomness(default_profiles()[tc])
-        run = RobotRun(cfg.speed_m_s, cfg.window_s, cfg.sample_rate_hz)
-        series = synthesize_run(profile, run, beam, cfg.sensor_position_m)
+        series = synthesize_run(profile, cfg.speed_m_s, cfg.window_s,
+                                cfg.sample_rate_hz, 0, beam, cfg.sensor_position_m)
         mags = np.abs(np.fft.fft(series))
         n = mags.size
         on_bin = np.zeros(n, dtype=bool)
@@ -246,19 +242,38 @@ class TestNoSidebands:
         assert mags[on_bin].min() >= 1e-3 * peak
 
 
+def _profiles_json(table) -> str:
+    """A profile table in the documented JSON format (see README.md)."""
+    return json.dumps([
+        {"terrain": tc.label,
+         "components": [{"lambda_m": c.wavelength_m, "h_m": c.height_m,
+                         "jitter_rad": c.phase_jitter_rad}
+                        for c in profile.components],
+         "noise_floor_m": profile.noise_floor_m}
+        for tc, profile in sorted(table.items())])
+
+
 class TestProfileJson:
     def test_roundtrip(self):
         table = default_profiles()
-        again = profiles_from_json(profiles_to_json(table))
+        again = profiles_from_json(_profiles_json(table))
         assert again == table
 
     def test_schema_keys(self):
-        import json
-        doc = json.loads(profiles_to_json(default_profiles()))
-        assert len(doc) == 7
-        entry = doc[0]
-        assert set(entry) == {"terrain", "components", "noise_floor_m"}
-        assert set(entry["components"][0]) == {"lambda_m", "h_m", "jitter_rad"}
+        # jitter_rad and noise_floor_m are optional and default to 0
+        table = profiles_from_json(json.dumps([
+            {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 8e-5}]},
+            {"terrain": "sand", "noise_floor_m": 6e-8,
+             "components": [{"lambda_m": 0.005, "h_m": 3e-5, "jitter_rad": 1.5}]},
+        ]))
+        assert table == {
+            TerrainClass.BRICK: SpectralProfile((SpectralComponent(0.01, 8e-5, 0.0),),
+                                                0.0),
+            TerrainClass.SAND: SpectralProfile((SpectralComponent(0.005, 3e-5, 1.5),),
+                                               6e-8),
+        }
+        with pytest.raises(PhysicsError, match="missing key 'h_m'"):
+            profiles_from_json('[{"terrain": "flat", "components": [{"lambda_m": 1}]}]')
 
     def test_rejects_garbage(self):
         with pytest.raises(PhysicsError):
@@ -267,7 +282,6 @@ class TestProfileJson:
             profiles_from_json("[]")
 
     def test_file_roundtrip(self, tmp_path):
-        from whisksim.terrain import load_profiles, save_profiles
         path = tmp_path / "profiles.json"
-        save_profiles(smoke_profiles(), path)
+        path.write_text(_profiles_json(smoke_profiles()), encoding="utf-8")
         assert load_profiles(path) == smoke_profiles()
