@@ -17,7 +17,8 @@ term is assembled from four factors:
   mode root).
 
 The envelope cancels the growing exponential of the persistent term, so
-forcing * mix is evaluated in the folded form
+the tests' reference (tests/oracles.py) evaluates forcing * mix in the
+folded form
 
     sin(w_b t) * ( exp(-zeta w_i t) (zeta sin(w_d t) + s1z cos(w_d t)) - s1z )
 
@@ -33,8 +34,9 @@ exactly
 The modal frequencies drop out of this form: the steady response is a pure
 sinusoid at the drive frequency whose amplitude grows as f_b^2, with no
 resonance near the first mode (46.0 Hz for the default spring) or any
-other. displacement_series samples only this form, with a drive phase; the
-modal sum stays as the tests' reference (tests/oracles.py), at any t.
+other. displacement_series samples only this form, summing one sinusoid
+per drive component, each with its own phase; only tests/oracles.py
+evaluates the modal sum, at any t.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
 """
@@ -97,24 +99,6 @@ class BeamSpec:
                 raise PhysicsError(f"{name} must be positive")
         if not 0.0 < self.damping_ratio < 1.0:
             raise PhysicsError("damping_ratio must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Excitation:
-    """One sinusoidal base-excitation component."""
-
-    amplitude_m: float
-    frequency_hz: float
-
-    def __post_init__(self):
-        if self.amplitude_m < 0.0:
-            raise PhysicsError("amplitude_m must be >= 0")
-        if self.frequency_hz <= 0.0:
-            raise PhysicsError("frequency_hz must be positive")
-
-    @property
-    def angular_frequency(self) -> float:
-        return 2.0 * math.pi * self.frequency_hz
 
 
 @dataclass
@@ -225,35 +209,38 @@ def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
 def steady_state_gain(beam: BeamSpec, x: float) -> float:
     """Steady displacement amplitude at x per unit h_b * f_b^2, m / (m Hz^2).
 
-    For t >= steady_state_offset(beam) the response to Excitation(h_b, f_b)
-    is steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t).
+    For t >= steady_state_offset(beam) the response to a drive of height h_b
+    at f_b is steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t).
     """
     s1z = math.sqrt(1.0 - beam.damping_ratio ** 2)
     return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
-def displacement_series(beam: BeamSpec, exc: Excitation, sensor_position_m: float,
-                        sample_rate_hz: float, duration_s: float,
-                        phase_rad: float = 0.0) -> np.ndarray:
-    """Sample the steady sensor displacement with the drive phase shifted.
+def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
+                        sensor_position_m: float, sample_rate_hz: float,
+                        duration_s: float) -> np.ndarray:
+    """Sample the steady sensor displacement under a sum of drives.
 
-    Returns steady_state_gain * h_b * f_b^2 * sin(w_b t + phase_rad) on the
-    grid t = steady_state_offset(beam) + k / sample_rate_hz: with phase 0 it
-    equals the modal sum there. The sample rate must resolve
-    the drive: sample_rate_hz > 2 * f_b.
+    Returns the sum over components, in order, of
+    steady_state_gain * h * f^2 * sin(2 pi f t + phase) on the grid
+    t = steady_state_offset(beam) + k / sample_rate_hz: with every phase 0
+    it equals the modal sum there. Callers check that the sample rate
+    resolves every drive (sample_rate_hz > 2 * f).
     """
-    if duration_s <= 0.0:
-        raise PhysicsError("duration_s must be positive")
-    if sample_rate_hz <= 2.0 * exc.frequency_hz:
-        raise PhysicsError(
-            f"sample rate {sample_rate_hz} Hz cannot resolve {exc.frequency_hz} Hz "
-            "(need sample_rate > 2 * f_b)")
     n = int(round(duration_s * sample_rate_hz))
     if n < 1:
         raise PhysicsError("duration too short for one sample")
     t = steady_state_offset(beam) + np.arange(n) / sample_rate_hz
-    return (steady_state_gain(beam, sensor_position_m) * exc.amplitude_m
-            * exc.frequency_hz ** 2) * np.sin(exc.angular_frequency * t + phase_rad)
+    gain = steady_state_gain(beam, sensor_position_m)
+    total = np.zeros(n)
+    term = np.empty(n)
+    for h_b, f_b, phase in zip(heights_m, frequencies_hz, phases_rad):
+        np.multiply(2.0 * math.pi * f_b, t, out=term)
+        term += phase
+        np.sin(term, out=term)
+        term *= gain * h_b * f_b ** 2
+        total += term
+    return total
 
 
 def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: float,
@@ -268,8 +255,6 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
 
     f_grid = np.asarray(list(f_b_grid_hz), dtype=float)
     h_grid = np.asarray(list(h_b_grid_m), dtype=float)
-    if f_grid.size == 0 or h_grid.size == 0:
-        raise PhysicsError("sweep grids must be nonempty")
     for fb in f_grid:
         if sample_rate_hz <= 2.0 * fb:
             raise PhysicsError(
@@ -278,9 +263,9 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
     f_dom = np.empty_like(y_max)
     for i, fb in enumerate(f_grid):
         for j, hb in enumerate(h_grid):
-            samples = displacement_series(
-                beam, Excitation(hb, fb), sensor_position_m,
-                sample_rate_hz, duration_s)
+            samples = displacement_series(beam, [hb], [fb], [0.0],
+                                          sensor_position_m, sample_rate_hz,
+                                          duration_s)
             y_max[i, j] = float(np.max(np.abs(samples)))
             f_dom[i, j] = dominant_frequency(fft_magnitude(samples),
                                              sample_rate_hz / len(samples))

@@ -39,9 +39,17 @@ class SweepConfig:
         object.__setattr__(self, "h_b_mm", tuple(float(v) for v in self.h_b_mm))
         if not self.f_b_hz or not self.h_b_mm:
             raise ConfigError("sweep grids must be nonempty")
+        if any(v <= 0.0 for v in self.f_b_hz):
+            raise ConfigError(f"sweep f_b_hz must be positive: {list(self.f_b_hz)}")
+        if any(v < 0.0 for v in self.h_b_mm):
+            raise ConfigError(f"sweep h_b_mm must be >= 0: {list(self.h_b_mm)}")
         if self.sample_rate_hz <= 0.0 or self.duration_s <= 0.0:
             raise ConfigError("sweep sample rate and duration must be positive")
         _check_run_size(self.duration_s, self.sample_rate_hz)
+        if round(self.duration_s * self.sample_rate_hz) < 3:
+            # the dominant frequency needs at least 3 spectrum bins
+            raise ConfigError("a sweep cell needs at least 3 samples; got "
+                              f"{self.duration_s} s * {self.sample_rate_hz} Hz")
 
     @property
     def h_b_m(self) -> tuple:
@@ -97,6 +105,9 @@ class ExperimentConfig:
                 f"window_s * sample_rate_hz must be {FEATURE_WIDTH} samples, the "
                 f"network's input width; got {self.window_s} s * "
                 f"{self.sample_rate_hz} Hz")
+        if self.duration_s < self.window_s:
+            raise ConfigError(f"duration_s {self.duration_s} is shorter than one "
+                              f"window of {self.window_s} s")
         _check_run_size(self.duration_s, self.sample_rate_hz)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import mlp, pipeline, terrain
+from . import beam, mlp, pipeline, terrain
 from .beam import modal_sweep, spring_to_beam
 from .config import ExperimentConfig
 from .errors import ConfigError, PhysicsError, WorkerDiedError
@@ -76,10 +76,9 @@ def _make_out_dir(out_dir) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV and returns the summary report."""
     _make_out_dir(out_dir)
-    beam = spring_to_beam(cfg.spring)
-    surface = modal_sweep(beam, cfg.sweep.f_b_hz, cfg.sweep.h_b_m,
-                          cfg.sensor_position_m, cfg.sweep.sample_rate_hz,
-                          cfg.sweep.duration_s)
+    surface = modal_sweep(spring_to_beam(cfg.spring), cfg.sweep.f_b_hz,
+                          cfg.sweep.h_b_m, cfg.sensor_position_m,
+                          cfg.sweep.sample_rate_hz, cfg.sweep.duration_s)
     bin_width = 1.0 / cfg.sweep.duration_s
     within = np.count_nonzero(
         np.abs(surface.f_dominant_hz - surface.f_b_grid_hz[:, None]) <= bin_width)
@@ -325,13 +324,14 @@ def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
 def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
                              profiles: dict) -> dict:
     """Dominant feature-bin frequency per terrain from a noise/jitter-free window."""
-    beam = spring_to_beam(cfg.spring)
+    spring_beam = spring_to_beam(cfg.spring)
     bins = {}
     for tc in sorted(profiles, key=int):
-        samples = terrain.synthesize_run(terrain.strip_randomness(profiles[tc]),
-                                         speed_m_s, cfg.window_s,
-                                         cfg.sample_rate_hz, 0, beam,
-                                         cfg.sensor_position_m)
+        heights, frequencies = terrain.temporal_components(
+            profiles[tc], speed_m_s, cfg.sample_rate_hz)
+        samples = beam.displacement_series(
+            spring_beam, heights, frequencies, [0.0] * len(heights),
+            cfg.sensor_position_m, cfg.sample_rate_hz, cfg.window_s)
         ds = pipeline.build_dataset([(samples, tc)])
         bins[tc.label] = pipeline.dominant_frequency(
             ds.features()[0], cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)

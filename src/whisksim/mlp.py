@@ -190,8 +190,6 @@ def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
 
     Returns (weight_grads, bias_grads) with shapes mirroring the model.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
     if x.shape[0] == 0:
         raise PhysicsError("empty batch")
     if x.shape[0] != labels.size:
@@ -274,8 +272,6 @@ def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
 
     Probes `samples_per_layer` random weight/bias entries in every layer.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
     rng = np.random.default_rng(seed)
     w_grads, b_grads = gradients(model, x, labels)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamSpec, Excitation, displacement_series
+from .beam import BeamSpec, displacement_series
 from .errors import ConfigError, PhysicsError
 
 
@@ -169,29 +169,23 @@ def smoke_profiles() -> dict[TerrainClass, SpectralProfile]:
     }
 
 
-def strip_randomness(profile: SpectralProfile) -> SpectralProfile:
-    """Copy of the profile with noise floor and phase jitter removed."""
-    return SpectralProfile(
-        components=tuple(SpectralComponent(c.wavelength_m, c.height_m, 0.0)
-                         for c in profile.components),
-        noise_floor_m=0.0)
-
-
 def temporal_components(profile: SpectralProfile, speed_m_s: float,
-                        sample_rate_hz: float) -> list[Excitation]:
-    """Map each spatial component to a base excitation at f = v / lambda,
-    below the Nyquist limit of a run sampled at sample_rate_hz."""
+                        sample_rate_hz: float) -> tuple[list, list]:
+    """The profile's drive at speed_m_s: each component's height and its
+    frequency f = v / lambda, below the Nyquist limit of a run sampled at
+    sample_rate_hz."""
     if speed_m_s <= 0.0:
         raise PhysicsError("speed_m_s must be positive")
-    excitations = []
+    heights, frequencies = [], []
     for comp in profile.components:
         f_b = speed_m_s / comp.wavelength_m
         if sample_rate_hz <= 2.0 * f_b:
             raise PhysicsError(
                 f"component at {f_b:.3g} Hz exceeds the Nyquist limit of a "
                 f"{sample_rate_hz:.3g} Hz run")
-        excitations.append(Excitation(comp.height_m, f_b))
-    return excitations
+        heights.append(comp.height_m)
+        frequencies.append(f_b)
+    return heights, frequencies
 
 
 def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float,
@@ -204,18 +198,13 @@ def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float
     order), then adds the white noise floor. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    excitations = temporal_components(profile, speed_m_s, sample_rate_hz)
+    heights, frequencies = temporal_components(profile, speed_m_s, sample_rate_hz)
     phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
               for c in profile.components]
-    if duration_s <= 0.0:
-        raise PhysicsError("duration_s must be positive")
-    n = int(round(duration_s * sample_rate_hz))
-    total = np.zeros(n)
-    for exc, phase in zip(excitations, phases):
-        total += displacement_series(beam, exc, sensor_position_m,
-                                     sample_rate_hz, duration_s, phase_rad=phase)
+    total = displacement_series(beam, heights, frequencies, phases,
+                                sensor_position_m, sample_rate_hz, duration_s)
     if profile.noise_floor_m > 0.0:
-        total += rng.normal(0.0, profile.noise_floor_m, n)
+        total += rng.normal(0.0, profile.noise_floor_m, total.size)
     return total
 
 

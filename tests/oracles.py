@@ -14,8 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, BeamSpec, Excitation,
-                           _mode_weights, modal_angular_frequency)
+from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, BeamSpec, _mode_weights,
+                           modal_angular_frequency)
 from whisksim.errors import PhysicsError
 from whisksim.pipeline import FEATURE_WIDTH, Dataset
 
@@ -150,13 +150,15 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(rows, labels, window_idx)
 
 
-def modal_terms(beam: BeamSpec, exc: Excitation, x: float,
+def modal_terms(beam: BeamSpec, h_b: float, f_b: float, x: float,
                 t: np.ndarray) -> np.ndarray:
-    """Per-mode displacement contributions in the folded form, shape (5, len(t))."""
+    """Per-mode displacement contributions to a drive of height h_b at f_b,
+    in the folded form, shape (5, len(t))."""
     zeta = beam.damping_ratio
     s1z = math.sqrt(1.0 - zeta * zeta)
-    drive_scale = exc.amplitude_m * exc.angular_frequency ** 2
-    drive = np.sin(exc.angular_frequency * t)
+    w_b = 2.0 * math.pi * f_b
+    drive_scale = h_b * w_b ** 2
+    drive = np.sin(w_b * t)
     terms = np.empty((len(CANTILEVER_MODE_CONSTANTS), t.size))
     for i, weight in enumerate(_mode_weights(beam, x)):
         om = modal_angular_frequency(beam, i)
@@ -167,11 +169,12 @@ def modal_terms(beam: BeamSpec, exc: Excitation, x: float,
     return terms
 
 
-def displacement(beam: BeamSpec, exc: Excitation, x: float, t: float) -> float:
+def displacement(beam: BeamSpec, h_b: float, f_b: float, x: float,
+                 t: float) -> float:
     """Beam lateral displacement at position x and time t, meters."""
     if t < 0.0:
         raise PhysicsError("time must be >= 0")
-    return float(modal_terms(beam, exc, x, np.array([float(t)])).sum())
+    return float(modal_terms(beam, h_b, f_b, x, np.array([float(t)])).sum())
 
 
 def dominant_frequency(profile, speed_m_s: float) -> float:

@@ -795,10 +795,16 @@ class TestCli:
         ('{"window_s": 1e200, "sample_rate_hz": 1e200}', "synth"),
         ('{"sweep": {"sample_rate_hz": 1e12}}', "sweep"),
         ('{"window_s": 2e-198, "sample_rate_hz": 1e200, "duration_s": 1}', "synth"),
+        ('{"sweep": {"f_b_hz": [50.0, 0.0]}}', "sweep"),
+        ('{"sweep": {"h_b_mm": [-0.1]}}', "sweep"),
+        ('{"sweep": {"duration_s": 0.002}}', "sweep"),
+        ('{"duration_s": 0.5}', "synth"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
-            "huge-sweep-run", "huge-run"])
+            "huge-sweep-run", "huge-run", "zero-sweep-frequency",
+            "negative-sweep-height", "two-sample-sweep-cell",
+            "run-shorter-than-window"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals

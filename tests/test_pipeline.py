@@ -142,10 +142,9 @@ class TestDominantFrequency:
         assert dominant_frequency(fft_magnitude(x), 1.0) == pytest.approx(100.0)
 
     def test_beam_signal_at_300hz(self):
-        from whisksim.beam import Excitation, SpringSpec, displacement_series, \
-            spring_to_beam
+        from whisksim.beam import SpringSpec, displacement_series, spring_to_beam
         beam = spring_to_beam(SpringSpec())
-        series = displacement_series(beam, Excitation(3e-4, 300.0), 0.005,
+        series = displacement_series(beam, [3e-4], [300.0], [0.0], 0.005,
                                      1000.0, 1.0)
         assert dominant_frequency(
             fft_magnitude(series), 1.0) == pytest.approx(300.0)
