@@ -97,8 +97,6 @@ class BeamSpec:
                      "bending_stiffness_nm2"):
             if getattr(self, name) <= 0.0:
                 raise PhysicsError(f"{name} must be positive")
-        if not 0.0 < self.damping_ratio < 1.0:
-            raise PhysicsError("damping_ratio must lie in (0, 1)")
 
 
 @dataclass
@@ -194,8 +192,6 @@ def _factor_norm(beam: BeamSpec, mode_index: int) -> float:
 def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
     """Per mode, the factors of forcing * shape / norm that do not depend on
     the drive or on t: 2 A L^4 rho trig(d) shape(x) / norm."""
-    if not 0.0 <= x <= beam.length_m:
-        raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
     weights = []
     for i, d in enumerate(CANTILEVER_MODE_CONSTANTS):
         trig_const = ((math.cos(d) - 1.0) * (math.cosh(d) - 1.0)
@@ -228,8 +224,6 @@ def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
     resolves every drive (sample_rate_hz > 2 * f).
     """
     n = int(round(duration_s * sample_rate_hz))
-    if n < 1:
-        raise PhysicsError("duration too short for one sample")
     t = steady_state_offset(beam) + np.arange(n) / sample_rate_hz
     gain = steady_state_gain(beam, sensor_position_m)
     total = np.zeros(n)

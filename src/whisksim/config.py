@@ -90,8 +90,11 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "speeds_m_s",
                            tuple(float(v) for v in self.speeds_m_s))
-        if self.sensor_position_m <= 0.0:
-            raise ConfigError("sensor_position_m must be positive")
+        if not 0.0 < self.sensor_position_m <= self.spring.free_length_m:
+            # the equivalent beam is as long as the spring's free length
+            raise ConfigError(
+                f"sensor_position_m must lie in (0, {self.spring.free_length_m}], "
+                f"the spring's free length; got {self.sensor_position_m}")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
         if len(set(self.speeds_m_s)) != len(self.speeds_m_s):

@@ -164,15 +164,14 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _serve(conn, fn, items) -> None:
-    """Forked worker: for each index received, send back (True, result) or
-    (False, exception) of fn(items[index]); it is terminated when done. It
-    ignores SIGINT: a Ctrl-C reaches the whole process group, and the parent
-    terminates its workers as it unwinds."""
+    """Forked worker: send (True, result) or (False, exception) of fn(item)
+    for each of its items in order, then return. It ignores SIGINT: a Ctrl-C
+    reaches the whole process group, and the parent terminates its workers
+    as it unwinds."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        index = conn.recv()
+    for item in items:
         try:
-            reply = True, fn(items[index])
+            reply = True, fn(item)
         except Exception as exc:
             reply = False, exc
         conn.send(reply)
@@ -203,14 +202,16 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
     about 0.1 s of float formatting, so each extra forked worker (its page
     faults and start-up) costs more than the idle tail it would save.
 
-    Fork hands every worker fn and items, with whatever they hold (a
-    dataset, a profile table), without pickling them: only indices and
-    results cross between processes, each worker on a pipe of its own, and
-    the workers share the parent's memory pages. Items go out in input
-    order, each to the next idle worker. Results keep input order, so
-    reports do not depend on the worker count. If items fail, the exception
-    of the first one in input order is raised as soon as every item before
-    it has succeeded, as the plain loop would, and the workers are
+    Every caller maps items of equal cost, so they are dealt round-robin at
+    the fork: of w workers, worker j runs items[j::w] (five speeds on two
+    CPUs: three workers holding 2, 2 and 1 speeds). Fork hands every worker
+    fn and its share, with whatever they hold (a dataset, a profile table),
+    without pickling them: only results cross back, each worker on a
+    one-way pipe of its own, and the workers share the parent's memory
+    pages. The parent reads item i from worker i % w, so results keep input
+    order and reports do not depend on the worker count. If items fail, the
+    exception of the first one in input order is raised once every item
+    before it has succeeded, as the plain loop would, and the workers are
     terminated. A worker that dies before replying (killed by the kernel,
     say) fails its item with a WorkerDiedError naming the item and the exit
     code. No lock is shared with a worker, so terminating one cannot
@@ -219,48 +220,36 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
     available (Windows), the plain loop runs instead.
     """
     import multiprocessing   # here, so that importing whisksim stays cheap
-    from multiprocessing.connection import wait
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     context = multiprocessing.get_context("fork")
+    count = _worker_count(len(items), cpus, fill_last_round)
     workers = []
     try:
-        for _ in range(_worker_count(len(items), cpus, fill_last_round)):
-            conn, child_conn = context.Pipe()
-            proc = context.Process(target=_serve, args=(child_conn, fn, items),
+        for j in range(count):
+            conn, child_conn = context.Pipe(duplex=False)
+            proc = context.Process(target=_serve,
+                                   args=(child_conn, fn, items[j::count]),
                                    daemon=True)
             proc.start()
             child_conn.close()
             workers.append((proc, conn))
-        procs = {conn: proc for proc, conn in workers}
-        idle = list(procs)
-        sent, running, replies, results = 0, {}, {}, []
-        while len(results) < len(items):
-            while idle and sent < len(items):
-                conn = idle.pop()
-                conn.send(sent)
-                running[conn] = sent
-                sent += 1
-            for conn in wait(list(running)):
-                index = running.pop(conn)
-                try:
-                    replies[index] = conn.recv()
-                except EOFError:   # the worker died; it takes no more items
-                    proc = procs[conn]
-                    proc.join()
-                    replies[index] = False, WorkerDiedError(
-                        f"worker for item {index} exited with code "
-                        f"{proc.exitcode} before replying")
-                else:
-                    idle.append(conn)
-            while len(results) in replies:
-                ok, value = replies.pop(len(results))
-                if not ok:
-                    raise value
-                results.append(value)
+        results = []
+        for index in range(len(items)):
+            proc, conn = workers[index % count]
+            try:
+                ok, value = conn.recv()
+            except EOFError:   # the worker died before replying
+                proc.join()
+                raise WorkerDiedError(
+                    f"worker for item {index} exited with code "
+                    f"{proc.exitcode} before replying") from None
+            if not ok:
+                raise value
+            results.append(value)
         return results
     finally:
         for proc, conn in workers:

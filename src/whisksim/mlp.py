@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError, TrainingDivergedError
-from .pipeline import Dataset, FEATURE_WIDTH
+from .pipeline import Dataset
 
 NUM_CLASSES = 7
 _PROB_FLOOR = 1e-12
@@ -28,18 +28,6 @@ DEFAULT_LAYER_SIZES = (200, 256, 128, 64, 32, 16, 7)
 class MlpArchitecture:
     layer_sizes: tuple = DEFAULT_LAYER_SIZES
 
-    def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        sizes = self.layer_sizes
-        if len(sizes) < 2:
-            raise PhysicsError("need at least input and output layers")
-        if any(s < 1 for s in sizes):
-            raise PhysicsError("all layer sizes must be >= 1")
-        if sizes[0] != FEATURE_WIDTH:
-            raise PhysicsError(f"input layer must have {FEATURE_WIDTH} neurons")
-        if sizes[-1] != NUM_CLASSES:
-            raise PhysicsError(f"output layer must have {NUM_CLASSES} neurons")
-
     @property
     def n_weight_layers(self) -> int:
         return len(self.layer_sizes) - 1
@@ -50,16 +38,6 @@ class MlpModel:
     weights: list
     biases: list
     arch: MlpArchitecture
-
-    def __post_init__(self):
-        sizes = self.arch.layer_sizes
-        if len(self.weights) != self.arch.n_weight_layers:
-            raise PhysicsError("weight count does not match architecture")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise PhysicsError(f"layer {i} parameter shapes do not chain")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise PhysicsError(f"layer {i} has non-finite parameters")
 
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],
@@ -96,9 +74,6 @@ class ConfusionMatrix:
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "ConfusionMatrix":
-        counts = np.asarray(counts, dtype=int)
-        if counts.shape != (NUM_CLASSES, NUM_CLASSES):
-            raise PhysicsError("confusion matrix must be 7x7")
         row_sums = counts.sum(axis=1)
         per_class = np.divide(np.diag(counts), row_sums,
                               out=np.full(NUM_CLASSES, np.nan), where=row_sums > 0)
@@ -149,9 +124,6 @@ def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Class probabilities, one row per row of the batch x."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise PhysicsError("input contains non-finite values")
     # huge but finite weights from training can overflow on new inputs;
     # _forward refuses the non-finite values, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,10 +162,6 @@ def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
 
     Returns (weight_grads, bias_grads) with shapes mirroring the model.
     """
-    if x.shape[0] == 0:
-        raise PhysicsError("empty batch")
-    if x.shape[0] != labels.size:
-        raise PhysicsError("batch and label sizes differ")
     probs, activations = _forward(model, x, keep=True)
     w_grads = [np.empty_like(w) for w in model.weights]
     layers = list(_backward(model, probs, activations, labels, w_grads))[::-1]
@@ -256,8 +224,6 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
 
 def evaluate(model: MlpModel, test_set: Dataset) -> ConfusionMatrix:
     """Argmax predictions (ties to the lower class id) as a confusion matrix."""
-    if len(test_set) == 0:
-        raise PhysicsError("cannot evaluate an empty test set")
     probs = forward(model, test_set.features())
     predictions = probs.argmax(axis=1)  # argmax returns the first maximum
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)

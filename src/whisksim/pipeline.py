@@ -14,7 +14,6 @@ import hashlib
 import numpy as np
 
 from .errors import PhysicsError
-from .terrain import TerrainClass
 
 FEATURE_WIDTH = 200
 CSV_BLOCK_ROWS = 16   # dataset rows per block written and hashed
@@ -35,14 +34,6 @@ class Dataset:
         self._rows = None   # every row of _features, in order
         self._labels = np.asarray(labels, dtype=int)
         self._window_idx = np.asarray(window_idx, dtype=int)
-        if (self._labels.ndim != 1 or self._window_idx.shape != self._labels.shape
-                or self._features.shape != (len(self._labels), FEATURE_WIDTH)):
-            raise PhysicsError(f"need rows of {FEATURE_WIDTH} feature values, "
-                               "each with one label and one window index")
-        if not np.isfinite(self._features).all():
-            raise PhysicsError("feature rows contain non-finite values")
-        if np.any((self._labels < 1) | (self._labels > len(TerrainClass))):
-            raise PhysicsError(f"labels must be terrain ids 1..{len(TerrainClass)}")
         self.dropped = dropped
 
     def __len__(self) -> int:
@@ -73,9 +64,6 @@ class Dataset:
 def fft_magnitude(values: np.ndarray) -> np.ndarray:
     """Full two-sided magnitude spectrum of a real window, or of each row of
     a stack of windows (the transform runs along the last axis)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise PhysicsError("cannot transform an empty window")
     return np.abs(np.fft.fft(values))
 
 
@@ -84,10 +72,6 @@ def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
     spectrum (bin n-k mirrors bin k); ties go to the lower frequency."""
     mags = np.asarray(magnitudes, dtype=float)
     n = mags.size
-    if n < 3:
-        raise PhysicsError("need at least 3 bins to pick a dominant frequency")
-    if bin_width_hz <= 0.0:
-        raise PhysicsError("bin_width_hz must be positive")
     k = np.arange(n)
     freqs = np.minimum(k, n - k) * bin_width_hz
     best = mags[1:].max()
@@ -126,7 +110,7 @@ def build_dataset(runs, windows: int | None = None) -> Dataset:
             raise PhysicsError(f"a window of the label {int(label)} run has a "
                                "non-finite standard deviation")
         keep = std > 1e-12
-        if keep.any():  # fft_magnitude refuses an empty stack
+        if keep.any():  # an all-flat run adds no rows and no labels
             flat = stack[keep]  # a copy: standardizing in place leaves the run alone
             flat -= flat.mean(axis=1, keepdims=True)
             flat /= std[keep, None]
@@ -148,10 +132,6 @@ def split(dataset: Dataset, train_fraction: float, seed: int
           ) -> tuple[Dataset, Dataset]:
     """Seeded stratified split; per-class proportions held within one vector.
     Both subsets share the dataset's feature matrix (see Dataset.take)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise PhysicsError("train_fraction must lie in (0, 1)")
-    if len(dataset) == 0:
-        raise PhysicsError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
     labels = dataset.labels()
     train_parts, test_parts = [], []

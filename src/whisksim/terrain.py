@@ -174,8 +174,6 @@ def temporal_components(profile: SpectralProfile, speed_m_s: float,
     """The profile's drive at speed_m_s: each component's height and its
     frequency f = v / lambda, below the Nyquist limit of a run sampled at
     sample_rate_hz."""
-    if speed_m_s <= 0.0:
-        raise PhysicsError("speed_m_s must be positive")
     heights, frequencies = [], []
     for comp in profile.components:
         f_b = speed_m_s / comp.wavelength_m

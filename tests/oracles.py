@@ -154,6 +154,8 @@ def modal_terms(beam: BeamSpec, h_b: float, f_b: float, x: float,
                 t: np.ndarray) -> np.ndarray:
     """Per-mode displacement contributions to a drive of height h_b at f_b,
     in the folded form, shape (5, len(t))."""
+    if not 0.0 <= x <= beam.length_m:
+        raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
     zeta = beam.damping_ratio
     s1z = math.sqrt(1.0 - zeta * zeta)
     w_b = 2.0 * math.pi * f_b

@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from whisksim.beam import (
-    BeamSpec,
     SpringSpec,
     _factor_norm,
     _factor_shape,
@@ -77,14 +76,6 @@ class TestSpringToBeam:
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(PhysicsError):
             spring_to_beam(SpringSpec(**kwargs))
-
-    def test_rejects_bad_damping(self, beam):
-        with pytest.raises(PhysicsError):
-            BeamSpec(beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
-                     beam.bending_stiffness_nm2, damping_ratio=1.0)
-        with pytest.raises(PhysicsError):
-            BeamSpec(beam.length_m, beam.cross_section_m2, beam.density_kg_m3,
-                     beam.bending_stiffness_nm2, damping_ratio=0.0)
 
 
 class TestDisplacement:
@@ -183,10 +174,6 @@ class TestSteadyState:
         gain = abs(steady_state_gain(beam, 0.005))
         assert ratios == pytest.approx([gain] * len(ratios), rel=1e-12)
 
-    def test_gain_rejects_positions_outside_beam(self, beam):
-        with pytest.raises(PhysicsError):
-            steady_state_gain(beam, beam.length_m + 1e-9)
-
 
 class TestDisplacementSeries:
     def test_sample_count(self, beam, drive):
@@ -200,11 +187,6 @@ class TestDisplacementSeries:
         s2 = displacement_series(beam, [2e-4], [100.0], [0.0], 0.005,
                                  1000.0, 0.5)
         assert np.array_equal(2.0 * s1, s2)
-
-    def test_rejects_nonpositive_duration(self, beam, drive):
-        h_b, f_b = drive
-        with pytest.raises(PhysicsError):
-            displacement_series(beam, [h_b], [f_b], [0.0], 0.005, 1000.0, 0.0)
 
     def test_late_window_is_periodic(self, beam, drive):
         # transient of the modal sum fully decayed: from 2 s on (23 slow-mode

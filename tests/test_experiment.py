@@ -255,6 +255,12 @@ def _fail_in_the_wrong_order(item):
     return item * item
 
 
+def _slow_first_item(item):
+    if item == 0:
+        time.sleep(0.3)
+    return item * item
+
+
 def _serial_speed_point(cfg, profiles, speed):
     """A speed-sweep report entry computed in this process."""
     scope = ("speed-sweep", repr(speed))
@@ -350,6 +356,23 @@ class TestWorkerPool:
         profiles = resolve_profiles(cfg)
         for entry, speed in zip(report["per_speed"], [0.15, 0.2, 0.25]):
             assert entry == _serial_speed_point(cfg, profiles, speed)
+
+    def test_finished_workers_are_still_read(self, two_cpus):
+        # item 0 holds up the read; the worker of items 1, 3 and 5 sends
+        # them and exits before the parent reads its pipe
+        items = list(range(6))
+        assert _ordered_map(_slow_first_item, items) == \
+            [_slow_first_item(i) for i in items]
+        assert len(two_cpus) == 2
+
+    def test_items_are_dealt_round_robin_at_the_fork(self, two_cpus):
+        # five items on two CPUs: three workers holding items 0 and 3, 1
+        # and 4, and 2
+        pids = _ordered_map(lambda i: os.getpid(), list(range(5)),
+                            fill_last_round=True)
+        assert len(two_cpus) == 3
+        assert pids == [two_cpus[i % 3] for i in range(5)]
+        assert all(pids[i] == pids[i + 3] for i in range(2))
 
     def test_failing_items_never_hang_the_pool(self):
         # multiprocessing.Pool hung in about one such run in six: terminating
@@ -799,12 +822,13 @@ class TestCli:
         ('{"sweep": {"h_b_mm": [-0.1]}}', "sweep"),
         ('{"sweep": {"duration_s": 0.002}}', "sweep"),
         ('{"duration_s": 0.5}', "synth"),
+        ('{"sensor_position_m": 0.1}', "synth"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
             "huge-sweep-run", "huge-run", "zero-sweep-frequency",
             "negative-sweep-height", "two-sample-sweep-cell",
-            "run-shorter-than-window"])
+            "run-shorter-than-window", "sensor-past-the-spring"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals

@@ -46,14 +46,6 @@ class TestArchitecture:
         assert len(arch.layer_sizes) == 7
         assert arch.n_weight_layers == 6
 
-    def test_input_output_pinned(self):
-        with pytest.raises(PhysicsError):
-            MlpArchitecture((100, 16, 7))
-        with pytest.raises(PhysicsError):
-            MlpArchitecture((200, 16, 5))
-        with pytest.raises(PhysicsError):
-            MlpArchitecture((200, 0, 7))
-
 
 class TestInit:
     def test_deterministic(self):
@@ -107,13 +99,6 @@ class TestForward:
         shifted.biases[-1] += 13.7
         x, _ = _random_batch(4, seed=3)
         assert np.allclose(forward(model, x), forward(shifted, x), atol=1e-12)
-
-    def test_rejects_non_finite_input(self):
-        model = init(SMALL_ARCH, 5)
-        bad = np.ones((2, 200))
-        bad[1, 0] = np.inf
-        with pytest.raises(PhysicsError):
-            forward(model, bad)
 
 
 class TestLoss:
@@ -176,11 +161,6 @@ class TestGradients:
         w_grads, b_grads = gradients(model, x, np.array([3]))
         assert np.all(w_grads[-1] == 0.0)
         assert np.all(b_grads[-1] == 0.0)
-
-    def test_rejects_empty_batch(self):
-        model = init(SMALL_ARCH, 15)
-        with pytest.raises(PhysicsError):
-            gradients(model, np.empty((0, 200)), np.empty(0, dtype=int))
 
 
 class TestTrain:
@@ -363,8 +343,3 @@ class TestEvaluate:
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.array_equal(forward(model, x),
                               shifted / shifted.sum(axis=1, keepdims=True))
-
-    def test_empty_test_set_is_an_error(self):
-        with pytest.raises(PhysicsError):
-            evaluate(init(SMALL_ARCH, 45),
-                     Dataset(np.empty((0, 200)), [], []))

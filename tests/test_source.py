@@ -49,3 +49,31 @@ def test_every_definition_is_used_outside_the_tests(path):
     used = _references(SRC + sorted((ROOT / "bench").glob("*.py")))
     unused = [name for name in _definitions(path) if name not in used]
     assert unused == [], f"{path.name} defines names only tests use: {unused}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names that path's module-level imports bind but the file never uses
+    (`from __future__` imports aside)."""
+    tree = _tree(path)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_module_import_is_used(path):
+    unused = _unused_imports(path)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_an_unused_import_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os, os.path as osp\nimport numpy as np\n"
+                      "from .pipeline import Dataset, FEATURE_WIDTH\n"
+                      "def f(d: Dataset):\n    return np.zeros(os.cpu_count())\n")
+    assert _unused_imports(module) == ["osp", "FEATURE_WIDTH"]
