@@ -74,11 +74,13 @@ def _make_out_dir(out_dir) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
-    """Drive-grid sweep; writes the CSV and returns the summary report."""
-    _make_out_dir(out_dir)
+    """Drive-grid sweep; writes the CSV and returns the summary report.
+    The sweep runs first, so a drive at or above its Nyquist limit fails
+    before out_dir is created."""
     surface = modal_sweep(spring_to_beam(cfg.spring), cfg.sweep.f_b_hz,
                           cfg.sweep.h_b_m, cfg.sensor_position_m,
                           cfg.sweep.sample_rate_hz, cfg.sweep.duration_s)
+    _make_out_dir(out_dir)
     bin_width = 1.0 / cfg.sweep.duration_s
     within = np.count_nonzero(
         np.abs(surface.f_dominant_hz - surface.f_b_grid_hz[:, None]) <= bin_width)
@@ -97,21 +99,17 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-def _terrain_samples(cfg: ExperimentConfig, speed_m_s: float,
-                     profile: terrain.SpectralProfile, seed: int) -> np.ndarray:
-    """One seeded run over the profile at the given speed."""
-    return terrain.synthesize_run(profile, speed_m_s, cfg.duration_s,
-                                  cfg.sample_rate_hz, seed,
-                                  spring_to_beam(cfg.spring), cfg.sensor_position_m)
-
-
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    """One run per terrain, each synthesized only as build_dataset takes it,
-    so a single run's samples are held at a time beside the feature matrix."""
+    """One seeded run per terrain, with seed child_seed(master, *seed_scope,
+    terrain id), each synthesized only as build_dataset takes it, so a
+    single run's samples are held at a time beside the feature matrix."""
     terrains = sorted(profiles, key=int)
-    runs = ((_terrain_samples(cfg, speed_m_s, profiles[tc],
-                              child_seed(cfg.master_seed, *seed_scope, int(tc))), tc)
+    spring_beam = spring_to_beam(cfg.spring)
+    runs = ((terrain.synthesize_run(
+                profiles[tc], speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
+                child_seed(cfg.master_seed, *seed_scope, int(tc)),
+                spring_beam, cfg.sensor_position_m), tc)
             for tc in terrains)
     per_run = int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
     return pipeline.build_dataset(runs, len(terrains) * per_run)
@@ -123,13 +121,14 @@ def _csv_name(tc: TerrainClass) -> str:
 
 def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
-    """Write terrain tc's dataset CSV; returns its manifest entry."""
-    seed = child_seed(cfg.master_seed, "synth", int(tc))
-    samples = _terrain_samples(cfg, cfg.speed_m_s, profiles[tc], seed)
-    ds = pipeline.build_dataset([(samples, tc)])
+    """Write terrain tc's dataset CSV, the rows of terrain tc that
+    build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",)) holds;
+    returns its manifest entry."""
+    ds = build_labeled_dataset(cfg, cfg.speed_m_s, {tc: profiles[tc]}, ("synth",))
     name = _csv_name(tc)
     digest = pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
-    return {"terrain": tc.label, "file": name, "seed": seed, "sha256": digest,
+    return {"terrain": tc.label, "file": name,
+            "seed": child_seed(cfg.master_seed, "synth", int(tc)), "sha256": digest,
             "windows": len(ds), "dropped": ds.dropped}
 
 
@@ -177,30 +176,24 @@ def _serve(conn, fn, items) -> None:
         conn.send(reply)
 
 
-def _worker_count(n: int, cpus: int, fill_last_round: bool = False) -> int:
-    """Workers for n equal items on cpus CPUs: min(n, cpus), or with
-    fill_last_round the fewest w in [min(n, cpus), min(n, 2 * cpus)] whose
-    last round of n % w items (w when it divides n) still holds every CPU.
-    The kernel shares the CPUs among the w >= cpus runnable workers, so n
-    equal items take about n / cpus item-times instead of ceil(n / cpus):
-    5 trainings on 2 CPUs run on 3 workers in 2.5 training-times, not 3.
-    Where no w in range fills the last round, min(n, cpus) is kept."""
+def _worker_count(n: int, cpus: int) -> int:
+    """Workers for n equal items on cpus CPUs: the fewest w in
+    [min(n, cpus), min(n, 2 * cpus)] whose last round of n % w items (w when
+    it divides n) still holds every CPU, or min(n, cpus) where no w in range
+    does. The kernel shares the CPUs among the w >= cpus runnable workers,
+    so n equal items take about n / cpus item-times instead of
+    ceil(n / cpus): 5 trainings on 2 CPUs run on 3 workers in 2.5
+    training-times, not 3, and 7 synth terrains run on 4 workers."""
     fewest = min(n, cpus)
-    if fill_last_round:
-        for w in range(fewest, min(n, 2 * cpus) + 1):
-            if n % w == 0 or n % w >= cpus:
-                return w
+    for w in range(fewest, min(n, 2 * cpus) + 1):
+        if n % w == 0 or n % w >= cpus:
+            return w
     return fewest
 
 
-def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
-    """[fn(item) for item in items] in forked worker processes, one per CPU,
-    or with fill_last_round up to two per CPU (see _worker_count).
-
-    Only multi-second trainings fill the last round: there the idle CPU of
-    a short last round costs more than an extra worker. A synth terrain is
-    about 0.1 s of float formatting, so each extra forked worker (its page
-    faults and start-up) costs more than the idle tail it would save.
+def _ordered_map(fn, items: list) -> list:
+    """[fn(item) for item in items] in forked worker processes, up to two
+    per CPU: as many as fill the last round (see _worker_count).
 
     Every caller maps items of equal cost, so they are dealt round-robin at
     the fork: of w workers, worker j runs items[j::w] (five speeds on two
@@ -226,7 +219,7 @@ def _ordered_map(fn, items: list, *, fill_last_round: bool = False) -> list:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     context = multiprocessing.get_context("fork")
-    count = _worker_count(len(items), cpus, fill_last_round)
+    count = _worker_count(len(items), cpus)
     workers = []
     try:
         for j in range(count):
@@ -291,8 +284,7 @@ def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     _make_out_dir(out_dir)
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
-                        [("train-eval", r) for r in range(cfg.repetitions)],
-                        fill_last_round=True)
+                        [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])
     per_class = np.array([r["per_class_accuracy"] for r in reps], dtype=float)
     confusion = np.array([r["confusion"] for r in reps], dtype=float)
@@ -349,7 +341,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     _check_nyquist(cfg, profiles, cfg.speeds_m_s)
     _make_out_dir(out_dir)
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
-                             sorted(cfg.speeds_m_s), fill_last_round=True)
+                             sorted(cfg.speeds_m_s))
     report = {
         "config": cfg.to_dict(),
         "speeds_m_s": [s["speed_m_s"] for s in per_speed],
@@ -366,8 +358,8 @@ def run_grad_check(cfg: ExperimentConfig) -> dict:
                      child_seed(cfg.master_seed, "grad-check", "init"))
     x = rng.normal(0.0, 1.0, (8, pipeline.FEATURE_WIDTH))
     labels = rng.integers(1, mlp.NUM_CLASSES + 1, size=8)
-    worst = mlp.gradient_check(model, x, labels, samples_per_layer=50,
-                               seed=child_seed(cfg.master_seed, "grad-check", "probe"))
+    worst = mlp.gradient_check(model, x, labels,
+                               child_seed(cfg.master_seed, "grad-check", "probe"))
     return {
         "config": cfg.to_dict(),
         "max_relative_error": worst,

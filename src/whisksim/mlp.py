@@ -20,6 +20,8 @@ from .pipeline import Dataset
 
 NUM_CLASSES = 7
 _PROB_FLOOR = 1e-12
+GRAD_CHECK_PROBES = 50   # entries of each layer's weights, and of its biases
+GRAD_CHECK_STEP = 1e-5   # half-width of a central difference
 
 DEFAULT_LAYER_SIZES = (200, 256, 128, 64, 32, 16, 7)
 
@@ -232,11 +234,10 @@ def evaluate(model: MlpModel, test_set: Dataset) -> ConfusionMatrix:
 
 
 def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
-                   samples_per_layer: int = 50, step: float = 1e-5,
-                   seed: int = 0) -> float:
+                   seed: int) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Probes `samples_per_layer` random weight/bias entries in every layer.
+    Probes GRAD_CHECK_PROBES random weight/bias entries in every layer.
     """
     rng = np.random.default_rng(seed)
     w_grads, b_grads = gradients(model, x, labels)
@@ -251,15 +252,15 @@ def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
         for params, grads in ((probe.weights, w_grads), (probe.biases, b_grads)):
             flat = params[layer].reshape(-1)
             grad_flat = grads[layer].reshape(-1)
-            k = min(samples_per_layer, flat.size)
+            k = min(GRAD_CHECK_PROBES, flat.size)
             for idx in rng.choice(flat.size, size=k, replace=False):
                 original = flat[idx]
-                flat[idx] = original + step
+                flat[idx] = original + GRAD_CHECK_STEP
                 up = mean_loss(probe)
-                flat[idx] = original - step
+                flat[idx] = original - GRAD_CHECK_STEP
                 down = mean_loss(probe)
                 flat[idx] = original
-                numeric = (up - down) / (2.0 * step)
+                numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
                 denom = max(abs(numeric), abs(grad_flat[idx]), 1e-8)
                 worst = max(worst, abs(numeric - grad_flat[idx]) / denom)
     return worst

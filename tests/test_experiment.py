@@ -167,6 +167,22 @@ class TestRunSynth:
         report = run_synth(cfg, tmp_path)
         assert report["total_windows"] == 7
 
+    def test_csvs_hold_the_train_eval_dataset(self, tmp_path):
+        # each terrain's CSV is that terrain's rows of the dataset that
+        # train-eval trains on, in order, with their window indices
+        cfg = _tiny_config(duration_s=3.0)
+        report = run_synth(cfg, tmp_path)
+        dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
+                                        resolve_profiles(cfg), ("synth",))
+        for entry in report["terrains"]:
+            table = np.loadtxt(tmp_path / entry["file"], delimiter=",",
+                               skiprows=1, ndmin=2)
+            rows = dataset.labels() == int(TerrainClass.from_label(entry["terrain"]))
+            np.testing.assert_array_equal(table[:, :-2], dataset.features()[rows])
+            np.testing.assert_array_equal(table[:, -2], dataset.labels()[rows])
+            np.testing.assert_array_equal(table[:, -1], dataset.window_idx()[rows])
+        assert report["total_windows"] == len(dataset)
+
     def test_different_seed_changes_hashes(self, tmp_path):
         a = run_synth(_tiny_config(master_seed=1), tmp_path / "a")
         b = run_synth(_tiny_config(master_seed=2), tmp_path / "b")
@@ -309,18 +325,16 @@ class TestWorkerPool:
 
         for cpus in range(1, 9):
             for n in range(1, 41):
-                w = _worker_count(n, cpus, fill_last_round=True)
+                w = _worker_count(n, cpus)
                 allowed = range(min(n, cpus), min(n, 2 * cpus) + 1)
                 assert w in allowed
                 filling = [v for v in allowed if fills(n, cpus, v)]
                 assert w == (filling[0] if filling else min(n, cpus)), (n, cpus)
-                assert _worker_count(n, cpus) == min(n, cpus)
 
     @pytest.mark.parametrize("n, workers", [(5, 3), (4, 2), (7, 4), (13, 2),
                                             (20, 2)])
     def test_worker_count_at_two_cpus(self, n, workers):
-        assert _worker_count(n, 2, fill_last_round=True) == workers
-        assert _worker_count(n, 2) == 2
+        assert _worker_count(n, 2) == workers
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
@@ -368,8 +382,7 @@ class TestWorkerPool:
     def test_items_are_dealt_round_robin_at_the_fork(self, two_cpus):
         # five items on two CPUs: three workers holding items 0 and 3, 1
         # and 4, and 2
-        pids = _ordered_map(lambda i: os.getpid(), list(range(5)),
-                            fill_last_round=True)
+        pids = _ordered_map(lambda i: os.getpid(), list(range(5)))
         assert len(two_cpus) == 3
         assert pids == [two_cpus[i % 3] for i in range(5)]
         assert all(pids[i] == pids[i + 3] for i in range(2))
@@ -393,8 +406,7 @@ class TestWorkerPool:
                 specs = [(rng.choice([0.0, 0.001, 0.005]), rng.random() < 0.3)
                          for _ in range(rng.randint(1, 6))]
                 try:
-                    result = _ordered_map(item, specs,
-                                          fill_last_round=rng.random() < 0.5)
+                    result = _ordered_map(item, specs)
                 except ValueError:
                     assert any(fails for _, fails in specs)
                 else:
@@ -711,6 +723,7 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "sweep"]) == 3
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
