@@ -1,9 +1,11 @@
-"""Command line harness: sweep, synth, train-eval, speed-sweep, grad-check.
+"""Command line harness: sweep, synth, train-eval, speed-sweep.
 
 Exit codes: 0 success, 2 configuration errors (argparse uses 2 as well),
 3 physics/signal errors, 4 training divergence, 5 a worker process died
 before it finished its item (killed by the kernel, say), 130 interrupted
-(Ctrl-C).
+(Ctrl-C). Configuration errors are refused before the output directory
+is created, among them an oversized dataset and, for train-eval and
+speed-sweep, a run of one window or a batch larger than the training set.
 """
 
 from __future__ import annotations
@@ -110,21 +112,11 @@ def _cmd_speed_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _cmd_grad_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    report = experiment.run_grad_check(cfg)
-    _print(f"max relative gradient error: {report['max_relative_error']:.3e}")
-    if not report["passed"]:
-        print("error: gradient check failed (threshold 1e-5)", file=sys.stderr)
-        return EXIT_PHYSICS
-    return EXIT_OK
-
-
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "synth": _cmd_synth,
     "train-eval": _cmd_train_eval,
     "speed-sweep": _cmd_speed_sweep,
-    "grad-check": _cmd_grad_check,
 }
 
 
@@ -141,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("synth", help="synthesize per-terrain feature datasets")
     sub.add_parser("train-eval", help="repeated split/train/evaluate report")
     sub.add_parser("speed-sweep", help="train-eval at each configured speed")
-    sub.add_parser("grad-check", help="finite-difference gradient verification")
     return parser
 
 

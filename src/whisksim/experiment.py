@@ -23,6 +23,8 @@ from .config import ExperimentConfig
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
 
+MAX_DATASET_FLOATS = 2 ** 27   # 1 GiB of float64; the default dataset holds 420 000
+
 
 def child_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit seed derived from the master seed and purpose labels."""
@@ -39,15 +41,41 @@ def resolve_profiles(cfg: ExperimentConfig) -> dict[TerrainClass, terrain.Spectr
     return terrain.load_profiles(cfg.profiles)
 
 
-def _check_nyquist(cfg: ExperimentConfig, profiles: dict, speeds) -> None:
-    """Raise PhysicsError if any profile component at any of the speeds is
-    above the Nyquist limit of cfg.sample_rate_hz; called before synthesis."""
+def _run_windows(cfg: ExperimentConfig) -> int:
+    """Whole windows in one run of cfg.duration_s."""
+    return int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
+
+
+def _prepare(cfg: ExperimentConfig, out_dir, speeds, trains: bool) -> dict:
+    """Resolve the profiles and refuse what can be refused before any
+    synthesis, then create out_dir and return the profiles. A ConfigError:
+    a dataset's feature matrix over MAX_DATASET_FLOATS values and, for a
+    command that trains, a run of one window or a batch larger than the
+    training set that split keeps before any flat window is dropped. A
+    PhysicsError: a profile component above the Nyquist limit of
+    cfg.sample_rate_hz at any of the speeds."""
+    profiles = resolve_profiles(cfg)
+    windows = _run_windows(cfg)
+    if len(profiles) * windows * pipeline.FEATURE_WIDTH > MAX_DATASET_FLOATS:
+        raise ConfigError(
+            f"{len(profiles)} terrains of {windows} windows exceed the "
+            f"{MAX_DATASET_FLOATS} feature values a dataset may hold")
+    if trains:
+        if windows < 2:
+            raise ConfigError("a run of one window cannot be split into training "
+                              "and test vectors; it needs at least 2")
+        train_size = len(profiles) * pipeline.train_count(windows, cfg.train_fraction)
+        if cfg.train.batch_size > train_size:
+            raise ConfigError(f"train batch_size {cfg.train.batch_size} exceeds "
+                              f"the training size {train_size}")
     for speed in speeds:
         for tc in sorted(profiles, key=int):
             try:
                 terrain.temporal_components(profiles[tc], speed, cfg.sample_rate_hz)
             except PhysicsError as exc:
                 raise PhysicsError(f"{tc.label} at {speed} m/s: {exc}") from exc
+    _make_out_dir(out_dir)
+    return profiles
 
 
 def _write_json(path, payload: dict) -> None:
@@ -111,8 +139,7 @@ def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                 child_seed(cfg.master_seed, *seed_scope, int(tc)),
                 spring_beam, cfg.sensor_position_m), tc)
             for tc in terrains)
-    per_run = int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
-    return pipeline.build_dataset(runs, len(terrains) * per_run)
+    return pipeline.build_dataset(runs, len(terrains) * _run_windows(cfg))
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -139,9 +166,7 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     holds only this run's files: a failed run leaves no manifest, and no
     CSV of a terrain this run did not write.
     """
-    profiles = resolve_profiles(cfg)
-    _check_nyquist(cfg, profiles, [cfg.speed_m_s])
-    _make_out_dir(out_dir)
+    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], trains=False)
     manifest = os.path.join(out_dir, "synth_manifest.json")
     for path in [manifest] + [os.path.join(out_dir, _csv_name(tc))
                               for tc in TerrainClass]:
@@ -279,9 +304,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 
 def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
-    profiles = resolve_profiles(cfg)
-    _check_nyquist(cfg, profiles, [cfg.speed_m_s])
-    _make_out_dir(out_dir)
+    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], trains=True)
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
                         [("train-eval", r) for r in range(cfg.repetitions)])
@@ -337,9 +360,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Synth + train + evaluate at each configured speed (ascending order)."""
     if len(cfg.speeds_m_s) < 2:
         raise ConfigError("speed sweep needs at least 2 speeds")
-    profiles = resolve_profiles(cfg)
-    _check_nyquist(cfg, profiles, cfg.speeds_m_s)
-    _make_out_dir(out_dir)
+    profiles = _prepare(cfg, out_dir, cfg.speeds_m_s, trains=True)
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
                              sorted(cfg.speeds_m_s))
     report = {
@@ -350,18 +371,3 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     _write_json(os.path.join(out_dir, "speed_sweep_report.json"), report)
     return report
 
-
-def run_grad_check(cfg: ExperimentConfig) -> dict:
-    """Finite-difference check of the backprop gradients on random data."""
-    rng = np.random.default_rng(child_seed(cfg.master_seed, "grad-check"))
-    model = mlp.init(mlp.MlpArchitecture(),
-                     child_seed(cfg.master_seed, "grad-check", "init"))
-    x = rng.normal(0.0, 1.0, (8, pipeline.FEATURE_WIDTH))
-    labels = rng.integers(1, mlp.NUM_CLASSES + 1, size=8)
-    worst = mlp.gradient_check(model, x, labels,
-                               child_seed(cfg.master_seed, "grad-check", "probe"))
-    return {
-        "config": cfg.to_dict(),
-        "max_relative_error": worst,
-        "passed": bool(worst < 1e-5),
-    }

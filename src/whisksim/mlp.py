@@ -20,8 +20,6 @@ from .pipeline import Dataset
 
 NUM_CLASSES = 7
 _PROB_FLOOR = 1e-12
-GRAD_CHECK_PROBES = 50   # entries of each layer's weights, and of its biases
-GRAD_CHECK_STEP = 1e-5   # half-width of a central difference
 
 DEFAULT_LAYER_SIZES = (200, 256, 128, 64, 32, 16, 7)
 
@@ -231,37 +229,4 @@ def evaluate(model: MlpModel, test_set: Dataset) -> ConfusionMatrix:
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
     np.add.at(counts, (test_set.labels() - 1, predictions), 1)
     return ConfusionMatrix.from_counts(counts)
-
-
-def gradient_check(model: MlpModel, x: np.ndarray, labels: np.ndarray,
-                   seed: int) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Probes GRAD_CHECK_PROBES random weight/bias entries in every layer.
-    """
-    rng = np.random.default_rng(seed)
-    w_grads, b_grads = gradients(model, x, labels)
-
-    def mean_loss(m: MlpModel) -> float:
-        probs, _ = _forward(m, x)
-        return float(_batch_losses(probs, labels).mean())
-
-    worst = 0.0
-    probe = model.copy()
-    for layer in range(model.arch.n_weight_layers):
-        for params, grads in ((probe.weights, w_grads), (probe.biases, b_grads)):
-            flat = params[layer].reshape(-1)
-            grad_flat = grads[layer].reshape(-1)
-            k = min(GRAD_CHECK_PROBES, flat.size)
-            for idx in rng.choice(flat.size, size=k, replace=False):
-                original = flat[idx]
-                flat[idx] = original + GRAD_CHECK_STEP
-                up = mean_loss(probe)
-                flat[idx] = original - GRAD_CHECK_STEP
-                down = mean_loss(probe)
-                flat[idx] = original
-                numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
-                denom = max(abs(numeric), abs(grad_flat[idx]), 1e-8)
-                worst = max(worst, abs(numeric - grad_flat[idx]) / denom)
-    return worst
 

@@ -128,6 +128,12 @@ def build_dataset(runs, windows: int | None = None) -> Dataset:
                    dropped=total - row)
 
 
+def train_count(size: int, train_fraction: float) -> int:
+    """Training vectors that split takes of a class of `size` vectors: the
+    rounded fraction, held in [1, size - 1]."""
+    return min(max(int(round(size * train_fraction)), 1), size - 1)
+
+
 def split(dataset: Dataset, train_fraction: float, seed: int
           ) -> tuple[Dataset, Dataset]:
     """Seeded stratified split; per-class proportions held within one vector.
@@ -141,8 +147,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int
             raise PhysicsError(
                 f"class {label} has {idx.size} vector(s); need at least 2 to split")
         perm = rng.permutation(idx.size)
-        n_train = int(round(idx.size * train_fraction))
-        n_train = min(max(n_train, 1), idx.size - 1)
+        n_train = train_count(idx.size, train_fraction)
         train_parts.append(idx[perm[:n_train]])
         test_parts.append(idx[perm[n_train:]])
 

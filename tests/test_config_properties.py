@@ -147,8 +147,7 @@ tiny_sweep = st.fixed_dictionaries({}, optional={
     "h_b_mm": _seldom_refused(st.lists(st.floats(-1.0, 1.0), max_size=3)),
     "sample_rate_hz": _seldom_refused(st.floats(1.0, 2000.0)),
     "duration_s": _seldom_refused(st.floats(0.01, 1.0))})
-commands = st.sampled_from(["sweep", "synth", "train-eval", "speed-sweep",
-                            "grad-check"])
+commands = st.sampled_from(["sweep", "synth", "train-eval", "speed-sweep"])
 
 
 @st.composite

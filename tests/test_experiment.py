@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 import whisksim
-from whisksim import experiment, terrain
+from whisksim import experiment, pipeline, terrain
 from whisksim.beam import SweepSurface
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
@@ -29,7 +29,6 @@ from whisksim.experiment import (
     build_labeled_dataset,
     child_seed,
     resolve_profiles,
-    run_grad_check,
     run_speed_sweep,
     run_sweep,
     run_synth,
@@ -480,7 +479,8 @@ class TestWorkerPool:
             raise SystemExit(cli.main(sys.argv[1:]))
             """)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"duration_s": 2, "repetitions": 1}))
+        cfg.write_text(json.dumps({"duration_s": 2, "repetitions": 1,
+                                   "train": {"batch_size": 7}}))
         proc = subprocess.Popen([sys.executable, "-c", script, "--config", str(cfg),
                                  "--out", str(tmp_path / "out"), "train-eval"],
                                 env=_child_env(), stdout=subprocess.PIPE,
@@ -625,13 +625,6 @@ class TestDivergenceStderr:
                             r"non-finite [^\n]*\n", proc.stderr), proc.stderr
 
 
-class TestRunGradCheck:
-    def test_passes_on_default_architecture(self):
-        report = run_grad_check(_tiny_config())
-        assert report["passed"] is True
-        assert report["max_relative_error"] < 1e-5
-
-
 class TestDefaultTraining:
     def test_default_config_drives_loss_down(self, default_dataset):
         # frozen empirical bound: the default recipe cuts the loss far below
@@ -680,11 +673,11 @@ class TestCli:
         assert (tmp_path / "out" / "speed_sweep_report.json").exists()
         assert "overall" in capsys.readouterr().out
 
-    def test_grad_check_command(self, tmp_path, capsys):
-        cfg = self._write_cfg(tmp_path)
-        code = main(["--config", str(cfg), "grad-check"])
-        assert code == 0
-        assert "gradient error" in capsys.readouterr().out
+    def test_synth_accepts_a_one_window_run(self, tmp_path):
+        # only train-eval and speed-sweep split each run's windows
+        cfg = self._write_cfg(tmp_path, duration_s=1.0)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "synth"]) == 0
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
@@ -836,12 +829,27 @@ class TestCli:
         ('{"sweep": {"duration_s": 0.002}}', "sweep"),
         ('{"duration_s": 0.5}', "synth"),
         ('{"sensor_position_m": 0.1}', "synth"),
+        # 7 terrains of 5 windows train on 7 * round(5 * 0.75) = 28 vectors
+        ('{"duration_s": 5, "repetitions": 1, "train": {"batch_size": 10000}}',
+         "train-eval"),
+        ('{"duration_s": 5, "train": {"batch_size": 29}}', "speed-sweep"),
+        ('{"duration_s": 1.0, "repetitions": 1, "train": {"epochs": 1}}',
+         "train-eval"),
+        ('{"duration_s": 1.5}', "speed-sweep"),
+        # 7 terrains of 671 088 windows: a 7.0 GiB feature matrix
+        ('{"duration_s": 671088}', "synth"),
+        ('{"duration_s": 671088}', "train-eval"),
+        ('{"duration_s": 671088}', "speed-sweep"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
             "huge-sweep-run", "huge-run", "zero-sweep-frequency",
             "negative-sweep-height", "two-sample-sweep-cell",
-            "run-shorter-than-window", "sensor-past-the-spring"])
+            "run-shorter-than-window", "sensor-past-the-spring",
+            "batch-over-training-set", "speed-sweep-batch-over-training-set",
+            "one-window-run", "speed-sweep-one-window-run",
+            "synth-dataset-over-cap", "dataset-over-cap",
+            "speed-sweep-dataset-over-cap"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals
@@ -849,6 +857,7 @@ class TestCli:
             raise RuntimeError("work started")
 
         monkeypatch.setattr(terrain, "synthesize_run", no_work)
+        monkeypatch.setattr(pipeline, "build_dataset", no_work)
         monkeypatch.setattr(experiment, "modal_sweep", no_work)
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -118,7 +118,8 @@ class TestLoss:
 
 class TestGradients:
     def test_match_finite_differences(self):
-        # independent central-difference probe, distinct from gradient_check()
+        # central differences on a small network; acceptance criterion 5
+        # probes the default architecture the same way
         model = init(SMALL_ARCH, 11)
         x, labels = _random_batch(1, seed=4)
         w_grads, b_grads = gradients(model, x, labels)
