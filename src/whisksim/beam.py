@@ -243,7 +243,8 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
 
     Each cell samples the late-time (steady) response and reads the dominant
     frequency from the magnitude spectrum. Cells are independent; any
-    per-cell failure aborts the whole sweep.
+    per-cell failure aborts the whole sweep, a response that overflows
+    included.
     """
     from .pipeline import dominant_frequency, fft_magnitude
 
@@ -255,12 +256,16 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
                 f"sample rate {sample_rate_hz} Hz cannot resolve grid point {fb} Hz")
     y_max = np.empty((f_grid.size, h_grid.size))
     f_dom = np.empty_like(y_max)
-    for i, fb in enumerate(f_grid):
-        for j, hb in enumerate(h_grid):
-            samples = displacement_series(beam, [hb], [fb], [0.0],
-                                          sensor_position_m, sample_rate_hz,
-                                          duration_s)
-            y_max[i, j] = float(np.max(np.abs(samples)))
-            f_dom[i, j] = dominant_frequency(fft_magnitude(samples),
-                                             sample_rate_hz / len(samples))
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        for i, fb in enumerate(f_grid):
+            for j, hb in enumerate(h_grid):
+                samples = displacement_series(beam, [hb], [fb], [0.0],
+                                              sensor_position_m, sample_rate_hz,
+                                              duration_s)
+                spectrum = fft_magnitude(samples)   # not finite if samples are not
+                if not np.isfinite(spectrum).all():
+                    raise PhysicsError(f"the response to f_b {fb} Hz, h_b {hb} m "
+                                       "overflows")
+                y_max[i, j] = float(np.max(np.abs(samples)))
+                f_dom[i, j] = dominant_frequency(spectrum, sample_rate_hz / len(samples))
     return SweepSurface(f_grid, h_grid, y_max, f_dom)

@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 configuration errors (argparse uses 2 as well),
 3 physics/signal errors, 4 training divergence, 5 a worker process died
 before it finished its item (killed by the kernel, say), 130 interrupted
 (Ctrl-C). Configuration errors are refused before the output directory
-is created, among them an oversized dataset and, for train-eval and
-speed-sweep, a run of one window or a batch larger than the training set.
+is created, among them a spring whose equivalent beam has no finite
+response, an oversized dataset and, for train-eval and speed-sweep, a run
+of one window or a batch larger than the training set; so is a sweep cell
+whose response overflows (exit 3).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 
 from . import experiment
 from .config import ExperimentConfig, load_config
-from .errors import (ConfigError, PhysicsError, TrainingDivergedError,
-                     WhisksimError, WorkerDiedError)
+from .errors import (ConfigError, TrainingDivergedError, WhisksimError,
+                     WorkerDiedError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +152,7 @@ def main(argv=None) -> int:
     except WorkerDiedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED
-    except (PhysicsError, WhisksimError) as exc:
+    except WhisksimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
     except KeyboardInterrupt:

@@ -7,9 +7,10 @@ sweep grid, which is converted to meters on load).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .beam import SpringSpec
+from .beam import SpringSpec, spring_to_beam, steady_state_gain, steady_state_offset
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
@@ -95,6 +96,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"sensor_position_m must lie in (0, {self.spring.free_length_m}], "
                 f"the spring's free length; got {self.sensor_position_m}")
+        try:   # an extreme spring can underflow the beam or overflow its response
+            beam = spring_to_beam(self.spring)
+            response = (steady_state_gain(beam, self.sensor_position_m),
+                        steady_state_offset(beam))
+        except (PhysicsError, ArithmeticError) as exc:
+            raise ConfigError(f"the spring has no usable equivalent beam: {exc}") from exc
+        if not all(math.isfinite(v) for v in response):
+            raise ConfigError("the spring's equivalent beam has no finite response")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
         if len(set(self.speeds_m_s)) != len(self.speeds_m_s):
@@ -121,14 +130,7 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a non-negative integer")
 
     def to_dict(self) -> dict:
-        def jsonable(value):
-            if isinstance(value, dict):
-                return {k: jsonable(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [jsonable(v) for v in value]
-            return value
-
-        return jsonable(asdict(self))
+        return asdict(self)   # json.dump writes its tuples as lists
 
 
 def _check_types(cls, data: dict, context: str) -> None:
@@ -166,7 +168,7 @@ def _build(cls, data: dict, context: str):
     _check_types(cls, data, context)
     try:
         return cls(**data)
-    except (PhysicsError, ConfigError, TypeError, OverflowError) as exc:
+    except (PhysicsError, ConfigError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 

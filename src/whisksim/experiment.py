@@ -289,16 +289,17 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
     train_set, test_set = pipeline.split(dataset, cfg.train_fraction, seeds["split"])
     model = mlp.init(mlp.MlpArchitecture(), seeds["init"])
     model, history = mlp.train(model, train_set, cfg.train.with_seed(seeds["shuffle"]))
-    matrix = mlp.evaluate(model, test_set)
+    counts = mlp.evaluate(model, test_set)
+    tested = np.where(counts.any(axis=1), counts.sum(axis=1), np.nan)  # NaN: untested
     return {
         "seeds": seeds,
         "train_size": len(train_set),
         "test_size": len(test_set),
         "initial_loss": history[0],
         "final_loss": history[-1],
-        "overall_accuracy": matrix.overall_accuracy,
-        "per_class_accuracy": _report_accuracies(matrix.per_class_accuracy),
-        "confusion": matrix.counts.tolist(),
+        "overall_accuracy": float(np.trace(counts) / counts.sum()),
+        "per_class_accuracy": _report_accuracies(np.diag(counts) / tested),
+        "confusion": counts.tolist(),
     }
 
 

@@ -28,21 +28,12 @@ DEFAULT_LAYER_SIZES = (200, 256, 128, 64, 32, 16, 7)
 class MlpArchitecture:
     layer_sizes: tuple = DEFAULT_LAYER_SIZES
 
-    @property
-    def n_weight_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
 
 @dataclass
 class MlpModel:
     weights: list
     biases: list
     arch: MlpArchitecture
-
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases],
-                        self.arch)
 
 
 @dataclass(frozen=True)
@@ -61,25 +52,6 @@ class TrainConfig:
             raise PhysicsError("epochs must be >= 1")
         if self.batch_size < 1:
             raise PhysicsError("batch_size must be >= 1")
-
-
-@dataclass
-class ConfusionMatrix:
-    """True-class rows, predicted-class columns; per_class_accuracy is NaN
-    for a class with no test vectors."""
-
-    counts: np.ndarray
-    per_class_accuracy: np.ndarray
-    overall_accuracy: float
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "ConfusionMatrix":
-        row_sums = counts.sum(axis=1)
-        per_class = np.divide(np.diag(counts), row_sums,
-                              out=np.full(NUM_CLASSES, np.nan), where=row_sums > 0)
-        total = counts.sum()
-        overall = float(np.trace(counts) / total) if total else 0.0
-        return cls(counts, per_class, overall)
 
 
 def init(arch: MlpArchitecture, seed: int) -> MlpModel:
@@ -105,7 +77,7 @@ def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
     hidden layer's post-activation values, for _backward, else it is empty."""
     activations = []
     h = x
-    for i in range(model.arch.n_weight_layers - 1):
+    for i in range(len(model.weights) - 1):
         if keep:
             activations.append(h)
         h = h @ model.weights[i]
@@ -149,7 +121,7 @@ def _backward(model: MlpModel, probs: np.ndarray, activations: list,
     delta = probs
     delta[np.arange(batch), labels - 1] -= 1.0
     delta /= batch
-    for i in range(model.arch.n_weight_layers - 1, -1, -1):
+    for i in range(len(model.weights) - 1, -1, -1):
         w_grad = np.matmul(activations[i].T, delta, out=w_grads[i])
         b_grad = delta.sum(axis=0)
         if i > 0:
@@ -172,12 +144,11 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
           ) -> tuple[MlpModel, list[float]]:
     """Mini-batch SGD with a seeded per-epoch shuffle.
 
-    The input model is left untouched. The returned history holds one mean
+    Updates the model in place and returns it. The history holds one mean
     loss per epoch, evaluated on the parameters current within that epoch
     (summed in sample order, so it is independent of the shuffle when the
     learning rate is zero). Divergence aborts naming the epoch and batch.
     """
-    model = model.copy()
     matrix, rows = train_set.feature_rows()   # batches are gathered from matrix
     labels = train_set.labels()
     n = len(rows)
@@ -222,11 +193,12 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
     return model, history
 
 
-def evaluate(model: MlpModel, test_set: Dataset) -> ConfusionMatrix:
-    """Argmax predictions (ties to the lower class id) as a confusion matrix."""
+def evaluate(model: MlpModel, test_set: Dataset) -> np.ndarray:
+    """Confusion counts of the argmax predictions (ties to the lower class
+    id): true-class rows, predicted-class columns."""
     probs = forward(model, test_set.features())
     predictions = probs.argmax(axis=1)  # argmax returns the first maximum
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
     np.add.at(counts, (test_set.labels() - 1, predictions), 1)
-    return ConfusionMatrix.from_counts(counts)
+    return counts
 

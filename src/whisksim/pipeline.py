@@ -97,12 +97,7 @@ def build_dataset(runs, windows: int | None = None) -> Dataset:
     labels, window_idx, total, row = [], [], 0, 0
     for samples, label in runs:
         count = len(samples) // FEATURE_WIDTH
-        if count == 0:
-            raise PhysicsError(f"run of {len(samples)} samples is shorter than "
-                               f"one window ({FEATURE_WIDTH})")
         total += count
-        if total > windows:
-            raise PhysicsError(f"the runs hold more than the {windows} windows given")
         stack = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             std = stack.std(axis=1)
@@ -120,8 +115,7 @@ def build_dataset(runs, windows: int | None = None) -> Dataset:
             window_idx.append(np.flatnonzero(keep))
         samples = stack = flat = None   # let the run go before the next is taken
     if not labels:
-        raise PhysicsError("no runs supplied" if total == 0
-                           else "all windows were degenerate")
+        raise PhysicsError("all windows were degenerate")
     if row < windows:
         features = features[:row].copy()
     return Dataset(features, np.concatenate(labels), np.concatenate(window_idx),

@@ -115,7 +115,7 @@ def test_criterion_5_gradient_check():
 
     h = 1e-5
     worst = 0.0
-    for layer in range(model.arch.n_weight_layers):
+    for layer in range(len(model.weights)):
         for params, grads in ((model.weights, w_grads), (model.biases, b_grads)):
             flat = params[layer].reshape(-1)
             gflat = grads[layer].reshape(-1)

@@ -10,7 +10,7 @@ import os
 import tempfile
 from dataclasses import fields
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from whisksim.beam import SpringSpec
 from whisksim.cli import main
@@ -172,6 +172,19 @@ def tiny_runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tiny_runs(), commands)
+# springs whose beam arithmetic fails (exit 2) and sweeps whose response
+# overflows (exit 3)
+@example(({"spring": {"free_length_m": 1e100, "coil_count": 1}}, "default"), "sweep")
+@example(({"spring": {"wire_density_kg_m3": 1e300, "wire_shear_modulus_pa": 1e-300}},
+          "default"), "sweep")
+@example(({"spring": {"free_length_m": 1e10, "coil_count": 1,
+                      "wire_density_kg_m3": 1e300}}, "default"), "sweep")
+@example(({"spring": {"wire_radius_m": 1e-200}, "duration_s": 2}, "default"), "synth")
+@example(({"spring": {"wire_shear_modulus_pa": 1e-10}, "sweep": {"h_b_mm": [1e300]}},
+          "default"), "sweep")
+@example(({"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300,
+                     "f_b_hz": [1e300]}}, "default"), "sweep")
+@example(({"spring": {"wire_shear_modulus_pa": 1e-300}}, "default"), "sweep")
 def test_cli_exit_code_contract(run, command):
     data, profiles = run
     with tempfile.TemporaryDirectory() as tmp:

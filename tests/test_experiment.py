@@ -125,7 +125,7 @@ class TestRunSweep:
         assert report["cells_f_dom_within_one_bin"] == 4
         assert report["f_dom_matches_f_b"] is True
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
-        assert summary["config"] == cfg.to_dict()
+        assert summary["config"] == json.loads(json.dumps(cfg.to_dict()))
 
     def test_counts_cells_within_one_bin_as_a_cell_loop_does(self, tmp_path,
                                                              monkeypatch):
@@ -840,6 +840,14 @@ class TestCli:
         ('{"duration_s": 671088}', "synth"),
         ('{"duration_s": 671088}', "train-eval"),
         ('{"duration_s": 671088}', "speed-sweep"),
+        # springs whose equivalent beam overflows, divides by zero, has a
+        # NaN gain or an underflowing cross-section
+        ('{"spring": {"free_length_m": 1e100, "coil_count": 1}}', "synth"),
+        ('{"spring": {"wire_density_kg_m3": 1e300, '
+         '"wire_shear_modulus_pa": 1e-300}}', "sweep"),
+        ('{"spring": {"free_length_m": 1e10, "coil_count": 1, '
+         '"wire_density_kg_m3": 1e300}}', "synth"),
+        ('{"spring": {"wire_radius_m": 1e-200}, "duration_s": 2}', "synth"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
@@ -849,7 +857,8 @@ class TestCli:
             "batch-over-training-set", "speed-sweep-batch-over-training-set",
             "one-window-run", "speed-sweep-one-window-run",
             "synth-dataset-over-cap", "dataset-over-cap",
-            "speed-sweep-dataset-over-cap"])
+            "speed-sweep-dataset-over-cap", "overflowing-spring",
+            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals
@@ -864,6 +873,27 @@ class TestCli:
         assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
                      command]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"spring": {"wire_shear_modulus_pa": 1e-10}, "sweep": {"h_b_mm": [1e300]}},
+        {"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300, "f_b_hz": [1e300]}},
+        # finite samples near 1.7e305 whose spectrum overflows
+        {"spring": {"wire_shear_modulus_pa": 1e-300}},
+    ], ids=["soft-spring-huge-height", "huge-frequency", "overflowing-spectrum"])
+    def test_overflowing_sweep_is_one_physics_line_before_out(self, tmp_path,
+                                                              config):
+        # the response gain * h_b * f_b^2 or its spectrum overflows, with no
+        # numpy warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "whisksim.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "sweep"],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: the response to f_b \S+ Hz, h_b \S+ m "
+                            r"overflows\n", proc.stderr), proc.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train-eval"])

@@ -266,10 +266,6 @@ class TestBuildDataset:
         assert np.array_equal(ds.labels(), expected.labels())
         assert np.array_equal(ds.window_idx(), expected.window_idx())
 
-    def test_more_windows_than_given_is_an_error(self):
-        with pytest.raises(PhysicsError, match="more than the 2 windows"):
-            build_dataset(iter([self._run(TerrainClass.FLAT, seconds=3)]), windows=2)
-
     def test_degenerate_windows_leave_an_exact_matrix(self):
         samples = np.concatenate([np.zeros(200), _series(400)])
         ds = build_dataset(iter([(samples, TerrainClass.SAND)]), windows=3)
