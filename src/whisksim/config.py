@@ -1,7 +1,12 @@
-"""Experiment configuration: defaults, JSON loading and validation.
+"""Experiment configuration and profile tables: defaults, JSON loading
+and validation.
 
 All values are SI except where a key name says otherwise (h_b_mm for the
-sweep grid, which is converted to meters on load).
+sweep grid, which is converted to meters on load). A config file and a
+profile file are read the same way: _read_json opens and parses the file,
+and _build makes each object into its dataclass, refusing unknown keys,
+holding each value to its field's type and turning the dataclass's own
+range checks into ConfigErrors that name the key.
 """
 
 from __future__ import annotations
@@ -14,9 +19,20 @@ from .beam import SpringSpec, spring_to_beam, steady_state_gain, steady_state_of
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
-from .terrain import is_finite_number
+from .terrain import SpectralComponent, SpectralProfile, TerrainClass
 
 MAX_RUN_SAMPLES = 2 ** 27   # 1 GiB of float64; the default run holds 60 000
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float; a bool, a non-number or an int beyond the
+    float range is not (JSON allows NaN, Infinity and huge integers)."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _check_run_size(duration_s: float, sample_rate_hz: float) -> None:
@@ -98,11 +114,13 @@ class ExperimentConfig:
                 f"the spring's free length; got {self.sensor_position_m}")
         try:   # an extreme spring can underflow the beam or overflow its response
             beam = spring_to_beam(self.spring)
-            response = (steady_state_gain(beam, self.sensor_position_m),
-                        steady_state_offset(beam))
+            gain, offset = (steady_state_gain(beam, self.sensor_position_m),
+                            steady_state_offset(beam))
+        except OverflowError as exc:
+            raise ConfigError("the spring's equivalent beam overflows") from exc
         except (PhysicsError, ArithmeticError) as exc:
             raise ConfigError(f"the spring has no usable equivalent beam: {exc}") from exc
-        if not all(math.isfinite(v) for v in response):
+        if not (math.isfinite(gain) and math.isfinite(offset)):
             raise ConfigError("the spring's equivalent beam has no finite response")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
@@ -121,6 +139,11 @@ class ExperimentConfig:
             raise ConfigError(f"duration_s {self.duration_s} is shorter than one "
                               f"window of {self.window_s} s")
         _check_run_size(self.duration_s, self.sample_rate_hz)
+        for duration, rate in ((self.duration_s, self.sample_rate_hz),
+                               (self.sweep.duration_s, self.sweep.sample_rate_hz)):
+            if math.ulp(offset + duration) >= 0.5 / rate:   # samples at offset + k / rate
+                raise ConfigError(f"the spring settles after {offset:.3g} s, where float "
+                                  f"times cannot resolve samples at {rate} Hz")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:
@@ -161,10 +184,9 @@ def _check_types(cls, data: dict, context: str) -> None:
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ConfigError(f"{context} has unknown keys: {sorted(unknown)}")
     _check_types(cls, data, context)
     try:
         return cls(**data)
@@ -174,13 +196,9 @@ def _build(cls, data: dict, context: str):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    nested = {}
-    if "spring" in data:
-        nested["spring"] = _build(SpringSpec, data.pop("spring"), "spring")
-    if "train" in data:
-        nested["train"] = _build(TrainSection, data.pop("train"), "train")
-    if "sweep" in data:
-        nested["sweep"] = _build(SweepConfig, data.pop("sweep"), "sweep")
+    nested = {name: _build(cls, data.pop(name), name) for name, cls in
+              (("spring", SpringSpec), ("train", TrainSection), ("sweep", SweepConfig))
+              if name in data}
     cfg = _build(ExperimentConfig, {**data, **nested}, "config")
     # a builtin table name or a path, whose existence is checked on loading
     if not cfg.profiles:
@@ -188,12 +206,43 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path, what: str):
+    """The parsed JSON of the `what` file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, "config"))
+
+
+def load_profiles(path) -> dict[TerrainClass, SpectralProfile]:
+    """Profile table from a JSON file: a nonempty list of one object per
+    terrain, each terrain at most once (see README.md)."""
+    entries = _read_json(path, "profile")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"profile file {path} must hold a nonempty JSON list")
+    table = {}
+    for i, entry in enumerate(entries):
+        context = f"profile file {path} entry {i}"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{context} must be a JSON object")
+        entry = dict(entry)
+        try:
+            terrain = TerrainClass.from_label(entry.pop("terrain", None))
+        except PhysicsError as exc:
+            raise ConfigError(f"{context}: {exc}") from exc
+        if terrain in table:
+            raise ConfigError(f"{context}: terrain {terrain.label!r} is listed twice")
+        if not isinstance(entry.get("components"), list):
+            raise ConfigError(f"{context} key components must be a list")
+        entry["components"] = tuple(
+            _build(SpectralComponent, c, f"{context} component {k}")
+            for k, c in enumerate(entry["components"]))
+        table[terrain] = _build(SpectralProfile, entry, context)
+    return table

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import beam, mlp, pipeline, terrain
 from .beam import modal_sweep, spring_to_beam
-from .config import ExperimentConfig
+from .config import ExperimentConfig, load_profiles
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
 
@@ -38,7 +38,7 @@ def resolve_profiles(cfg: ExperimentConfig) -> dict[TerrainClass, terrain.Spectr
         return terrain.default_profiles()
     if cfg.profiles == "smoke":
         return terrain.smoke_profiles()
-    return terrain.load_profiles(cfg.profiles)
+    return load_profiles(cfg.profiles)
 
 
 def _run_windows(cfg: ExperimentConfig) -> int:

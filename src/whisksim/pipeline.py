@@ -25,14 +25,15 @@ class Dataset:
     features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
     labels() holds terrain ids 1..7 and window_idx() each row's window index
     within its run. `dropped` counts degenerate windows skipped in the build.
-    A subset from take() holds only its row indices into its parent's
-    feature matrix: features() gathers them anew, feature_rows() gives both.
+    A dataset holds its rows' indices into a feature matrix, every row in
+    order for a built one; a subset from take() shares its parent's matrix.
+    features() gathers the rows anew, feature_rows() gives both.
     """
 
     def __init__(self, features, labels, window_idx, dropped: int = 0):
         self._features = np.asarray(features, dtype=float)
-        self._rows = None   # every row of _features, in order
         self._labels = np.asarray(labels, dtype=int)
+        self._rows = np.arange(len(self._labels))
         self._window_idx = np.asarray(window_idx, dtype=int)
         self.dropped = dropped
 
@@ -42,17 +43,17 @@ class Dataset:
     def take(self, rows: np.ndarray) -> "Dataset":
         """The rows at these indices, sharing this dataset's feature matrix."""
         part = copy.copy(self)
-        part._rows = rows if self._rows is None else self._rows[rows]
+        part._rows = self._rows[rows]
         part._labels, part._window_idx = self._labels[rows], self._window_idx[rows]
         part.dropped = 0
         return part
 
     def feature_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(matrix, rows): features() is matrix[rows]."""
-        return self._features, np.arange(len(self)) if self._rows is None else self._rows
+        return self._features, self._rows
 
     def features(self) -> np.ndarray:
-        return self._features if self._rows is None else self._features[self._rows]
+        return self._features[self._rows]
 
     def labels(self) -> np.ndarray:
         return self._labels
@@ -156,7 +157,7 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
     file is never held in memory whole. Returns the SHA-256 hex digest of
     the bytes written.
     """
-    features = dataset.features()
+    matrix, rows = dataset.feature_rows()   # rows are formatted one at a time
     labels, window_idx = dataset.labels().tolist(), dataset.window_idx().tolist()
     header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
     digest = hashlib.sha256()
@@ -169,7 +170,7 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
         emit(header)
         for start in range(0, len(labels), CSV_BLOCK_ROWS):
             # one row's floats at a time: a block's would outweigh its text
-            emit("".join(",".join(map(repr, features[i].tolist()))
+            emit("".join(",".join(map(repr, matrix[rows[i]].tolist()))
                          + f",{labels[i]},{window_idx[i]}\n"
                          for i in range(start, min(start + CSV_BLOCK_ROWS, len(labels)))))
     return digest.hexdigest()

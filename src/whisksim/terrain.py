@@ -29,14 +29,13 @@ documented dominant component by a wide margin.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import BeamSpec, displacement_series
-from .errors import ConfigError, PhysicsError
+from .errors import PhysicsError
 
 
 class TerrainClass(enum.IntEnum):
@@ -62,51 +61,36 @@ class TerrainClass(enum.IntEnum):
         raise PhysicsError(f"unknown terrain label {label!r}")
 
 
-def is_finite_number(value) -> bool:
-    """A finite int or float; a bool, a non-number or an int beyond the
-    float range is not (JSON allows NaN, Infinity and huge integers)."""
-    if isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
 @dataclass(frozen=True)
 class SpectralComponent:
-    """One spatial texture component of a terrain profile."""
+    """One spatial texture component of a terrain profile: wavelength,
+    height and drive-phase jitter, named as in a profile file."""
 
-    wavelength_m: float
-    height_m: float
-    phase_jitter_rad: float = 0.0
+    lambda_m: float
+    h_m: float
+    jitter_rad: float = 0.0
 
     def __post_init__(self):
-        for name in ("wavelength_m", "height_m", "phase_jitter_rad"):
-            if not is_finite_number(getattr(self, name)):
-                raise PhysicsError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.wavelength_m <= 0.0:
-            raise PhysicsError("wavelength_m must be positive")
-        if self.height_m < 0.0:
-            raise PhysicsError("height_m must be >= 0")
-        if not 0.0 <= self.phase_jitter_rad <= math.pi:
+        if self.lambda_m <= 0.0:
+            raise PhysicsError("lambda_m must be positive")
+        if self.h_m < 0.0:
+            raise PhysicsError("h_m must be >= 0")
+        if not 0.0 <= self.jitter_rad <= math.pi:
             # a phase drawn from [-pi, pi] already covers the circle
-            raise PhysicsError("phase_jitter_rad must lie in [0, pi]")
+            raise PhysicsError("jitter_rad must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
 class SpectralProfile:
     """Spatial spectrum of a terrain plus its sensor noise floor."""
 
-    components: tuple
+    components: tuple[SpectralComponent, ...]
     noise_floor_m: float = 0.0
 
     def __post_init__(self):
         if len(self.components) == 0:
             raise PhysicsError("profile needs at least one component")
         object.__setattr__(self, "components", tuple(self.components))
-        if not is_finite_number(self.noise_floor_m):
-            raise PhysicsError(f"noise_floor_m must be finite, got {self.noise_floor_m!r}")
         if self.noise_floor_m < 0.0:
             raise PhysicsError("noise_floor_m must be >= 0")
 
@@ -176,12 +160,12 @@ def temporal_components(profile: SpectralProfile, speed_m_s: float,
     sample_rate_hz."""
     heights, frequencies = [], []
     for comp in profile.components:
-        f_b = speed_m_s / comp.wavelength_m
+        f_b = speed_m_s / comp.lambda_m
         if sample_rate_hz <= 2.0 * f_b:
             raise PhysicsError(
                 f"component at {f_b:.3g} Hz exceeds the Nyquist limit of a "
                 f"{sample_rate_hz:.3g} Hz run")
-        heights.append(comp.height_m)
+        heights.append(comp.h_m)
         frequencies.append(f_b)
     return heights, frequencies
 
@@ -192,52 +176,15 @@ def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float
     """Simulated steady-state sensor samples for one constant-speed traversal.
 
     Superposes the steady beam response to every profile component at a
-    drive phase drawn from +-phase_jitter_rad (one draw per component, in
+    drive phase drawn from +-jitter_rad (one draw per component, in
     order), then adds the white noise floor. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     heights, frequencies = temporal_components(profile, speed_m_s, sample_rate_hz)
-    phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
+    phases = [rng.uniform(-c.jitter_rad, c.jitter_rad)
               for c in profile.components]
     total = displacement_series(beam, heights, frequencies, phases,
                                 sensor_position_m, sample_rate_hz, duration_s)
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, total.size)
     return total
-
-
-def profiles_from_json(text: str) -> dict[TerrainClass, SpectralProfile]:
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PhysicsError(f"invalid profile JSON: {exc}") from exc
-    table = {}
-    try:
-        for entry in entries:
-            terrain = TerrainClass.from_label(entry["terrain"])
-            if terrain in table:
-                raise PhysicsError(f"terrain {terrain.label!r} is listed twice")
-            comps = tuple(
-                SpectralComponent(c["lambda_m"], c["h_m"], c.get("jitter_rad", 0.0))
-                for c in entry["components"])
-            table[terrain] = SpectralProfile(comps, entry.get("noise_floor_m", 0.0))
-    except KeyError as exc:
-        raise PhysicsError(f"profile entry is missing key {exc}") from exc
-    except TypeError as exc:
-        raise PhysicsError(f"malformed profile JSON: {exc}") from exc
-    if not table:
-        raise PhysicsError("profile JSON contains no terrains")
-    return table
-
-
-def load_profiles(path) -> dict[TerrainClass, SpectralProfile]:
-    """Profile table from a JSON file; a missing or invalid file is a ConfigError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read profile file {path}: {exc}") from exc
-    try:
-        return profiles_from_json(text)
-    except PhysicsError as exc:
-        raise ConfigError(f"invalid profile file {path}: {exc}") from exc

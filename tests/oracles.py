@@ -184,4 +184,4 @@ def dominant_frequency(profile, speed_m_s: float) -> float:
     h / lambda^2: the steady beam response to a component scales with
     h * f^2 and f = v / lambda, so the ranking does not depend on speed."""
     return speed_m_s / max(profile.components,
-                           key=lambda c: c.height_m / c.wavelength_m ** 2).wavelength_m
+                           key=lambda c: c.h_m / c.lambda_m ** 2).lambda_m

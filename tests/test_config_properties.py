@@ -14,9 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from whisksim.beam import SpringSpec
 from whisksim.cli import main
-from whisksim.config import ExperimentConfig, SweepConfig, TrainSection, config_from_dict
+from whisksim.config import (ExperimentConfig, SweepConfig, TrainSection,
+                             config_from_dict, is_finite_number, load_profiles)
 from whisksim.errors import ConfigError
-from whisksim.terrain import TerrainClass, is_finite_number, load_profiles
+from whisksim.terrain import TerrainClass
 
 # what json.loads can return, NaN and Infinity included
 json_values = st.recursive(
@@ -86,12 +87,23 @@ def _mostly(strategy, other):
 numbers = _mostly(st.floats(min_value=1e-6, max_value=1.0),
                   st.floats() | st.integers() | st.booleans()
                   | st.sampled_from([math.nan, math.inf, -math.inf, 3.2, 1e308]))
-components = st.fixed_dictionaries(
-    {"lambda_m": numbers, "h_m": numbers}, optional={"jitter_rad": numbers})
-entries = st.fixed_dictionaries(
+MISSPELLED = {"jiter_rad", "noise_flor_m"}
+
+
+def _seldom_misspelled(objects, key):
+    """`objects` draws, one in eight with the misspelled `key` added, so
+    that most tables can still load."""
+    return st.integers(0, 7).flatmap(
+        lambda k: objects if k else objects.map(lambda obj: {**obj, key: 0.1}))
+
+
+components = _seldom_misspelled(st.fixed_dictionaries(
+    {"lambda_m": numbers, "h_m": numbers}, optional={"jitter_rad": numbers}),
+    "jiter_rad")
+entries = _seldom_misspelled(st.fixed_dictionaries(
     {"terrain": _mostly(st.sampled_from([t.label for t in TerrainClass]), json_values),
      "components": _mostly(st.lists(components, min_size=1, max_size=3), json_values)},
-    optional={"noise_floor_m": numbers})
+    optional={"noise_floor_m": numbers}), "noise_flor_m")
 profile_tables = _mostly(st.lists(entries, min_size=1, max_size=3), json_values)
 
 
@@ -107,12 +119,16 @@ def test_profile_table_loads_finite_or_raises_config_error(table):
         except ConfigError:
             return
     assert len(loaded) == len(table)
+    # a misspelled key is refused, never ignored
+    for entry in table:
+        assert not MISSPELLED & set(entry)
+        assert not any(MISSPELLED & set(c) for c in entry["components"])
     for profile in loaded.values():
         assert math.isfinite(profile.noise_floor_m)
         for c in profile.components:
             assert all(math.isfinite(v) for v in
-                       (c.wavelength_m, c.height_m, c.phase_jitter_rad))
-            assert 0.0 <= c.phase_jitter_rad <= math.pi
+                       (c.lambda_m, c.h_m, c.jitter_rad))
+            assert 0.0 <= c.jitter_rad <= math.pi
 
 
 # Command-line contract: every command on any JSON-shaped config and profile
@@ -172,8 +188,8 @@ def tiny_runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tiny_runs(), commands)
-# springs whose beam arithmetic fails (exit 2) and sweeps whose response
-# overflows (exit 3)
+# springs whose beam arithmetic fails or whose settling time swamps the
+# sample grid (exit 2), and sweeps whose response overflows (exit 3)
 @example(({"spring": {"free_length_m": 1e100, "coil_count": 1}}, "default"), "sweep")
 @example(({"spring": {"wire_density_kg_m3": 1e300, "wire_shear_modulus_pa": 1e-300}},
           "default"), "sweep")
@@ -185,6 +201,11 @@ def tiny_runs(draw):
 @example(({"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300,
                      "f_b_hz": [1e300]}}, "default"), "sweep")
 @example(({"spring": {"wire_shear_modulus_pa": 1e-300}}, "default"), "sweep")
+@example(({"spring": {"wire_shear_modulus_pa": 1e300}, "sweep": {
+    "duration_s": 1e-150, "sample_rate_hz": 3e155, "f_b_hz": [1e155]}}, "default"),
+    "sweep")
+@example(({"duration_s": 5}, [{"terrain": "flat", "noise_flor_m": 1e-9, "components": [
+    {"lambda_m": 0.04, "h_m": 2e-5, "jiter_rad": 0.1}]}]), "synth")
 def test_cli_exit_code_contract(run, command):
     data, profiles = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -521,7 +521,7 @@ class TestWorkerPool:
         synthesize_run = terrain.synthesize_run
 
         def brick_fails_first(profile, *args, **kwargs):
-            if profile.components[0].wavelength_m == 0.01:   # brick's
+            if profile.components[0].lambda_m == 0.01:   # brick's
                 raise PhysicsError("brick failed")
             time.sleep(0.5)
             return synthesize_run(profile, *args, **kwargs)
@@ -777,10 +777,22 @@ class TestCli:
         _flat_profile(noise_floor_m=float("-inf")),
         json.dumps([{"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]},
                     {"terrain": "flat", "components": [{"lambda_m": 0.02, "h_m": 1e-5}]}]),
+        # a misspelled or unknown key is refused, not ignored
+        _flat_profile(jiter_rad=0.1),
+        json.dumps([{"terrain": "flat", "noise_flor_m": 1e-9,
+                     "components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]),
+        json.dumps([{"terrain": "flat", "extra": 1,
+                     "components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]),
+        json.dumps([{"terrain": "flat", "components": {"lambda_m": 0.04, "h_m": 2e-5}}]),
+        json.dumps(["flat"]),
+        json.dumps([{"terrain": "asphalt",
+                     "components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]),
     ], ids=["missing-file", "invalid-json", "missing-components", "nan-lambda",
             "infinite-lambda", "infinite-h", "nan-h", "bool-h", "nan-jitter",
             "jitter-above-pi", "huge-jitter", "nan-noise", "infinite-noise",
-            "duplicate-terrain"])
+            "duplicate-terrain", "misspelled-jitter", "misspelled-noise",
+            "unknown-entry-key", "components-object", "non-object-entry",
+            "unknown-terrain"])
     def test_bad_profile_file_is_config_error(self, tmp_path, capsys, monkeypatch,
                                               content):
         def no_synthesis(*args, **kwargs):
@@ -793,7 +805,8 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, profiles=str(profiles))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "train-eval"]) == 2
-        assert "profile file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: [^\n]*profile file [^\n]*\n", err), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, command", [
@@ -848,6 +861,13 @@ class TestCli:
         ('{"spring": {"free_length_m": 1e10, "coil_count": 1, '
          '"wire_density_kg_m3": 1e300}}', "synth"),
         ('{"spring": {"wire_radius_m": 1e-200}, "duration_s": 2}', "synth"),
+        # springs that settle so late that float times cannot resolve the
+        # sample period of the run or the sweep
+        ('{"spring": {"wire_shear_modulus_pa": 1e-300}}', "synth"),
+        ('{"spring": {"wire_shear_modulus_pa": 1e-15}}', "train-eval"),
+        ('{"spring": {"wire_shear_modulus_pa": 1e-14}}', "sweep"),
+        ('{"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300, '
+         '"f_b_hz": [1e300]}}', "sweep"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
@@ -858,7 +878,9 @@ class TestCli:
             "one-window-run", "speed-sweep-one-window-run",
             "synth-dataset-over-cap", "dataset-over-cap",
             "speed-sweep-dataset-over-cap", "overflowing-spring",
-            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire"])
+            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire",
+            "swamped-run-grid", "swamped-train-eval-grid", "swamped-sweep-grid",
+            "sweep-grid-finer-than-floats"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals
@@ -877,9 +899,13 @@ class TestCli:
 
     @pytest.mark.parametrize("config", [
         {"spring": {"wire_shear_modulus_pa": 1e-10}, "sweep": {"h_b_mm": [1e300]}},
-        {"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300, "f_b_hz": [1e300]}},
-        # finite samples near 1.7e305 whose spectrum overflows
-        {"spring": {"wire_shear_modulus_pa": 1e-300}},
+        # f_b^2 overflows; the stiff spring settles within 1e-144 s, so
+        # float times there resolve the 3e155 Hz samples
+        {"spring": {"wire_shear_modulus_pa": 1e300},
+         "sweep": {"duration_s": 1e-150, "sample_rate_hz": 3e155, "f_b_hz": [1e155]}},
+        # finite samples up to 1.67e306 whose spectrum overflows
+        {"spring": {"wire_shear_modulus_pa": 1e-10},
+         "sweep": {"f_b_hz": [50], "h_b_mm": [1e290]}},
     ], ids=["soft-spring-huge-height", "huge-frequency", "overflowing-spectrum"])
     def test_overflowing_sweep_is_one_physics_line_before_out(self, tmp_path,
                                                               config):
@@ -895,6 +921,24 @@ class TestCli:
         assert re.fullmatch(r"error: the response to f_b \S+ Hz, h_b \S+ m "
                             r"overflows\n", proc.stderr), proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_spring_is_named_in_words(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"spring": {"free_length_m": 1e100, "coil_count": 1}}')
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "sweep"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: invalid config: the spring's equivalent beam overflows\n"
+
+    def test_softest_spring_the_sweep_grid_resolves_still_runs(self, tmp_path,
+                                                                capsys):
+        # the float step at its settling time is 0.49 of a sweep sample period
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"spring": {"wire_shear_modulus_pa": 1e-13}}')
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["cells_f_dom_within_one_bin"] == summary["cells_total"] == 35
 
     @pytest.mark.parametrize("command", ["synth", "train-eval"])
     def test_unusable_out_dir_is_config_error_before_synthesis(

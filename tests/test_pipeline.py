@@ -343,7 +343,7 @@ class TestSplit:
         assert peak < 0.1 * ds.features().nbytes
         for part in (train, test):
             matrix, rows = part.feature_rows()
-            assert matrix is ds.features()
+            assert matrix is ds.feature_rows()[0]
             assert np.array_equal(part.features(), matrix[rows])
             assert np.array_equal(rows, part.window_idx())
 
@@ -352,7 +352,7 @@ class TestSplit:
         train, _ = split(ds, 0.75, 4)
         inner, _ = split(train, 0.5, 5)
         matrix, rows = inner.feature_rows()
-        assert matrix is ds.features()
+        assert matrix is ds.feature_rows()[0]
         assert np.array_equal(rows, inner.window_idx())
         assert np.array_equal(inner.features(), ds.features()[inner.window_idx()])
 

@@ -14,15 +14,13 @@ from whisksim.beam import (
     spring_to_beam,
     steady_state_offset,
 )
-from whisksim.config import ExperimentConfig
-from whisksim.errors import PhysicsError
+from whisksim.config import ExperimentConfig, load_profiles
+from whisksim.errors import ConfigError, PhysicsError
 from whisksim.terrain import (
     SpectralComponent,
     SpectralProfile,
     TerrainClass,
     default_profiles,
-    load_profiles,
-    profiles_from_json,
     smoke_profiles,
     synthesize_run,
     temporal_components,
@@ -76,7 +74,7 @@ class TestDefaultProfiles:
         # response scales with h/lambda^2; the documented dominant must lead
         # every sibling by a clear factor so noise cannot flip the ranking
         for profile in default_profiles().values():
-            weights = sorted((c.height_m / c.wavelength_m ** 2
+            weights = sorted((c.h_m / c.lambda_m ** 2
                               for c in profile.components), reverse=True)
             if len(weights) > 1:
                 assert weights[0] > 2.0 * weights[1]
@@ -117,7 +115,7 @@ class TestTemporalComponents:
     def test_ordering_preserved(self):
         profile = default_profiles()[TerrainClass.SAND]
         _, frequencies = temporal_components(profile, 0.2, 200.0)
-        expected = [0.2 / c.wavelength_m for c in profile.components]
+        expected = [0.2 / c.lambda_m for c in profile.components]
         assert frequencies == pytest.approx(expected)
 
     def test_rejects_nyquist_violation(self):
@@ -166,7 +164,7 @@ class TestSynthesizeRun:
         seed = 1000 + int(tc)
         got = synthesize_run(profile, 0.2, 1.0, 200.0, seed, beam, 0.005)
         rng = np.random.default_rng(seed)
-        phases = [rng.uniform(-c.phase_jitter_rad, c.phase_jitter_rad)
+        phases = [rng.uniform(-c.jitter_rad, c.jitter_rad)
                   for c in profile.components]
         heights, frequencies = temporal_components(profile, 0.2, 200.0)
         steady = displacement_series(beam, heights, frequencies, phases, 0.005,
@@ -231,7 +229,7 @@ class TestNoSidebands:
     def test_default_terrain_energy_only_at_component_bins(self, beam, tc):
         cfg = ExperimentConfig()
         profile = SpectralProfile(tuple(
-            SpectralComponent(c.wavelength_m, c.height_m)
+            SpectralComponent(c.lambda_m, c.h_m)
             for c in default_profiles()[tc].components))
         series = synthesize_run(profile, cfg.speed_m_s, cfg.window_s,
                                 cfg.sample_rate_hz, 0, beam, cfg.sensor_position_m)
@@ -239,7 +237,7 @@ class TestNoSidebands:
         n = mags.size
         on_bin = np.zeros(n, dtype=bool)
         for comp in profile.components:
-            cycles = cfg.speed_m_s / comp.wavelength_m * cfg.window_s
+            cycles = cfg.speed_m_s / comp.lambda_m * cfg.window_s
             k = round(cycles)
             assert cycles == pytest.approx(k)   # each component fills whole bins
             on_bin[[k, n - k]] = True
@@ -248,46 +246,75 @@ class TestNoSidebands:
         assert mags[on_bin].min() >= 1e-3 * peak
 
 
-def _profiles_json(table) -> str:
-    """A profile table in the documented JSON format (see README.md)."""
-    return json.dumps([
+def _write_profiles(path, table):
+    """Write a profile table in the documented JSON format (see README.md)
+    to path; returns path."""
+    path.write_text(json.dumps([
         {"terrain": tc.label,
-         "components": [{"lambda_m": c.wavelength_m, "h_m": c.height_m,
-                         "jitter_rad": c.phase_jitter_rad}
+         "components": [{"lambda_m": c.lambda_m, "h_m": c.h_m,
+                         "jitter_rad": c.jitter_rad}
                         for c in profile.components],
          "noise_floor_m": profile.noise_floor_m}
-        for tc, profile in sorted(table.items())])
+        for tc, profile in sorted(table.items())]), encoding="utf-8")
+    return path
 
 
 class TestProfileJson:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         table = default_profiles()
-        again = profiles_from_json(_profiles_json(table))
-        assert again == table
+        assert load_profiles(_write_profiles(tmp_path / "p.json", table)) == table
 
-    def test_schema_keys(self):
+    def test_schema_keys(self, tmp_path):
         # jitter_rad and noise_floor_m are optional and default to 0
-        table = profiles_from_json(json.dumps([
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([
             {"terrain": "brick", "components": [{"lambda_m": 0.01, "h_m": 8e-5}]},
             {"terrain": "sand", "noise_floor_m": 6e-8,
              "components": [{"lambda_m": 0.005, "h_m": 3e-5, "jitter_rad": 1.5}]},
         ]))
-        assert table == {
+        assert load_profiles(path) == {
             TerrainClass.BRICK: SpectralProfile((SpectralComponent(0.01, 8e-5, 0.0),),
                                                 0.0),
             TerrainClass.SAND: SpectralProfile((SpectralComponent(0.005, 3e-5, 1.5),),
                                                6e-8),
         }
-        with pytest.raises(PhysicsError, match="missing key 'h_m'"):
-            profiles_from_json('[{"terrain": "flat", "components": [{"lambda_m": 1}]}]')
+        path.write_text('[{"terrain": "flat", "components": [{"lambda_m": 1}]}]')
+        with pytest.raises(ConfigError, match="entry 0 component 0: .*'h_m'"):
+            load_profiles(path)
 
-    def test_rejects_garbage(self):
-        with pytest.raises(PhysicsError):
-            profiles_from_json("not json at all {")
-        with pytest.raises(PhysicsError):
-            profiles_from_json("[]")
+    def test_rejects_garbage(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("not json at all {")
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_profiles(path)
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="must hold a nonempty JSON list"):
+            load_profiles(path)
 
     def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "profiles.json"
-        path.write_text(_profiles_json(smoke_profiles()), encoding="utf-8")
-        assert load_profiles(path) == smoke_profiles()
+        table = smoke_profiles()
+        assert load_profiles(_write_profiles(tmp_path / "p.json", table)) == table
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "must hold a nonempty JSON list"),
+        ('["flat"]', "entry 0 must be a JSON object"),
+        ('[{"terrain": "flat", "components": {"lambda_m": 0.04, "h_m": 2e-5}}]',
+         "entry 0 key components must be a list"),
+        ('[{"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 2e-5,'
+         ' "jiter_rad": 0.1}]}]', r"entry 0 component 0 has unknown keys: \['jiter_rad'\]"),
+        ('[{"terrain": "flat", "noise_flor_m": 1e-9, "components": '
+         '[{"lambda_m": 0.04, "h_m": 2e-5}]}]', r"entry 0 has unknown keys: \['noise_flor_m'\]"),
+        ('[{"terrain": "asphalt", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]',
+         "entry 0: unknown terrain label 'asphalt'"),
+        ('[{"terrain": "flat", "components": [{"lambda_m": 0.0, "h_m": 2e-5}]}]',
+         "entry 0 component 0: lambda_m must be positive"),
+        ('[{"terrain": "flat", "components": [{"lambda_m": NaN, "h_m": 2e-5}]}]',
+         "entry 0 component 0 key lambda_m must be a finite number"),
+    ], ids=["object", "non-object-entry",
+            "components-object", "misspelled-jitter", "misspelled-noise",
+            "unknown-terrain", "zero-lambda", "nan-lambda"])
+    def test_malformed_file_names_the_key(self, tmp_path, text, message):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_profiles(path)
