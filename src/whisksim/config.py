@@ -4,16 +4,16 @@ and validation.
 All values are SI except where a key name says otherwise (h_b_mm for the
 sweep grid, which is converted to meters on load). A config file and a
 profile file are read the same way: _read_json opens and parses the file,
-and _build makes each object into its dataclass, refusing unknown keys,
-holding each value to its field's type and turning the dataclass's own
-range checks into ConfigErrors that name the key.
+and _build makes each object into its dataclass, refusing unknown and
+missing keys, holding each value to its field's type and turning the
+dataclass's own range checks into ConfigErrors that name the key.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .beam import SpringSpec, spring_to_beam, steady_state_gain, steady_state_offset
 from .errors import ConfigError, PhysicsError
@@ -42,6 +42,16 @@ def _check_run_size(duration_s: float, sample_rate_hz: float) -> None:
         raise ConfigError("duration_s * sample_rate_hz must be at most "
                           f"{MAX_RUN_SAMPLES} samples; got {duration_s} s * "
                           f"{sample_rate_hz} Hz")
+
+
+def check_time_grid(offset: float, duration_s: float, sample_rate_hz: float,
+                    grid: str) -> None:
+    """Refuse a grid whose samples, at offset + k / rate, float times
+    cannot resolve: the float step at offset + duration must stay under
+    half a sample period."""
+    if math.ulp(offset + duration_s) >= 0.5 / sample_rate_hz:
+        raise ConfigError(f"the spring settles after {offset:.3g} s, where float times "
+                          f"cannot resolve the {grid}'s samples at {sample_rate_hz} Hz")
 
 
 @dataclass(frozen=True)
@@ -139,11 +149,7 @@ class ExperimentConfig:
             raise ConfigError(f"duration_s {self.duration_s} is shorter than one "
                               f"window of {self.window_s} s")
         _check_run_size(self.duration_s, self.sample_rate_hz)
-        for duration, rate in ((self.duration_s, self.sample_rate_hz),
-                               (self.sweep.duration_s, self.sweep.sample_rate_hz)):
-            if math.ulp(offset + duration) >= 0.5 / rate:   # samples at offset + k / rate
-                raise ConfigError(f"the spring settles after {offset:.3g} s, where float "
-                                  f"times cannot resolve samples at {rate} Hz")
+        check_time_grid(offset, self.duration_s, self.sample_rate_hz, "run")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:
@@ -184,9 +190,13 @@ def _check_types(cls, data: dict, context: str) -> None:
 def _build(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{context} has unknown keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{context} is missing key {f.name!r}")
     _check_types(cls, data, context)
     try:
         return cls(**data)
@@ -196,9 +206,13 @@ def _build(cls, data: dict, context: str):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    nested = {name: _build(cls, data.pop(name), name) for name, cls in
-              (("spring", SpringSpec), ("train", TrainSection), ("sweep", SweepConfig))
-              if name in data}
+    nested = {}
+    if "spring" in data:
+        nested["spring"] = _build(SpringSpec, data.pop("spring"), "spring")
+    if "train" in data:
+        nested["train"] = _build(TrainSection, data.pop("train"), "train")
+    if "sweep" in data:
+        nested["sweep"] = _build(SweepConfig, data.pop("sweep"), "sweep")
     cfg = _build(ExperimentConfig, {**data, **nested}, "config")
     # a builtin table name or a path, whose existence is checked on loading
     if not cfg.profiles:
@@ -232,14 +246,17 @@ def load_profiles(path) -> dict[TerrainClass, SpectralProfile]:
         context = f"profile file {path} entry {i}"
         if not isinstance(entry, dict):
             raise ConfigError(f"{context} must be a JSON object")
+        for key in ("terrain", "components"):
+            if key not in entry:
+                raise ConfigError(f"{context} is missing key {key!r}")
         entry = dict(entry)
         try:
-            terrain = TerrainClass.from_label(entry.pop("terrain", None))
+            terrain = TerrainClass.from_label(entry.pop("terrain"))
         except PhysicsError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
         if terrain in table:
             raise ConfigError(f"{context}: terrain {terrain.label!r} is listed twice")
-        if not isinstance(entry.get("components"), list):
+        if not isinstance(entry["components"], list):
             raise ConfigError(f"{context} key components must be a list")
         entry["components"] = tuple(
             _build(SpectralComponent, c, f"{context} component {k}")

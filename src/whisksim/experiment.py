@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import beam, mlp, pipeline, terrain
-from .beam import modal_sweep, spring_to_beam
-from .config import ExperimentConfig, load_profiles
+from .beam import modal_sweep, spring_to_beam, steady_state_offset
+from .config import ExperimentConfig, check_time_grid, load_profiles
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
 
@@ -103,9 +103,13 @@ def _make_out_dir(out_dir) -> None:
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV and returns the summary report.
-    The sweep runs first, so a drive at or above its Nyquist limit fails
-    before out_dir is created."""
-    surface = modal_sweep(spring_to_beam(cfg.spring), cfg.sweep.f_b_hz,
+    The sweep runs first, so a sweep grid that float times cannot resolve
+    and a drive at or above its Nyquist limit fail before out_dir is
+    created."""
+    spring_beam = spring_to_beam(cfg.spring)
+    check_time_grid(steady_state_offset(spring_beam), cfg.sweep.duration_s,
+                    cfg.sweep.sample_rate_hz, "sweep")
+    surface = modal_sweep(spring_beam, cfg.sweep.f_b_hz,
                           cfg.sweep.h_b_m, cfg.sensor_position_m,
                           cfg.sweep.sample_rate_hz, cfg.sweep.duration_s)
     _make_out_dir(out_dir)

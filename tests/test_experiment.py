@@ -940,6 +940,20 @@ class TestCli:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["cells_f_dom_within_one_bin"] == summary["cells_total"] == 35
 
+    def test_sweep_grid_binds_only_the_sweep(self, tmp_path, capsys):
+        # the float step at this spring's settling time, 2 ms, is under half
+        # of the run's 5 ms sample period but two of the sweep's 1 ms periods
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"spring": {"wire_shear_modulus_pa": 1e-14}, "duration_s": 2}')
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "synth"),
+                     "synth"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                     "sweep"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "cannot resolve the sweep's samples at 1000.0 Hz\n")
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("command", ["synth", "train-eval"])
     def test_unusable_out_dir_is_config_error_before_synthesis(
             self, tmp_path, capsys, monkeypatch, command):

@@ -279,7 +279,7 @@ class TestProfileJson:
                                                6e-8),
         }
         path.write_text('[{"terrain": "flat", "components": [{"lambda_m": 1}]}]')
-        with pytest.raises(ConfigError, match="entry 0 component 0: .*'h_m'"):
+        with pytest.raises(ConfigError, match="entry 0 component 0 is missing key 'h_m'"):
             load_profiles(path)
 
     def test_rejects_garbage(self, tmp_path):
@@ -306,13 +306,17 @@ class TestProfileJson:
          '[{"lambda_m": 0.04, "h_m": 2e-5}]}]', r"entry 0 has unknown keys: \['noise_flor_m'\]"),
         ('[{"terrain": "asphalt", "components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]',
          "entry 0: unknown terrain label 'asphalt'"),
+        ('[{"components": [{"lambda_m": 0.04, "h_m": 2e-5}]}]',
+         "entry 0 is missing key 'terrain'"),
+        ('[{"terrain": "flat"}]', "entry 0 is missing key 'components'"),
         ('[{"terrain": "flat", "components": [{"lambda_m": 0.0, "h_m": 2e-5}]}]',
          "entry 0 component 0: lambda_m must be positive"),
         ('[{"terrain": "flat", "components": [{"lambda_m": NaN, "h_m": 2e-5}]}]',
          "entry 0 component 0 key lambda_m must be a finite number"),
     ], ids=["object", "non-object-entry",
             "components-object", "misspelled-jitter", "misspelled-noise",
-            "unknown-terrain", "zero-lambda", "nan-lambda"])
+            "unknown-terrain", "missing-terrain", "missing-components",
+            "zero-lambda", "nan-lambda"])
     def test_malformed_file_names_the_key(self, tmp_path, text, message):
         path = tmp_path / "p.json"
         path.write_text(text)
