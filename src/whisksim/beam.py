@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .errors import PhysicsError
 
 # First five roots of the clamped-free characteristic equation.
 CANTILEVER_MODE_CONSTANTS = (1.8751, 4.6941, 7.8548, 10.9955, 14.137)
+DAMPING_RATIO = 0.04   # zeta, the same for every mode
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class BeamSpec:
     cross_section_m2: float
     density_kg_m3: float          # coil-corrected volumetric density
     bending_stiffness_nm2: float  # E*I of the equivalent beam
-    damping_ratio: float = 0.04
 
     def __post_init__(self):
         for name in ("length_m", "cross_section_m2", "density_kg_m3",
@@ -99,24 +100,12 @@ class BeamSpec:
                 raise PhysicsError(f"{name} must be positive")
 
 
-@dataclass
-class SweepSurface:
-    """Max displacement and dominant frequency over an excitation grid."""
+class SweepSurface(NamedTuple):
+    """Max displacement and dominant frequency over a drive grid, each of
+    shape (len(f_b grid), len(h_b grid))."""
 
-    f_b_grid_hz: np.ndarray
-    h_b_grid_m: np.ndarray
-    y_max_m: np.ndarray       # shape (len(f_b_grid), len(h_b_grid))
-    f_dominant_hz: np.ndarray  # same shape
-
-    def write_csv(self, path) -> None:
-        """Row-major CSV over the f_b grid: f_b_hz,h_b_m,y_max_m,f_dom_hz."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("f_b_hz,h_b_m,y_max_m,f_dom_hz\n")
-            for i, fb in enumerate(self.f_b_grid_hz):
-                for j, hb in enumerate(self.h_b_grid_m):
-                    fh.write(f"{float(fb)!r},{float(hb)!r},"
-                             f"{float(self.y_max_m[i, j])!r},"
-                             f"{float(self.f_dominant_hz[i, j])!r}\n")
+    y_max_m: np.ndarray
+    f_dominant_hz: np.ndarray
 
 
 def spring_to_beam(spring: SpringSpec) -> BeamSpec:
@@ -152,7 +141,7 @@ def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
 
 def transient_time_constant(beam: BeamSpec) -> float:
     """Slowest decay time constant 1 / (zeta * omega_1), seconds."""
-    return 1.0 / (beam.damping_ratio * modal_angular_frequency(beam, 0))
+    return 1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0))
 
 
 def steady_state_offset(beam: BeamSpec) -> float:
@@ -175,7 +164,7 @@ def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
 def _factor_norm(beam: BeamSpec, mode_index: int) -> float:
     """Modal normalization constant (scalar)."""
     d = CANTILEVER_MODE_CONSTANTS[mode_index]
-    zeta = beam.damping_ratio
+    zeta = DAMPING_RATIO
     sd, cd = math.sin(d), math.cos(d)
     shd, chd = math.sinh(d), math.cosh(d)
     combo = (3.0 * shd * cd ** 2 * chd
@@ -208,7 +197,7 @@ def steady_state_gain(beam: BeamSpec, x: float) -> float:
     For t >= steady_state_offset(beam) the response to a drive of height h_b
     at f_b is steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t).
     """
-    s1z = math.sqrt(1.0 - beam.damping_ratio ** 2)
+    s1z = math.sqrt(1.0 - DAMPING_RATIO ** 2)
     return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
@@ -237,7 +226,7 @@ def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
     return total
 
 
-def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: float,
+def modal_sweep(beam: BeamSpec, f_b_hz, h_b_m, sensor_position_m: float,
                 sample_rate_hz: float, duration_s: float) -> SweepSurface:
     """Evaluate max displacement and dominant frequency over a drive grid.
 
@@ -248,8 +237,8 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
     """
     from .pipeline import dominant_frequency, fft_magnitude
 
-    f_grid = np.asarray(list(f_b_grid_hz), dtype=float)
-    h_grid = np.asarray(list(h_b_grid_m), dtype=float)
+    f_grid = np.asarray(list(f_b_hz), dtype=float)
+    h_grid = np.asarray(list(h_b_m), dtype=float)
     for fb in f_grid:
         if sample_rate_hz <= 2.0 * fb:
             raise PhysicsError(
@@ -268,4 +257,4 @@ def modal_sweep(beam: BeamSpec, f_b_grid_hz, h_b_grid_m, sensor_position_m: floa
                                        "overflows")
                 y_max[i, j] = float(np.max(np.abs(samples)))
                 f_dom[i, j] = dominant_frequency(spectrum, sample_rate_hz / len(samples))
-    return SweepSurface(f_grid, h_grid, y_max, f_dom)
+    return SweepSurface(y_max, f_dom)

@@ -21,7 +21,7 @@ from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
 from .terrain import SpectralComponent, SpectralProfile, TerrainClass
 
-MAX_RUN_SAMPLES = 2 ** 27   # 1 GiB of float64; the default run holds 60 000
+MAX_RUN_SAMPLES = 2 ** 27   # 1 GiB of float64: a run's samples or a dataset's features
 
 
 def is_finite_number(value) -> bool:

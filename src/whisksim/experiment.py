@@ -19,11 +19,9 @@ import numpy as np
 
 from . import beam, mlp, pipeline, terrain
 from .beam import modal_sweep, spring_to_beam, steady_state_offset
-from .config import ExperimentConfig, check_time_grid, load_profiles
+from .config import MAX_RUN_SAMPLES, ExperimentConfig, check_time_grid, load_profiles
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
-
-MAX_DATASET_FLOATS = 2 ** 27   # 1 GiB of float64; the default dataset holds 420 000
 
 
 def child_seed(master_seed: int, *parts) -> int:
@@ -49,17 +47,17 @@ def _run_windows(cfg: ExperimentConfig) -> int:
 def _prepare(cfg: ExperimentConfig, out_dir, speeds, trains: bool) -> dict:
     """Resolve the profiles and refuse what can be refused before any
     synthesis, then create out_dir and return the profiles. A ConfigError:
-    a dataset's feature matrix over MAX_DATASET_FLOATS values and, for a
+    a dataset's feature matrix over MAX_RUN_SAMPLES values and, for a
     command that trains, a run of one window or a batch larger than the
     training set that split keeps before any flat window is dropped. A
     PhysicsError: a profile component above the Nyquist limit of
     cfg.sample_rate_hz at any of the speeds."""
     profiles = resolve_profiles(cfg)
     windows = _run_windows(cfg)
-    if len(profiles) * windows * pipeline.FEATURE_WIDTH > MAX_DATASET_FLOATS:
+    if len(profiles) * windows * pipeline.FEATURE_WIDTH > MAX_RUN_SAMPLES:
         raise ConfigError(
             f"{len(profiles)} terrains of {windows} windows exceed the "
-            f"{MAX_DATASET_FLOATS} feature values a dataset may hold")
+            f"{MAX_RUN_SAMPLES} feature values a dataset may hold")
     if trains:
         if windows < 2:
             raise ConfigError("a run of one window cannot be split into training "
@@ -81,15 +79,17 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, trains: bool) -> dict:
 def _write_json(path, payload: dict) -> None:
     """Write payload through a temp file in path's directory and os.replace
     it into place, so a killed run leaves the old file or none, never a
-    truncated one."""
+    truncated one. A path that cannot be written is a config error."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.lexists(tmp):
+        if os.path.lexists(tmp) and not os.path.isdir(tmp):   # a directory is not ours
             os.remove(tmp)
 
 
@@ -102,23 +102,32 @@ def _make_out_dir(out_dir) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
-    """Drive-grid sweep; writes the CSV and returns the summary report.
-    The sweep runs first, so a sweep grid that float times cannot resolve
-    and a drive at or above its Nyquist limit fail before out_dir is
-    created."""
+    """Drive-grid sweep; writes the CSV, row-major over the f_b grid, and
+    returns the summary report, which counts bins as wide as a cell's. The
+    sweep runs first, so a grid that float times cannot resolve and a drive
+    at or above its Nyquist limit fail before out_dir is created."""
+    sweep = cfg.sweep
     spring_beam = spring_to_beam(cfg.spring)
-    check_time_grid(steady_state_offset(spring_beam), cfg.sweep.duration_s,
-                    cfg.sweep.sample_rate_hz, "sweep")
-    surface = modal_sweep(spring_beam, cfg.sweep.f_b_hz,
-                          cfg.sweep.h_b_m, cfg.sensor_position_m,
-                          cfg.sweep.sample_rate_hz, cfg.sweep.duration_s)
+    check_time_grid(steady_state_offset(spring_beam), sweep.duration_s,
+                    sweep.sample_rate_hz, "sweep")
+    y_max, f_dom = modal_sweep(spring_beam, sweep.f_b_hz, sweep.h_b_m,
+                               cfg.sensor_position_m, sweep.sample_rate_hz,
+                               sweep.duration_s)
     _make_out_dir(out_dir)
-    bin_width = 1.0 / cfg.sweep.duration_s
+    bin_width = sweep.sample_rate_hz / round(sweep.duration_s * sweep.sample_rate_hz)
     within = np.count_nonzero(
-        np.abs(surface.f_dominant_hz - surface.f_b_grid_hz[:, None]) <= bin_width)
-    total = surface.f_dominant_hz.size
+        np.abs(f_dom - np.asarray(sweep.f_b_hz, dtype=float)[:, None]) <= bin_width)
+    total = f_dom.size
     csv_path = os.path.join(out_dir, "sweep.csv")
-    surface.write_csv(csv_path)
+    try:
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write("f_b_hz,h_b_m,y_max_m,f_dom_hz\n")
+            for i, fb in enumerate(sweep.f_b_hz):
+                for j, hb in enumerate(sweep.h_b_m):
+                    fh.write(f"{fb!r},{hb!r},"
+                             f"{float(y_max[i, j])!r},{float(f_dom[i, j])!r}\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {csv_path}: {exc}") from exc
     report = {
         "config": cfg.to_dict(),
         "csv": os.path.basename(csv_path),
@@ -332,7 +341,8 @@ def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
                              profiles: dict) -> dict:
-    """Dominant feature-bin frequency per terrain from a noise/jitter-free window."""
+    """Dominant frequency per terrain of a noise/jitter-free window, read as
+    a sweep cell's is; None for an all-zero window, which has no dominant bin."""
     spring_beam = spring_to_beam(cfg.spring)
     bins = {}
     for tc in sorted(profiles, key=int):
@@ -341,9 +351,9 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
         samples = beam.displacement_series(
             spring_beam, heights, frequencies, [0.0] * len(heights),
             cfg.sensor_position_m, cfg.sample_rate_hz, cfg.window_s)
-        ds = pipeline.build_dataset([(samples, tc)])
-        bins[tc.label] = pipeline.dominant_frequency(
-            ds.features()[0], cfg.sample_rate_hz / pipeline.FEATURE_WIDTH)
+        bins[tc.label] = (pipeline.dominant_frequency(
+            pipeline.fft_magnitude(samples), cfg.sample_rate_hz / len(samples))
+            if samples.any() else None)
     return bins
 
 

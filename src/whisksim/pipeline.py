@@ -116,7 +116,7 @@ def build_dataset(runs, windows: int | None = None) -> Dataset:
             window_idx.append(np.flatnonzero(keep))
         samples = stack = flat = None   # let the run go before the next is taken
     if not labels:
-        raise PhysicsError("all windows were degenerate")
+        raise PhysicsError(f"all {total} windows were degenerate")
     if row < windows:
         features = features[:row].copy()
     return Dataset(features, np.concatenate(labels), np.concatenate(window_idx),

@@ -14,8 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, BeamSpec, _mode_weights,
-                           modal_angular_frequency)
+from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
+                           _mode_weights, modal_angular_frequency)
 from whisksim.errors import PhysicsError
 from whisksim.pipeline import FEATURE_WIDTH, Dataset
 
@@ -156,7 +156,7 @@ def modal_terms(beam: BeamSpec, h_b: float, f_b: float, x: float,
     in the folded form, shape (5, len(t))."""
     if not 0.0 <= x <= beam.length_m:
         raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
-    zeta = beam.damping_ratio
+    zeta = DAMPING_RATIO
     s1z = math.sqrt(1.0 - zeta * zeta)
     w_b = 2.0 * math.pi * f_b
     drive_scale = h_b * w_b ** 2

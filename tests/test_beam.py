@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from whisksim.beam import (
+    DAMPING_RATIO,
     SpringSpec,
     _factor_norm,
     _factor_shape,
@@ -63,8 +64,8 @@ class TestSpringToBeam:
         assert beam.density_kg_m3 == pytest.approx(spring.wire_density_kg_m3,
                                                    rel=1e-6)
 
-    def test_defaults_and_damping(self, beam):
-        assert beam.damping_ratio == 0.04
+    def test_defaults_and_damping(self):
+        assert DAMPING_RATIO == 0.04
 
     @pytest.mark.parametrize("kwargs", [
         {"free_length_m": -0.06},
@@ -202,20 +203,24 @@ class TestDisplacementSeries:
         from whisksim.beam import modal_angular_frequency
         tau = transient_time_constant(beam)
         assert tau == pytest.approx(
-            1.0 / (beam.damping_ratio * modal_angular_frequency(beam, 0)))
+            1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0)))
         assert steady_state_offset(beam) == pytest.approx(40.0 * tau)
+
+
+SWEEP_F_B = [50.0, 100.0, 150.0]
+SWEEP_H_B = [1e-4, 2e-4, 3e-4]
 
 
 @pytest.fixture(scope="module")
 def surface(beam):
-    return modal_sweep(beam, [50.0, 100.0, 150.0], [1e-4, 2e-4, 3e-4],
-                       0.005, 1000.0, 1.0)
+    return modal_sweep(beam, SWEEP_F_B, SWEEP_H_B, 0.005, 1000.0, 1.0)
 
 
 class TestModalSweep:
     def test_dominant_tracks_drive_frequency(self, surface):
-        for i, fb in enumerate(surface.f_b_grid_hz):
-            for j in range(surface.h_b_grid_m.size):
+        assert surface.f_dominant_hz.shape == (len(SWEEP_F_B), len(SWEEP_H_B))
+        for i, fb in enumerate(SWEEP_F_B):
+            for j in range(len(SWEEP_H_B)):
                 assert abs(surface.f_dominant_hz[i, j] - fb) <= 1.0
 
     def test_dominant_independent_of_amplitude(self, surface):
@@ -223,7 +228,7 @@ class TestModalSweep:
             assert np.all(row == row[0])
 
     def test_max_displacement_proportional_to_amplitude(self, surface):
-        h = surface.h_b_grid_m
+        h = np.array(SWEEP_H_B)
         for row in surface.y_max_m:
             ratios = row / h
             assert ratios == pytest.approx([ratios[0]] * len(h), rel=1e-9)
@@ -231,16 +236,4 @@ class TestModalSweep:
     def test_rejects_unresolvable_grid_point(self, beam):
         with pytest.raises(PhysicsError):
             modal_sweep(beam, [600.0], [1e-4], 0.005, 1000.0, 1.0)
-
-    def test_csv_format(self, surface, tmp_path):
-        path = tmp_path / "sweep.csv"
-        surface.write_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "f_b_hz,h_b_m,y_max_m,f_dom_hz"
-        assert len(lines) == 1 + 9
-        # row-major over the f_b grid
-        first = lines[1].split(",")
-        assert float(first[0]) == 50.0 and float(first[1]) == 1e-4
-        second = lines[2].split(",")
-        assert float(second[0]) == 50.0 and float(second[1]) == 2e-4
 

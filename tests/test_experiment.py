@@ -129,17 +129,40 @@ class TestRunSweep:
 
     def test_counts_cells_within_one_bin_as_a_cell_loop_does(self, tmp_path,
                                                              monkeypatch):
-        f_b = np.array([50.0, 100.0])
+        cfg = _tiny_config(sweep={"f_b_hz": [50.0, 100.0], "h_b_mm": [0.1, 0.2, 0.3],
+                                  "sample_rate_hz": 1000.0, "duration_s": 1.0})
+        f_b = cfg.sweep.f_b_hz
         f_dom = np.array([[50.0, 51.0, 52.0], [98.5, 100.0, np.nan]])
-        surface = SweepSurface(f_b, np.array([1e-4, 2e-4, 3e-4]), np.ones((2, 3)),
-                               f_dom)
+        surface = SweepSurface(np.ones((2, 3)), f_dom)
         monkeypatch.setattr(experiment, "modal_sweep", lambda *args: surface)
-        report = run_sweep(_tiny_config(), tmp_path)   # 1 s sweep: 1 Hz bins
+        report = run_sweep(cfg, tmp_path)   # 1 s sweep: 1 Hz bins
         within = sum(abs(f_dom[i, j] - f_b[i]) <= 1.0
                      for i in range(2) for j in range(3))
         assert report["cells_f_dom_within_one_bin"] == within == 3
         assert report["cells_total"] == 6
         assert report["f_dom_matches_f_b"] is False
+
+    def test_csv_format(self, tmp_path):
+        cfg = _tiny_config(sweep={"f_b_hz": [50.0, 100.0, 150.0],
+                                  "h_b_mm": [0.1, 0.2, 0.3],
+                                  "sample_rate_hz": 1000.0, "duration_s": 1.0})
+        run_sweep(cfg, tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+        assert lines[0] == "f_b_hz,h_b_m,y_max_m,f_dom_hz"
+        assert len(lines) == 1 + 9
+        # row-major over the f_b grid
+        first = lines[1].split(",")
+        assert float(first[0]) == 50.0 and float(first[1]) == 1e-4
+        second = lines[2].split(",")
+        assert float(second[0]) == 50.0 and float(second[1]) == 2e-4
+
+    def test_bin_width_is_the_cells_own(self, tmp_path):
+        # 0.0146 s at 1000 Hz rounds to 15 samples: bins 1000 / 15 Hz apart,
+        # not 1 / 0.0146 s = 68.49 Hz
+        cfg = _tiny_config(sweep={"f_b_hz": [200.0], "h_b_mm": [0.1],
+                                  "sample_rate_hz": 1000.0, "duration_s": 0.0146})
+        report = run_sweep(cfg, tmp_path)
+        assert report["bin_width_hz"] == 1000 / 15
 
     def test_default_grid_is_35_cells(self, tmp_path):
         cfg = _tiny_config(sweep={})
@@ -532,7 +555,7 @@ class TestWorkerPool:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "synth"]) == 3
         err = capsys.readouterr().err
-        assert "all windows were degenerate" in err
+        assert "all 10 windows were degenerate" in err
         assert "brick" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1025,6 +1048,57 @@ class TestCli:
             cells = list(zip(*table))
         for tc, column in zip(TerrainClass, cells):
             assert column and all((c == "-") == (tc not in present) for c in column)
+
+    def _faint_speed_sweep(self, tmp_path, flat_h_m):
+        """speed-sweep at the default speeds over a flat terrain of height
+        flat_h_m under a 1e-8 m noise floor, beside the default brick."""
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "noise_floor_m": 1e-8,
+             "components": [{"lambda_m": 0.04, "h_m": flat_h_m}]},
+            {"terrain": "brick", "noise_floor_m": 3e-8,
+             "components": [{"lambda_m": 0.01, "h_m": 8e-5, "jitter_rad": 0.4},
+                            {"lambda_m": 0.005, "h_m": 5e-6, "jitter_rad": 0.4}]},
+        ]))
+        cfg = self._write_cfg(tmp_path, profiles=str(profiles), duration_s=5.0,
+                              repetitions=1, speeds_m_s=list(ExperimentConfig.speeds_m_s),
+                              train={"epochs": 1, "batch_size": 8})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "speed-sweep"]) == 0
+        return json.loads((out / "speed_sweep_report.json").read_text())
+
+    def test_a_faint_terrain_reads_the_default_tables_bins(self, tmp_path):
+        # the noise-free window of a 1 nm flat terrain varies by about
+        # 1.7e-13 m, under the 1e-12 flat-window threshold of build_dataset;
+        # its dominant bin is that of the default 20 um flat terrain
+        report = self._faint_speed_sweep(tmp_path, 1e-9)
+        cfg, default = ExperimentConfig(), terrain.default_profiles()
+        for entry in report["per_speed"]:
+            bins = _noiseless_dominant_bins(cfg, entry["speed_m_s"], default)
+            assert entry["dominant_bin_hz"]["flat"] == bins["flat"]
+
+    def test_an_all_zero_window_has_no_dominant_bin(self, tmp_path):
+        report = self._faint_speed_sweep(tmp_path, 0.0)
+        assert [e["dominant_bin_hz"]["flat"] for e in report["per_speed"]] \
+            == [None] * 5
+        assert all(e["dominant_bin_hz"]["brick"] > 0 for e in report["per_speed"])
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("sweep", "sweep.csv"),
+        ("sweep", "sweep_summary.json"),
+        ("sweep", "sweep_summary.json.tmp"),   # in the temp file's place
+        ("train-eval", "train_eval_report.json"),
+    ])
+    def test_unwritable_output_is_one_config_line(self, tmp_path, capsys,
+                                                  command, blocked):
+        cfg = self._write_cfg(tmp_path, duration_s=5.0, repetitions=1,
+                              train={"epochs": 1, "batch_size": 8})
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write")
+        assert err.count("\n") == 1
 
     def test_overflowing_noise_floor_is_physics_error(self, tmp_path, capsys):
         # 1e300 is finite, so the profile loads, but the squares of the noisy

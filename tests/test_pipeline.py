@@ -58,7 +58,7 @@ class TestWindow:
         assert np.array_equal(ds.features(), _reference_rows(series[:200]))
 
     def test_short_series_is_an_error(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(PhysicsError, match="all 0 windows"):
             build_dataset([(_series(199), TerrainClass.FLAT)])
 
     def test_windows_are_consecutive(self):
@@ -182,7 +182,7 @@ class TestBuildDataset:
         assert ds.window_idx()[0] == 0
 
     def test_empty_run_list_is_an_error(self):
-        with pytest.raises(PhysicsError):
+        with pytest.raises(PhysicsError, match="all 0 windows"):
             build_dataset([])
 
     def test_degenerate_windows_skipped_and_counted(self):
