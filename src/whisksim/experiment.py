@@ -44,21 +44,22 @@ def _run_windows(cfg: ExperimentConfig) -> int:
     return int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
 
 
-def _prepare(cfg: ExperimentConfig, out_dir, speeds, trains: bool) -> dict:
+def _prepare(cfg: ExperimentConfig, out_dir, speeds, report=None) -> dict:
     """Resolve the profiles and refuse what can be refused before any
     synthesis, then create out_dir and return the profiles. A ConfigError:
     a dataset's feature matrix over MAX_RUN_SAMPLES values and, for a
-    command that trains, a run of one window or a batch larger than the
-    training set that split keeps before any flat window is dropped. A
-    PhysicsError: a profile component above the Nyquist limit of
-    cfg.sample_rate_hz at any of the speeds."""
+    command that trains (it names its report; synth passes None), a run of
+    one window, a batch larger than the training set that split keeps
+    before any flat window is dropped, or a directory at the report's path
+    or its temp file's. A PhysicsError: a profile component above the
+    Nyquist limit of cfg.sample_rate_hz at any of the speeds."""
     profiles = resolve_profiles(cfg)
     windows = _run_windows(cfg)
     if len(profiles) * windows * pipeline.FEATURE_WIDTH > MAX_RUN_SAMPLES:
         raise ConfigError(
             f"{len(profiles)} terrains of {windows} windows exceed the "
             f"{MAX_RUN_SAMPLES} feature values a dataset may hold")
-    if trains:
+    if report:
         if windows < 2:
             raise ConfigError("a run of one window cannot be split into training "
                               "and test vectors; it needs at least 2")
@@ -66,6 +67,9 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, trains: bool) -> dict:
         if cfg.train.batch_size > train_size:
             raise ConfigError(f"train batch_size {cfg.train.batch_size} exceeds "
                               f"the training size {train_size}")
+        path = os.path.join(out_dir, report)
+        if os.path.isdir(path) or os.path.isdir(f"{path}.tmp"):
+            raise ConfigError(f"cannot write {path}: it or {report}.tmp is a directory")
     for speed in speeds:
         for tc in sorted(profiles, key=int):
             try:
@@ -179,7 +183,7 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     holds only this run's files: a failed run leaves no manifest, and no
     CSV of a terrain this run did not write.
     """
-    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], trains=False)
+    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s])
     manifest = os.path.join(out_dir, "synth_manifest.json")
     for path in [manifest] + [os.path.join(out_dir, _csv_name(tc))
                               for tc in TerrainClass]:
@@ -318,7 +322,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 
 def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
-    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], trains=True)
+    profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], "train_eval_report.json")
     dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
                         [("train-eval", r) for r in range(cfg.repetitions)])
@@ -375,7 +379,7 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Synth + train + evaluate at each configured speed (ascending order)."""
     if len(cfg.speeds_m_s) < 2:
         raise ConfigError("speed sweep needs at least 2 speeds")
-    profiles = _prepare(cfg, out_dir, cfg.speeds_m_s, trains=True)
+    profiles = _prepare(cfg, out_dir, cfg.speeds_m_s, "speed_sweep_report.json")
     per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
                              sorted(cfg.speeds_m_s))
     report = {

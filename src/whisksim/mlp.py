@@ -110,34 +110,29 @@ def _batch_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _backward(model: MlpModel, probs: np.ndarray, activations: list,
-              labels: np.ndarray, w_grads: list):
-    """Yield (i, w_grad, b_grad), the mean cross-entropy gradients, from the
-    last layer back, overwriting `probs`. w_grad is written into w_grads[i],
-    an array shaped like weights[i]; these may share memory, as layer i - 1's
-    gradient is formed only after layer i is yielded. Layer i - 1's delta is
-    formed before layer i is yielded, so the caller may update layer i in
-    place at once."""
+              labels: np.ndarray, w_grads: list, b_grads: list) -> None:
+    """Write each layer's mean cross-entropy gradients into w_grads[i] and
+    b_grads[i], arrays shaped like weights[i] and biases[i], overwriting
+    `probs`. The model is only read."""
     batch = probs.shape[0]
     delta = probs
     delta[np.arange(batch), labels - 1] -= 1.0
     delta /= batch
     for i in range(len(model.weights) - 1, -1, -1):
-        w_grad = np.matmul(activations[i].T, delta, out=w_grads[i])
-        b_grad = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=w_grads[i])
+        np.sum(delta, axis=0, out=b_grads[i])
         if i > 0:
             delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
-        yield i, w_grad, b_grad
 
 
 def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
-    """Mean parameter gradients of the cross entropy over a batch.
-
-    Returns (weight_grads, bias_grads) with shapes mirroring the model.
-    """
+    """Mean parameter gradients of the cross entropy over a batch, as
+    (weight_grads, bias_grads) shaped like the model's parameters."""
     probs, activations = _forward(model, x, keep=True)
     w_grads = [np.empty_like(w) for w in model.weights]
-    layers = list(_backward(model, probs, activations, labels, w_grads))[::-1]
-    return w_grads, [b for _, _, b in layers]
+    b_grads = [np.empty_like(b) for b in model.biases]
+    _backward(model, probs, activations, labels, w_grads, b_grads)
+    return w_grads, b_grads
 
 
 def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
@@ -156,11 +151,12 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
         raise PhysicsError(f"batch_size {cfg.batch_size} exceeds training size {n}")
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    # every layer's weight gradient is formed and scaled in place in one
-    # buffer: a fresh array the size of the largest layer at each step costs
-    # page faults whenever glibc maps it afresh
-    buffer = np.empty(max(w.size for w in model.weights))
-    w_grads = [buffer[:w.size].reshape(w.shape) for w in model.weights]
+    # gradients are formed and scaled in place in arrays allocated once per
+    # call: fresh layer-sized arrays at each step cost page faults whenever
+    # glibc maps them afresh
+    params = model.weights + model.biases
+    grads = [np.empty_like(p) for p in params]
+    w_grads, b_grads = grads[:len(model.weights)], grads[len(model.weights):]
     # overflow and NaN warnings are silenced: the finiteness checks below
     # refuse every non-finite value with a TrainingDivergedError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -173,19 +169,17 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
                     xb, yb = matrix[rows[idx]], labels[idx]
                     probs, activations = _forward(model, xb, keep=True)
                     sample_losses[idx] = _batch_losses(probs, yb)
-                    for i, w_grad, b_grad in _backward(model, probs, activations,
-                                                       yb, w_grads):
-                        w_grad *= cfg.learning_rate
-                        model.weights[i] -= w_grad
-                        b_grad *= cfg.learning_rate
-                        model.biases[i] -= b_grad
+                    _backward(model, probs, activations, yb, w_grads, b_grads)
+                    for param, grad in zip(params, grads):
+                        grad *= cfg.learning_rate
+                        param -= grad
                 epoch_loss = float(sample_losses.sum() / n)
                 if not math.isfinite(epoch_loss):
                     raise TrainingDivergedError("non-finite mean loss over the epoch")
                 history.append(epoch_loss)
             # no forward pass in the loop sees the last batch's update: its
             # parameters must be finite and carry that batch through
-            if not all(np.isfinite(p).all() for p in model.weights + model.biases):
+            if not all(np.isfinite(p).all() for p in params):
                 raise TrainingDivergedError("non-finite parameters after the last update")
             _forward(model, xb)
         except TrainingDivergedError as exc:

@@ -1088,9 +1088,16 @@ class TestCli:
         ("sweep", "sweep_summary.json"),
         ("sweep", "sweep_summary.json.tmp"),   # in the temp file's place
         ("train-eval", "train_eval_report.json"),
+        ("train-eval", "train_eval_report.json.tmp"),
+        ("speed-sweep", "speed_sweep_report.json"),
     ])
     def test_unwritable_output_is_one_config_line(self, tmp_path, capsys,
-                                                  command, blocked):
+                                                  monkeypatch, command, blocked):
+        # a command that trains refuses the report path before any synthesis
+        def no_synthesis(*args, **kwargs):
+            raise RuntimeError("synthesis started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_synthesis)
         cfg = self._write_cfg(tmp_path, duration_s=5.0, repetitions=1,
                               train={"epochs": 1, "batch_size": 8})
         (tmp_path / "out" / blocked).mkdir(parents=True)

@@ -178,18 +178,25 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert history == [history[0]] * 5
 
-    def test_full_batch_epoch_is_one_gradient_step(self):
+    @pytest.mark.parametrize("batch_size", [24, 8])   # one and three steps an epoch
+    def test_full_batch_epoch_is_one_gradient_step(self, batch_size):
+        # each step is p - lr * g with g from gradients, to the bit
         ds = self._toy(n=24)
         model = init(SMALL_ARCH, 24)
-        cfg = TrainConfig(0.05, 1, 24, seed=4)
-        perm = np.random.default_rng(cfg.seed).permutation(len(ds))
-        w_grads, b_grads = gradients(model, ds.features()[perm], ds.labels()[perm])
+        cfg = TrainConfig(0.05, 2, batch_size, seed=4)
         trained, _ = train(copy.deepcopy(model), ds, cfg)
-        for i in range(len(model.weights)):
-            assert np.array_equal(trained.weights[i],
-                                  model.weights[i] - cfg.learning_rate * w_grads[i])
-            assert np.array_equal(trained.biases[i],
-                                  model.biases[i] - cfg.learning_rate * b_grads[i])
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(ds))
+            for start in range(0, len(ds), batch_size):
+                idx = perm[start:start + batch_size]
+                w_grads, b_grads = gradients(model, ds.features()[idx], ds.labels()[idx])
+                model.weights = [w - cfg.learning_rate * g
+                                 for w, g in zip(model.weights, w_grads)]
+                model.biases = [b - cfg.learning_rate * g
+                                for b, g in zip(model.biases, b_grads)]
+        for p, q in zip(trained.weights + trained.biases, model.weights + model.biases):
+            assert np.array_equal(p, q)
 
     def test_a_split_subset_trains_as_its_gathered_rows(self):
         # batches gathered through the subset's row indices are the same
