@@ -25,17 +25,23 @@ folded form
 with s1z = sqrt(1 - zeta^2), which stays finite at every t because the
 decay factor is at most 1.
 
-After steady_state_offset (40 time constants of the slowest mode) the decay
-factor is below half a unit in the last place of s1z, and the response is
-exactly
+Once the decay factor is below half a unit in the last place of s1z (40
+time constants of the slowest mode, 3.46 s for the default spring) the
+response is exactly
 
     y(x, t) = steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t)
 
 The modal frequencies drop out of this form: the steady response is a pure
 sinusoid at the drive frequency whose amplitude grows as f_b^2, with no
 resonance near the first mode (46.0 Hz for the default spring) or any
-other. displacement_series samples only this form, summing one sinusoid
-per drive component, each with its own phase; only tests/oracles.py
+other. Before that, each mode's decaying product with sin(w_b t) holds two
+sidebands at f_b +- w_d / 2 pi (45.96 Hz for the first mode), the
+analytical pair of the paper's claim (b), which is gone from every steady
+window (tests/test_beam.py::TestTransientSidebands).
+
+displacement_series samples only the steady form, summing one sinusoid
+per drive component, each with its own phase, on a clock that starts at
+0: a later start would only move each phase. Only tests/oracles.py
 evaluates the modal sum, at any t.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
@@ -131,27 +137,6 @@ def spring_to_beam(spring: SpringSpec) -> BeamSpec:
     )
 
 
-def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
-    """Undamped angular frequency of mode `mode_index` (0-based), rad/s."""
-    d = CANTILEVER_MODE_CONSTANTS[mode_index]
-    stiffness_rate = math.sqrt(
-        beam.bending_stiffness_nm2 / (beam.cross_section_m2 * beam.density_kg_m3))
-    return d * d * stiffness_rate / beam.length_m ** 2
-
-
-def transient_time_constant(beam: BeamSpec) -> float:
-    """Slowest decay time constant 1 / (zeta * omega_1), seconds."""
-    return 1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0))
-
-
-def steady_state_offset(beam: BeamSpec) -> float:
-    """Start time after which the transient is below double precision.
-
-    40 time constants of the slowest mode: exp(-40) ~ 4e-18.
-    """
-    return 40.0 * transient_time_constant(beam)
-
-
 def _factor_shape(beam: BeamSpec, mode_index: int, x: float) -> float:
     """Clamped-free mode shape at position x (scalar)."""
     d = CANTILEVER_MODE_CONSTANTS[mode_index]
@@ -194,7 +179,7 @@ def _mode_weights(beam: BeamSpec, x: float) -> list[float]:
 def steady_state_gain(beam: BeamSpec, x: float) -> float:
     """Steady displacement amplitude at x per unit h_b * f_b^2, m / (m Hz^2).
 
-    For t >= steady_state_offset(beam) the response to a drive of height h_b
+    Once the transient has decayed, the response to a drive of height h_b
     at f_b is steady_state_gain(beam, x) * h_b * f_b^2 * sin(2 pi f_b t).
     """
     s1z = math.sqrt(1.0 - DAMPING_RATIO ** 2)
@@ -208,12 +193,12 @@ def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
 
     Returns the sum over components, in order, of
     steady_state_gain * h * f^2 * sin(2 pi f t + phase) on the grid
-    t = steady_state_offset(beam) + k / sample_rate_hz: with every phase 0
-    it equals the modal sum there. Callers check that the sample rate
-    resolves every drive (sample_rate_hz > 2 * f).
+    t = k / sample_rate_hz: it equals the settled modal sum at T + t where
+    each phase is 2 pi f T. Callers check that the sample rate resolves
+    every drive (sample_rate_hz > 2 * f).
     """
     n = int(round(duration_s * sample_rate_hz))
-    t = steady_state_offset(beam) + np.arange(n) / sample_rate_hz
+    t = np.arange(n) / sample_rate_hz
     gain = steady_state_gain(beam, sensor_position_m)
     total = np.zeros(n)
     term = np.empty(n)

@@ -6,8 +6,10 @@ before it finished its item (killed by the kernel, say), 130 interrupted
 (Ctrl-C). Configuration errors are refused before the output directory
 is created, among them a spring whose equivalent beam has no finite
 response, an oversized dataset and, for train-eval and speed-sweep, a run
-of one window or a batch larger than the training set; so is a sweep cell
-whose response overflows (exit 3).
+of one window or a batch larger than the training set; so are, with exit
+3, a sweep cell whose response overflows and a terrain whose response
+bound could overflow a window's standard deviation. An output file that
+cannot be written is a configuration error of one line.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .beam import SpringSpec, spring_to_beam, steady_state_gain, steady_state_offset
+from .beam import SpringSpec, spring_to_beam, steady_state_gain
 from .errors import ConfigError, PhysicsError
 from .mlp import TrainConfig
 from .pipeline import FEATURE_WIDTH
@@ -42,16 +42,6 @@ def _check_run_size(duration_s: float, sample_rate_hz: float) -> None:
         raise ConfigError("duration_s * sample_rate_hz must be at most "
                           f"{MAX_RUN_SAMPLES} samples; got {duration_s} s * "
                           f"{sample_rate_hz} Hz")
-
-
-def check_time_grid(offset: float, duration_s: float, sample_rate_hz: float,
-                    grid: str) -> None:
-    """Refuse a grid whose samples, at offset + k / rate, float times
-    cannot resolve: the float step at offset + duration must stay under
-    half a sample period."""
-    if math.ulp(offset + duration_s) >= 0.5 / sample_rate_hz:
-        raise ConfigError(f"the spring settles after {offset:.3g} s, where float times "
-                          f"cannot resolve the {grid}'s samples at {sample_rate_hz} Hz")
 
 
 @dataclass(frozen=True)
@@ -123,14 +113,13 @@ class ExperimentConfig:
                 f"sensor_position_m must lie in (0, {self.spring.free_length_m}], "
                 f"the spring's free length; got {self.sensor_position_m}")
         try:   # an extreme spring can underflow the beam or overflow its response
-            beam = spring_to_beam(self.spring)
-            gain, offset = (steady_state_gain(beam, self.sensor_position_m),
-                            steady_state_offset(beam))
+            gain = steady_state_gain(spring_to_beam(self.spring),
+                                     self.sensor_position_m)
         except OverflowError as exc:
             raise ConfigError("the spring's equivalent beam overflows") from exc
         except (PhysicsError, ArithmeticError) as exc:
             raise ConfigError(f"the spring has no usable equivalent beam: {exc}") from exc
-        if not (math.isfinite(gain) and math.isfinite(offset)):
+        if not math.isfinite(gain):
             raise ConfigError("the spring's equivalent beam has no finite response")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
@@ -149,7 +138,6 @@ class ExperimentConfig:
             raise ConfigError(f"duration_s {self.duration_s} is shorter than one "
                               f"window of {self.window_s} s")
         _check_run_size(self.duration_s, self.sample_rate_hz)
-        check_time_grid(offset, self.duration_s, self.sample_rate_hz, "run")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.repetitions < 1:

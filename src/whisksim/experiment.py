@@ -13,13 +13,14 @@ import json
 import math
 import os
 import signal
+import sys
 from functools import partial
 
 import numpy as np
 
 from . import beam, mlp, pipeline, terrain
-from .beam import modal_sweep, spring_to_beam, steady_state_offset
-from .config import MAX_RUN_SAMPLES, ExperimentConfig, check_time_grid, load_profiles
+from .beam import modal_sweep, spring_to_beam, steady_state_gain
+from .config import MAX_RUN_SAMPLES, ExperimentConfig, load_profiles
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
 
@@ -39,6 +40,11 @@ def resolve_profiles(cfg: ExperimentConfig) -> dict[TerrainClass, terrain.Spectr
     return load_profiles(cfg.profiles)
 
 
+# the largest response bound whose windows' standard deviations stay finite:
+# a sample lies within twice the bound of its window's mean
+MAX_RESPONSE_M = math.sqrt(sys.float_info.max / (4 * pipeline.FEATURE_WIDTH))
+
+
 def _run_windows(cfg: ExperimentConfig) -> int:
     """Whole windows in one run of cfg.duration_s."""
     return int(round(cfg.duration_s * cfg.sample_rate_hz)) // pipeline.FEATURE_WIDTH
@@ -51,8 +57,10 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, report=None) -> dict:
     command that trains (it names its report; synth passes None), a run of
     one window, a batch larger than the training set that split keeps
     before any flat window is dropped, or a directory at the report's path
-    or its temp file's. A PhysicsError: a profile component above the
-    Nyquist limit of cfg.sample_rate_hz at any of the speeds."""
+    or its temp file's. A PhysicsError, at any of the speeds: a profile
+    component above the Nyquist limit of cfg.sample_rate_hz, or a terrain
+    whose noise-free response bound |gain| * sum(h * f^2) exceeds
+    MAX_RESPONSE_M."""
     profiles = resolve_profiles(cfg)
     windows = _run_windows(cfg)
     if len(profiles) * windows * pipeline.FEATURE_WIDTH > MAX_RUN_SAMPLES:
@@ -70,10 +78,20 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, report=None) -> dict:
         path = os.path.join(out_dir, report)
         if os.path.isdir(path) or os.path.isdir(f"{path}.tmp"):
             raise ConfigError(f"cannot write {path}: it or {report}.tmp is a directory")
+    gain = steady_state_gain(spring_to_beam(cfg.spring), cfg.sensor_position_m)
     for speed in speeds:
         for tc in sorted(profiles, key=int):
             try:
-                terrain.temporal_components(profiles[tc], speed, cfg.sample_rate_hz)
+                heights, frequencies = terrain.temporal_components(
+                    profiles[tc], speed, cfg.sample_rate_hz)
+                # each term as displacement_series scales it; f * f overflows
+                # to inf where f ** 2 would raise
+                bound = sum(abs(gain * h * (f * f))
+                            for h, f in zip(heights, frequencies))
+                if not bound <= MAX_RESPONSE_M:
+                    raise PhysicsError(f"its response bound {bound:.3g} m exceeds "
+                                       f"{MAX_RESPONSE_M:.3g} m, past which a window's "
+                                       "standard deviation can overflow")
             except PhysicsError as exc:
                 raise PhysicsError(f"{tc.label} at {speed} m/s: {exc}") from exc
     _make_out_dir(out_dir)
@@ -108,15 +126,12 @@ def _make_out_dir(out_dir) -> None:
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV, row-major over the f_b grid, and
     returns the summary report, which counts bins as wide as a cell's. The
-    sweep runs first, so a grid that float times cannot resolve and a drive
-    at or above its Nyquist limit fail before out_dir is created."""
+    sweep runs first, so a drive at or above its Nyquist limit and a cell
+    whose response overflows fail before out_dir is created."""
     sweep = cfg.sweep
-    spring_beam = spring_to_beam(cfg.spring)
-    check_time_grid(steady_state_offset(spring_beam), sweep.duration_s,
-                    sweep.sample_rate_hz, "sweep")
-    y_max, f_dom = modal_sweep(spring_beam, sweep.f_b_hz, sweep.h_b_m,
-                               cfg.sensor_position_m, sweep.sample_rate_hz,
-                               sweep.duration_s)
+    y_max, f_dom = modal_sweep(spring_to_beam(cfg.spring), sweep.f_b_hz,
+                               sweep.h_b_m, cfg.sensor_position_m,
+                               sweep.sample_rate_hz, sweep.duration_s)
     _make_out_dir(out_dir)
     bin_width = sweep.sample_rate_hz / round(sweep.duration_s * sweep.sample_rate_hz)
     within = np.count_nonzero(

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import PhysicsError
+from .errors import ConfigError, PhysicsError
 
 FEATURE_WIDTH = 200
 CSV_BLOCK_ROWS = 16   # dataset rows per block written and hashed
@@ -79,21 +79,17 @@ def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
     return float(freqs[1:][mags[1:] == best].min())
 
 
-def build_dataset(runs, windows: int | None = None) -> Dataset:
+def build_dataset(runs, windows: int) -> Dataset:
     """Cut each run of samples into FEATURE_WIDTH-sample windows, then
     standardize, transform and label them, into one matrix of `windows` rows.
 
     `runs` may be a generator that synthesizes each run as it is taken: a
-    run is let go before the next is taken. Its caller must give `windows`,
-    the count of whole windows in all runs; for a list it is counted. Flat
-    windows (standard deviation at most 1e-12) are skipped, counted in
-    Dataset.dropped, and cut from the matrix in a copy. A window whose
-    standard deviation is not finite (NaN samples, or samples so large that
-    their squares overflow) is an error.
+    run is let go before the next is taken. `windows` is the count of whole
+    windows in all runs. Flat windows (standard deviation at most 1e-12) are
+    skipped, counted in Dataset.dropped, and cut from the matrix in a copy.
+    A window whose standard deviation is not finite (NaN samples, or samples
+    so large that their squares overflow) is an error.
     """
-    if windows is None:
-        runs = list(runs)
-        windows = sum(len(samples) // FEATURE_WIDTH for samples, _ in runs)
     features = np.empty((windows, FEATURE_WIDTH))
     labels, window_idx, total, row = [], [], 0, 0
     for samples, label in runs:
@@ -161,17 +157,20 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
     labels, window_idx = dataset.labels().tolist(), dataset.window_idx().tolist()
     header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def emit(text: str) -> None:
-            data = text.encode("utf-8")
-            fh.write(data)
-            digest.update(data)
+    try:
+        with open(path, "wb") as fh:
+            def emit(text: str) -> None:
+                data = text.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
 
-        emit(header)
-        for start in range(0, len(labels), CSV_BLOCK_ROWS):
-            # one row's floats at a time: a block's would outweigh its text
-            emit("".join(",".join(map(repr, matrix[rows[i]].tolist()))
-                         + f",{labels[i]},{window_idx[i]}\n"
-                         for i in range(start, min(start + CSV_BLOCK_ROWS, len(labels)))))
+            emit(header)
+            for start in range(0, len(labels), CSV_BLOCK_ROWS):
+                block = range(start, min(start + CSV_BLOCK_ROWS, len(labels)))
+                # one row's floats at a time: a block's would outweigh its text
+                emit("".join(",".join(map(repr, matrix[rows[i]].tolist()))
+                             + f",{labels[i]},{window_idx[i]}\n" for i in block))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return digest.hexdigest()
 

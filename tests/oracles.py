@@ -5,8 +5,9 @@ beam response, an O(N^2) loop for the DFT, finite differences for the
 gradients) so the production code is checked against a second, slower
 route rather than against itself. Two float references sit beside them:
 the five-mode modal sum at any t (modal_terms, displacement), which the
-steady-state form of whisksim.beam reduces to after its offset, and
-read_dataset_csv, which parses what write_dataset_csv writes.
+steady-state form of whisksim.beam reduces to once the transient has
+decayed (steady_state_offset), and read_dataset_csv, which parses what
+write_dataset_csv writes.
 """
 
 import math
@@ -15,7 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
-                           _mode_weights, modal_angular_frequency)
+                           _mode_weights)
 from whisksim.errors import PhysicsError
 from whisksim.pipeline import FEATURE_WIDTH, Dataset
 
@@ -148,6 +149,27 @@ def read_dataset_csv(path) -> Dataset:
     if not rows:
         raise PhysicsError(f"dataset file {path} contains no vectors")
     return Dataset(rows, labels, window_idx)
+
+
+def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
+    """Undamped angular frequency of mode `mode_index` (0-based), rad/s."""
+    d = CANTILEVER_MODE_CONSTANTS[mode_index]
+    stiffness_rate = math.sqrt(
+        beam.bending_stiffness_nm2 / (beam.cross_section_m2 * beam.density_kg_m3))
+    return d * d * stiffness_rate / beam.length_m ** 2
+
+
+def transient_time_constant(beam: BeamSpec) -> float:
+    """Slowest decay time constant 1 / (zeta * omega_1), seconds."""
+    return 1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0))
+
+
+def steady_state_offset(beam: BeamSpec) -> float:
+    """Time after which the transient is below double precision.
+
+    40 time constants of the slowest mode: exp(-40) ~ 4e-18.
+    """
+    return 40.0 * transient_time_constant(beam)
 
 
 def modal_terms(beam: BeamSpec, h_b: float, f_b: float, x: float,

@@ -14,12 +14,9 @@ from whisksim.beam import (
     _factor_norm,
     _factor_shape,
     displacement_series,
-    modal_angular_frequency,
     modal_sweep,
     spring_to_beam,
     steady_state_gain,
-    steady_state_offset,
-    transient_time_constant,
 )
 from whisksim.errors import PhysicsError
 
@@ -136,7 +133,7 @@ class TestDisplacement:
 
     def test_mode_five_smaller_than_mode_one(self, beam):
         # five modes suffice at drive frequencies up to 300 Hz
-        t_grid = steady_state_offset(beam) + np.linspace(0.0, 0.05, 40)
+        t_grid = oracles.steady_state_offset(beam) + np.linspace(0.0, 0.05, 40)
         for f_b in (50.0, 100.0, 200.0, 300.0):
             amp = np.abs(oracles.modal_terms(beam, 1e-4, f_b, 0.005,
                                              t_grid)).max(axis=1)
@@ -144,21 +141,30 @@ class TestDisplacement:
 
 
 class TestSteadyState:
-    """Past steady_state_offset the response is K(x) h f^2 sin(2 pi f t):
-    the modal frequencies drop out, so no drive frequency resonates, not
-    even the first mode's (46.0 Hz)."""
+    """Once the transient has decayed (oracles.steady_state_offset) the
+    response is K(x) h f^2 sin(2 pi f t): the modal frequencies drop out, so
+    no drive frequency resonates, not even the first mode's (46.0 Hz).
+    displacement_series samples this form from t = 0, so its sample k with
+    phase 2 pi f T is the modal sum at T + k / rate. T and the rate are
+    chosen so that every T + k / rate is a float exactly, which keeps time
+    rounding out of the comparison: the worst error is 5.0e-13 of the peak
+    here, and 8.5e-13 with T at the offset (3.46 s) on a 200 Hz grid."""
+
+    T = 4.0        # s, after the default spring's offset
+    RATE = 256.0   # Hz
 
     @pytest.fixture(scope="class")
     def f_b_grid(self, beam):
-        first_mode_hz = modal_angular_frequency(beam, 0) / (2.0 * math.pi)
+        first_mode_hz = oracles.modal_angular_frequency(beam, 0) / (2.0 * math.pi)
         return [float(f) for f in range(5, 100)] + [first_mode_hz]
 
     def test_series_equals_modal_sum(self, beam, f_b_grid):
-        t0 = steady_state_offset(beam)
+        assert oracles.steady_state_offset(beam) <= self.T
         for f_b in f_b_grid:
-            series = displacement_series(beam, [1e-4], [f_b], [0.0], 0.005,
-                                         200.0, 0.05)
-            times = t0 + np.arange(len(series)) / 200.0
+            phase = 2.0 * math.pi * math.fmod(f_b * self.T, 1.0)
+            series = displacement_series(beam, [1e-4], [f_b], [phase], 0.005,
+                                         self.RATE, 0.0625)
+            times = self.T + np.arange(len(series)) / self.RATE
             modal = np.array([oracles.displacement(beam, 1e-4, f_b, 0.005, t)
                               for t in times])
             worst = np.max(np.abs(series - modal))
@@ -166,10 +172,9 @@ class TestSteadyState:
 
     def test_peak_over_h_f_squared_is_constant(self, beam, f_b_grid):
         # the modal sum at a crest of sin(2 pi f t), one per drive frequency
-        t0 = steady_state_offset(beam)
         ratios = []
         for f_b in f_b_grid:
-            crest = (math.ceil(t0 * f_b) + 0.25) / f_b
+            crest = (math.ceil(self.T * f_b) + 0.25) / f_b
             y_max = abs(oracles.displacement(beam, 1e-4, f_b, 0.005, crest))
             ratios.append(y_max / (1e-4 * f_b ** 2))
         gain = abs(steady_state_gain(beam, 0.005))
@@ -200,11 +205,83 @@ class TestDisplacementSeries:
         assert np.max(np.abs(a - b)) < 1e-6 * y_max
 
     def test_time_constant_helper(self, beam):
-        from whisksim.beam import modal_angular_frequency
-        tau = transient_time_constant(beam)
-        assert tau == pytest.approx(
-            1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0)))
-        assert steady_state_offset(beam) == pytest.approx(40.0 * tau)
+        # the default spring's first mode: damped at 45.96 Hz, decaying with
+        # tau = 86.5 ms, so the transient is below double precision at 3.46 s
+        omega_1 = oracles.modal_angular_frequency(beam, 0)
+        damped_hz = omega_1 * math.sqrt(1.0 - DAMPING_RATIO ** 2) / (2.0 * math.pi)
+        assert damped_hz == pytest.approx(45.96, abs=0.005)
+        tau = oracles.transient_time_constant(beam)
+        assert tau == pytest.approx(1.0 / (DAMPING_RATIO * omega_1))
+        assert tau == pytest.approx(0.0865, abs=5e-5)
+        assert oracles.steady_state_offset(beam) == pytest.approx(40.0 * tau)
+
+
+class TestTransientSidebands:
+    """Claim (b) of the paper where the closed form has it: in the
+    transient, each mode's decaying factor times sin(w_b t) holds two
+    sidebands at f_b +- f_d, f_d its damped frequency, the first mode's
+    (45.96 Hz) far above the rest. They decay with exp(-zeta w_1 t), so the
+    steady windows that the classifier sees hold only the drive line.
+
+    Spectra of the modal sum under a 1000-sample Hann window at 4 kHz (bins
+    4 Hz wide), drive 1e-4 m, x = 5 mm. Each bound is set from the measured
+    value stated beside it."""
+
+    RATE, N = 4000.0, 1000
+    BIN_HZ = RATE / N
+
+    def _spectrum(self, series):
+        return np.abs(np.fft.rfft(series * np.hanning(self.N)))
+
+    def _modal(self, beam, f_b, start):
+        t = start + np.arange(self.N) / self.RATE
+        return self._spectrum(oracles.modal_terms(beam, 1e-4, f_b, 0.005, t).sum(axis=0))
+
+    def _sidebands(self, beam, f_b):
+        """f_b -+ the first mode's damped frequency, and their nearest bins."""
+        f_d = (oracles.modal_angular_frequency(beam, 0)
+               * math.sqrt(1.0 - DAMPING_RATIO ** 2) / (2.0 * math.pi))
+        freqs = [f_b - f_d, f_b + f_d]
+        return freqs, [round(f / self.BIN_HZ) for f in freqs]
+
+    @pytest.mark.parametrize("f_b", [100.0, 300.0])
+    def test_an_early_window_holds_two_equal_sidebands(self, beam, f_b):
+        mags = self._modal(beam, f_b, 0.0)
+        drive = round(f_b / self.BIN_HZ)
+        peaks = [k for k in range(1, mags.size - 1) if abs(k - drive) > 2
+                 and mags[k] >= max(mags[k - 1], mags[k + 1])]
+        top = sorted(sorted(peaks, key=lambda k: mags[k])[-2:])
+        freqs, _ = self._sidebands(beam, f_b)
+        for k, f in zip(top, freqs):
+            assert abs(k * self.BIN_HZ - f) <= self.BIN_HZ
+        low, high = mags[top] / mags[drive]
+        assert low == pytest.approx(0.1062, rel=1e-3)   # measured 0.10619-0.10620
+        assert high == pytest.approx(low, rel=1e-4)     # measured within 1.1e-5
+        # the median bin measured 8.4e-8 and 1.0e-7 of the drive
+        assert low >= 1e5 * np.median(mags) / mags[drive]
+
+    @pytest.mark.parametrize("f_b", [100.0, 300.0])
+    def test_sidebands_decay_with_the_first_mode(self, beam, f_b):
+        dt = 0.1
+        _, bins = self._sidebands(beam, f_b)
+        ratio = self._modal(beam, f_b, dt)[bins] / self._modal(beam, f_b, 0.0)[bins]
+        decay = math.exp(-DAMPING_RATIO * oracles.modal_angular_frequency(beam, 0) * dt)
+        assert ratio == pytest.approx([decay] * 2, rel=5e-4)   # measured within 6.3e-5
+
+    @pytest.mark.parametrize("f_b", [100.0, 300.0])
+    @pytest.mark.parametrize("start", [1.0, 3.5])
+    def test_a_steady_window_holds_only_the_drive_line(self, beam, f_b, start):
+        # the sideband bins hold the Hann leakage of the drive line: they
+        # read as in the steady closed form, up to the transient left at
+        # start (5.9e-7 of the drive at 1.0 s, 1.6e-13 at 3.5 s)
+        mags = self._modal(beam, f_b, start)
+        steady = self._spectrum(displacement_series(
+            beam, [1e-4], [f_b], [2.0 * math.pi * math.fmod(f_b * start, 1.0)],
+            0.005, self.RATE, self.N / self.RATE))
+        drive = mags[round(f_b / self.BIN_HZ)]
+        _, bins = self._sidebands(beam, f_b)
+        assert mags[bins].max() <= 1e-5 * drive   # measured 7.1e-6 to 8.3e-6
+        assert np.abs(mags[bins] - steady[bins]).max() <= 1e-6 * drive
 
 
 SWEEP_F_B = [50.0, 100.0, 150.0]

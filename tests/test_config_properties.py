@@ -188,8 +188,8 @@ def tiny_runs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tiny_runs(), commands)
-# springs whose beam arithmetic fails or whose settling time swamps the
-# sample grid (exit 2), and sweeps whose response overflows (exit 3)
+# springs whose beam arithmetic fails (exit 2), and sweeps and terrains
+# whose response overflows (exit 3)
 @example(({"spring": {"free_length_m": 1e100, "coil_count": 1}}, "default"), "sweep")
 @example(({"spring": {"wire_density_kg_m3": 1e300, "wire_shear_modulus_pa": 1e-300}},
           "default"), "sweep")
@@ -201,6 +201,7 @@ def tiny_runs(draw):
 @example(({"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300,
                      "f_b_hz": [1e300]}}, "default"), "sweep")
 @example(({"spring": {"wire_shear_modulus_pa": 1e-300}}, "default"), "sweep")
+@example(({"spring": {"wire_shear_modulus_pa": 1e-300}}, "default"), "synth")
 @example(({"spring": {"wire_shear_modulus_pa": 1e300}, "sweep": {
     "duration_s": 1e-150, "sample_rate_hz": 3e155, "f_b_hz": [1e155]}}, "default"),
     "sweep")

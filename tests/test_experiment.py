@@ -16,7 +16,7 @@ import pytest
 import oracles
 import whisksim
 from whisksim import experiment, pipeline, terrain
-from whisksim.beam import SweepSurface
+from whisksim.beam import SpringSpec, SweepSurface, spring_to_beam, steady_state_gain
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.errors import ConfigError, PhysicsError, TrainingDivergedError
@@ -876,21 +876,14 @@ class TestCli:
         ('{"duration_s": 671088}', "synth"),
         ('{"duration_s": 671088}', "train-eval"),
         ('{"duration_s": 671088}', "speed-sweep"),
-        # springs whose equivalent beam overflows, divides by zero, has a
-        # NaN gain or an underflowing cross-section
+        # springs whose equivalent beam overflows, has no finite gain or
+        # has an underflowing cross-section
         ('{"spring": {"free_length_m": 1e100, "coil_count": 1}}', "synth"),
         ('{"spring": {"wire_density_kg_m3": 1e300, '
          '"wire_shear_modulus_pa": 1e-300}}', "sweep"),
         ('{"spring": {"free_length_m": 1e10, "coil_count": 1, '
          '"wire_density_kg_m3": 1e300}}', "synth"),
         ('{"spring": {"wire_radius_m": 1e-200}, "duration_s": 2}', "synth"),
-        # springs that settle so late that float times cannot resolve the
-        # sample period of the run or the sweep
-        ('{"spring": {"wire_shear_modulus_pa": 1e-300}}', "synth"),
-        ('{"spring": {"wire_shear_modulus_pa": 1e-15}}', "train-eval"),
-        ('{"spring": {"wire_shear_modulus_pa": 1e-14}}', "sweep"),
-        ('{"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300, '
-         '"f_b_hz": [1e300]}}', "sweep"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
@@ -901,9 +894,7 @@ class TestCli:
             "one-window-run", "speed-sweep-one-window-run",
             "synth-dataset-over-cap", "dataset-over-cap",
             "speed-sweep-dataset-over-cap", "overflowing-spring",
-            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire",
-            "swamped-run-grid", "swamped-train-eval-grid", "swamped-sweep-grid",
-            "sweep-grid-finer-than-floats"])
+            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals
@@ -922,14 +913,16 @@ class TestCli:
 
     @pytest.mark.parametrize("config", [
         {"spring": {"wire_shear_modulus_pa": 1e-10}, "sweep": {"h_b_mm": [1e300]}},
-        # f_b^2 overflows; the stiff spring settles within 1e-144 s, so
-        # float times there resolve the 3e155 Hz samples
+        # f_b^2 overflows
         {"spring": {"wire_shear_modulus_pa": 1e300},
          "sweep": {"duration_s": 1e-150, "sample_rate_hz": 3e155, "f_b_hz": [1e155]}},
         # finite samples up to 1.67e306 whose spectrum overflows
         {"spring": {"wire_shear_modulus_pa": 1e-10},
          "sweep": {"f_b_hz": [50], "h_b_mm": [1e290]}},
-    ], ids=["soft-spring-huge-height", "huge-frequency", "overflowing-spectrum"])
+        # three samples 3.3e-301 s apart: f_b^2 overflows
+        {"sweep": {"duration_s": 1e-300, "sample_rate_hz": 3e300, "f_b_hz": [1e300]}},
+    ], ids=["soft-spring-huge-height", "huge-frequency", "overflowing-spectrum",
+            "tiny-grid"])
     def test_overflowing_sweep_is_one_physics_line_before_out(self, tmp_path,
                                                               config):
         # the response gain * h_b * f_b^2 or its spectrum overflows, with no
@@ -955,7 +948,7 @@ class TestCli:
 
     def test_softest_spring_the_sweep_grid_resolves_still_runs(self, tmp_path,
                                                                 capsys):
-        # the float step at its settling time is 0.49 of a sweep sample period
+        # a gain 7e11 times the default spring's; every cell still finds its drive
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"spring": {"wire_shear_modulus_pa": 1e-13}}')
         out = tmp_path / "out"
@@ -963,19 +956,68 @@ class TestCli:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert summary["cells_f_dom_within_one_bin"] == summary["cells_total"] == 35
 
-    def test_sweep_grid_binds_only_the_sweep(self, tmp_path, capsys):
-        # the float step at this spring's settling time, 2 ms, is under half
-        # of the run's 5 ms sample period but two of the sweep's 1 ms periods
+    @pytest.mark.parametrize("modulus", [1e-14, 1e-15])
+    def test_a_spring_settling_after_days_runs_sweep_and_synth(self, tmp_path,
+                                                               capsys, modulus):
+        # it settles after 9.2e12 s or 2.9e13 s; the samples start at t = 0
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"spring": {"wire_shear_modulus_pa": 1e-14}, "duration_s": 2}')
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "synth"),
-                     "synth"]) == 0
-        capsys.readouterr()
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "sweep"),
-                     "sweep"]) == 2
-        assert capsys.readouterr().err.endswith(
-            "cannot resolve the sweep's samples at 1000.0 Hz\n")
-        assert not (tmp_path / "sweep").exists()
+        cfg.write_text(json.dumps({"spring": {"wire_shear_modulus_pa": modulus},
+                                   "duration_s": 2}))
+        for command in ("synth", "sweep"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / command),
+                         command]) == 0
+        summary = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
+        assert summary["cells_f_dom_within_one_bin"] == summary["cells_total"] == 35
+        manifest = json.loads((tmp_path / "synth" / "synth_manifest.json").read_text())
+        assert manifest["total_windows"] == 14
+
+    @pytest.mark.parametrize("config, profile, command", [
+        ({"spring": {"wire_shear_modulus_pa": 1e-300}}, None, "synth"),
+        ({"spring": {"wire_shear_modulus_pa": 1e-150}}, None, "train-eval"),
+        ({"spring": {"wire_shear_modulus_pa": 1e-150}}, None, "speed-sweep"),
+        ({"duration_s": 5}, _flat_profile(h_m=1e300), "synth"),
+    ], ids=["softest-spring", "soft-train-eval", "soft-speed-sweep", "huge-height"])
+    def test_overflowing_terrain_exits_3_before_any_work(
+            self, tmp_path, capsys, monkeypatch, config, profile, command):
+        # the terrain's response bound |gain| * sum(h * f^2) is over
+        # MAX_RESPONSE_M: its windows' standard deviations could overflow
+        def no_work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(terrain, "synthesize_run", no_work)
+        monkeypatch.setattr(pipeline, "build_dataset", no_work)
+        if profile:
+            (tmp_path / "profiles.json").write_text(profile)
+            config = {**config, "profiles": str(tmp_path / "profiles.json")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     command]) == 3
+        assert re.fullmatch(r"error: \S+ at \S+ m/s: its response bound \S+ m "
+                            r"exceeds 4.74e\+152 m, past which a window's standard "
+                            r"deviation can overflow\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("factor, code", [(1.0 - 1e-9, 0), (1.0 + 1e-9, 3)],
+                             ids=["just-under", "just-over"])
+    def test_the_response_bound_holds_at_its_limit(self, tmp_path, capsys,
+                                                    factor, code):
+        # a flat terrain whose one component sits at the bound times factor
+        f = 0.2 / 0.04
+        gain = abs(steady_state_gain(spring_to_beam(SpringSpec()), 0.005))
+        (tmp_path / "profiles.json").write_text(
+            _flat_profile(h_m=factor * experiment.MAX_RESPONSE_M / (gain * f * f)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profiles": str(tmp_path / "profiles.json"),
+                                   "duration_s": 2}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "synth"]) == code
+        if code:
+            assert "its response bound" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            dataset = oracles.read_dataset_csv(out / "terrain_flat.csv")
+            assert len(dataset) == 2 and np.isfinite(dataset.features()).all()
 
     @pytest.mark.parametrize("command", ["synth", "train-eval"])
     def test_unusable_out_dir_is_config_error_before_synthesis(
@@ -1106,6 +1148,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write")
         assert err.count("\n") == 1
+
+    def test_a_terrain_csv_over_the_file_size_limit_is_one_config_line(self, tmp_path):
+        # Python ignores SIGXFSZ, so a write past RLIMIT_FSIZE fails with EFBIG
+        import resource
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        cfg = self._write_cfg(tmp_path, duration_s=5.0)
+        proc = subprocess.run(
+            [sys.executable, "-m", "whisksim.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "synth"],
+            env=_child_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_file_size)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"config error: cannot write \S+/terrain_flat\.csv: "
+                            r"\[Errno 27\] File too large\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "out" / "synth_manifest.json").exists()
 
     def test_overflowing_noise_floor_is_physics_error(self, tmp_path, capsys):
         # 1e300 is finite, so the profile loads, but the squares of the noisy

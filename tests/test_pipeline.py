@@ -33,7 +33,7 @@ def _series(n):
 
 
 def _features(samples, label=TerrainClass.FLAT):
-    return build_dataset([(samples, label)])
+    return build_dataset([(samples, label)], len(samples) // 200)
 
 
 def _reference_rows(samples, n=200):
@@ -47,19 +47,19 @@ def _reference_rows(samples, n=200):
 
 class TestWindow:
     def test_300_windows_from_five_minutes(self):
-        ds = build_dataset([(_series(60000), TerrainClass.FLAT)])
+        ds = build_dataset([(_series(60000), TerrainClass.FLAT)], 300)
         assert ds.features().shape == (300, 200)
         assert ds.dropped == 0
 
     def test_trailing_remainder_dropped(self):
         series = _series(250)
-        ds = build_dataset([(series, TerrainClass.FLAT)])
+        ds = build_dataset([(series, TerrainClass.FLAT)], 1)
         assert len(ds) == 1
         assert np.array_equal(ds.features(), _reference_rows(series[:200]))
 
     def test_short_series_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([(_series(199), TerrainClass.FLAT)])
+            build_dataset([(_series(199), TerrainClass.FLAT)], 0)
 
     def test_windows_are_consecutive(self):
         samples = np.random.default_rng(9).normal(0.0, 1.0, 600)
@@ -172,35 +172,35 @@ class TestBuildDataset:
 
     def test_vector_count(self):
         runs = [self._run(t, seconds=3, seed=int(t)) for t in TerrainClass]
-        ds = build_dataset(runs)
+        ds = build_dataset(runs, 21)
         assert len(ds) == 21
         assert ds.dropped == 0
 
     def test_single_window_run(self):
-        ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)])
+        ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)], 1)
         assert len(ds) == 1
         assert ds.window_idx()[0] == 0
 
     def test_empty_run_list_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([])
+            build_dataset([], 0)
 
     def test_degenerate_windows_skipped_and_counted(self):
         samples = np.concatenate([np.zeros(200),
                                   np.sin(2 * np.pi * 10 * np.arange(200) / 200.0)])
-        ds = build_dataset([(samples, TerrainClass.SAND)])
+        ds = build_dataset([(samples, TerrainClass.SAND)], 2)
         assert len(ds) == 1
         assert ds.dropped == 1
         assert ds.window_idx()[0] == 1
 
     def test_all_degenerate_is_an_error(self):
         with pytest.raises(PhysicsError):
-            build_dataset([(np.zeros(400), TerrainClass.SAND)])
+            build_dataset([(np.zeros(400), TerrainClass.SAND)], 2)
 
     def test_deterministic(self):
         runs = [self._run(TerrainClass.BRICK, seconds=2)]
-        a = build_dataset(runs)
-        b = build_dataset(runs)
+        a = build_dataset(runs, 2)
+        b = build_dataset(runs, 2)
         assert np.array_equal(a.features(), b.features())
 
     def test_rows_equal_per_window_reference_bit_for_bit(self):
@@ -211,7 +211,7 @@ class TestBuildDataset:
         first[400:600] = 1.25  # a constant window in the middle
         second = rng.normal(-1.0, 0.5, 10 * 200 + 150)
         ds = build_dataset([(first, TerrainClass.SAND),
-                            (second, TerrainClass.BRICK)])
+                            (second, TerrainClass.BRICK)], 30)
         without_constant = np.concatenate([first[:400], first[600:]])
         expected = np.concatenate([_reference_rows(without_constant),
                                    _reference_rows(second)])
@@ -223,13 +223,13 @@ class TestBuildDataset:
     def test_input_series_left_untouched(self):
         series = _series(600)
         before = series.copy()
-        build_dataset([(series, TerrainClass.FLAT)])
+        build_dataset([(series, TerrainClass.FLAT)], 3)
         assert np.array_equal(series, before)
 
     def test_constant_run_next_to_good_run(self):
         good = self._run(TerrainClass.BRICK, seconds=3)
         constant = (np.full(600, 0.5), TerrainClass.SAND)
-        ds = build_dataset([constant, good])
+        ds = build_dataset([constant, good], 6)
         assert len(ds) == 3
         assert ds.dropped == 3
         assert set(ds.labels().tolist()) == {int(TerrainClass.BRICK)}
@@ -244,7 +244,7 @@ class TestBuildDataset:
         # the DC bin of every feature vector is ~0 because the window was
         # centered before the transform
         runs = [self._run(TerrainClass.CARPET, seconds=2)]
-        ds = build_dataset(runs)
+        ds = build_dataset(runs, 2)
         assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
 
     def test_a_generator_of_runs_is_let_go_run_by_run(self):
@@ -261,7 +261,7 @@ class TestBuildDataset:
                 del run
 
         ds = build_dataset(lazily(), windows=14)
-        expected = build_dataset(runs)
+        expected = build_dataset(runs, 14)
         assert np.array_equal(ds.features(), expected.features())
         assert np.array_equal(ds.labels(), expected.labels())
         assert np.array_equal(ds.window_idx(), expected.window_idx())
@@ -404,7 +404,7 @@ class TestDatasetCsv:
         samples = synthesize_run(default_profiles()[TerrainClass.BRICK],
                                  cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, 5,
                                  spring_to_beam(cfg.spring), cfg.sensor_position_m)
-        ds = build_dataset([(samples, TerrainClass.BRICK)])
+        ds = build_dataset([(samples, TerrainClass.BRICK)], 300)
         assert len(ds) == 300
         path = tmp_path / "brick.csv"
         tracemalloc.start()

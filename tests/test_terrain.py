@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from whisksim.beam import (
-    SpringSpec,
-    displacement_series,
-    spring_to_beam,
-    steady_state_offset,
-)
+from whisksim.beam import SpringSpec, displacement_series, spring_to_beam
 from whisksim.config import ExperimentConfig, load_profiles
 from whisksim.errors import ConfigError, PhysicsError
 from whisksim.terrain import (
@@ -159,30 +154,39 @@ class TestSynthesizeRun:
     @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
     def test_jitter_is_a_drive_phase(self, beam, tc):
         # one phase per component, drawn in component order before the noise;
-        # a phase phi is the modal sum started phi / omega later, up to rounding
+        # a phase phi is the modal sum started phi / omega later, up to
+        # rounding. The run starts its clock at 0, so beside phi each
+        # component takes 2 pi f T, the phase the modal sum has reached at
+        # T; T + k / rate is a float exactly (see TestSteadyState)
+        T, rate = 4.0, 256.0
+        assert oracles.steady_state_offset(beam) <= T
         profile = SpectralProfile(default_profiles()[tc].components, 0.0)
         seed = 1000 + int(tc)
-        got = synthesize_run(profile, 0.2, 1.0, 200.0, seed, beam, 0.005)
+        got = synthesize_run(profile, 0.2, 1.0, rate, seed, beam, 0.005)
         rng = np.random.default_rng(seed)
         phases = [rng.uniform(-c.jitter_rad, c.jitter_rad)
                   for c in profile.components]
-        heights, frequencies = temporal_components(profile, 0.2, 200.0)
+        heights, frequencies = temporal_components(profile, 0.2, rate)
         steady = displacement_series(beam, heights, frequencies, phases, 0.005,
-                                     200.0, 1.0)
+                                     rate, 1.0)
         assert np.array_equal(got, steady)
-        times = steady_state_offset(beam) + np.arange(got.size) / 200.0
+        at_T = displacement_series(
+            beam, heights, frequencies,
+            [phase + 2.0 * math.pi * math.fmod(f * T, 1.0)
+             for f, phase in zip(frequencies, phases)], 0.005, rate, 1.0)
+        times = T + np.arange(got.size) / rate
         drives = list(zip(heights, frequencies, phases))
         modal = np.array([sum(oracles.displacement(
                                   beam, h, f, 0.005, t + phase / (2.0 * math.pi * f))
                               for h, f, phase in drives)
                           for t in times])
-        assert np.max(np.abs(got - modal)) <= 1e-12 * np.max(np.abs(modal))
+        assert np.max(np.abs(at_T - modal)) <= 1e-12 * np.max(np.abs(modal))
 
     def test_sample_count_five_minutes(self, beam):
         series = synthesize_run(default_profiles()[TerrainClass.FLAT], 0.2, 300.0,
                                 200.0, 0, beam, 0.005)
         assert len(series) == 60000
-        ds = build_dataset([(series, TerrainClass.FLAT)])
+        ds = build_dataset([(series, TerrainClass.FLAT)], 300)
         assert len(ds) == 300
 
     def test_superposition_consistency(self, beam):
