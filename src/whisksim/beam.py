@@ -39,10 +39,13 @@ sidebands at f_b +- w_d / 2 pi (45.96 Hz for the first mode), the
 analytical pair of the paper's claim (b), which is gone from every steady
 window (tests/test_beam.py::TestTransientSidebands).
 
-displacement_series samples only the steady form, summing one sinusoid
-per drive component, each with its own phase, on a clock that starts at
-0: a later start would only move each phase. Only tests/oracles.py
-evaluates the modal sum, at any t.
+So the spring enters the response through one number, the gain at the
+sensor: ExperimentConfig.sensor_gain is the one place that derives it,
+and displacement_series and modal_sweep take it in place of a beam and a
+sensor position. displacement_series samples only the steady form,
+summing one sinusoid per drive component, each with its own phase, on a
+clock that starts at 0: a later start would only move each phase. Only
+tests/oracles.py evaluates the modal sum, at any t.
 
 Units are SI throughout: meters, seconds, Hz, kg, Pa.
 """
@@ -186,20 +189,18 @@ def steady_state_gain(beam: BeamSpec, x: float) -> float:
     return (2.0 * math.pi) ** 2 * s1z * sum(_mode_weights(beam, x))
 
 
-def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
-                        sensor_position_m: float, sample_rate_hz: float,
-                        duration_s: float) -> np.ndarray:
+def displacement_series(gain: float, heights_m, frequencies_hz, phases_rad,
+                        sample_rate_hz: float, duration_s: float) -> np.ndarray:
     """Sample the steady sensor displacement under a sum of drives.
 
-    Returns the sum over components, in order, of
-    steady_state_gain * h * f^2 * sin(2 pi f t + phase) on the grid
-    t = k / sample_rate_hz: it equals the settled modal sum at T + t where
-    each phase is 2 pi f T. Callers check that the sample rate resolves
-    every drive (sample_rate_hz > 2 * f).
+    gain is steady_state_gain at the sensor. Returns the sum over
+    components, in order, of gain * h * f^2 * sin(2 pi f t + phase) on the
+    grid t = k / sample_rate_hz: it equals the settled modal sum at T + t
+    where each phase is 2 pi f T. Callers check that the sample rate
+    resolves every drive (sample_rate_hz > 2 * f).
     """
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
-    gain = steady_state_gain(beam, sensor_position_m)
     total = np.zeros(n)
     term = np.empty(n)
     for h_b, f_b, phase in zip(heights_m, frequencies_hz, phases_rad):
@@ -211,9 +212,10 @@ def displacement_series(beam: BeamSpec, heights_m, frequencies_hz, phases_rad,
     return total
 
 
-def modal_sweep(beam: BeamSpec, f_b_hz, h_b_m, sensor_position_m: float,
-                sample_rate_hz: float, duration_s: float) -> SweepSurface:
-    """Evaluate max displacement and dominant frequency over a drive grid.
+def modal_sweep(gain: float, f_b_hz, h_b_m, sample_rate_hz: float,
+                duration_s: float) -> SweepSurface:
+    """Evaluate max displacement and dominant frequency over a drive grid,
+    for the sensor whose steady_state_gain is gain.
 
     Each cell samples the late-time (steady) response and reads the dominant
     frequency from the magnitude spectrum. Cells are independent; any
@@ -233,9 +235,8 @@ def modal_sweep(beam: BeamSpec, f_b_hz, h_b_m, sensor_position_m: float,
     with np.errstate(over="ignore", invalid="ignore"):   # refused just below
         for i, fb in enumerate(f_grid):
             for j, hb in enumerate(h_grid):
-                samples = displacement_series(beam, [hb], [fb], [0.0],
-                                              sensor_position_m, sample_rate_hz,
-                                              duration_s)
+                samples = displacement_series(gain, [hb], [fb], [0.0],
+                                              sample_rate_hz, duration_s)
                 spectrum = fft_magnitude(samples)   # not finite if samples are not
                 if not np.isfinite(spectrum).all():
                     raise PhysicsError(f"the response to f_b {fb} Hz, h_b {hb} m "

@@ -113,8 +113,7 @@ class ExperimentConfig:
                 f"sensor_position_m must lie in (0, {self.spring.free_length_m}], "
                 f"the spring's free length; got {self.sensor_position_m}")
         try:   # an extreme spring can underflow the beam or overflow its response
-            gain = steady_state_gain(spring_to_beam(self.spring),
-                                     self.sensor_position_m)
+            gain = self.sensor_gain
         except OverflowError as exc:
             raise ConfigError("the spring's equivalent beam overflows") from exc
         except (PhysicsError, ArithmeticError) as exc:
@@ -145,6 +144,12 @@ class ExperimentConfig:
         if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
                 or self.master_seed < 0):
             raise ConfigError("master_seed must be a non-negative integer")
+
+    @property
+    def sensor_gain(self) -> float:
+        """steady_state_gain at the sensor, m / (m Hz^2): the one number
+        through which the spring enters every response."""
+        return steady_state_gain(spring_to_beam(self.spring), self.sensor_position_m)
 
     def to_dict(self) -> dict:
         return asdict(self)   # json.dump writes its tuples as lists

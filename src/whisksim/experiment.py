@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import beam, mlp, pipeline, terrain
-from .beam import modal_sweep, spring_to_beam, steady_state_gain
+from .beam import modal_sweep
 from .config import MAX_RUN_SAMPLES, ExperimentConfig, load_profiles
 from .errors import ConfigError, PhysicsError, WorkerDiedError
 from .terrain import TerrainClass
@@ -78,7 +78,7 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, report=None) -> dict:
         path = os.path.join(out_dir, report)
         if os.path.isdir(path) or os.path.isdir(f"{path}.tmp"):
             raise ConfigError(f"cannot write {path}: it or {report}.tmp is a directory")
-    gain = steady_state_gain(spring_to_beam(cfg.spring), cfg.sensor_position_m)
+    gain = cfg.sensor_gain
     for speed in speeds:
         for tc in sorted(profiles, key=int):
             try:
@@ -99,20 +99,8 @@ def _prepare(cfg: ExperimentConfig, out_dir, speeds, report=None) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    """Write payload through a temp file in path's directory and os.replace
-    it into place, so a killed run leaves the old file or none, never a
-    truncated one. A path that cannot be written is a config error."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if os.path.lexists(tmp) and not os.path.isdir(tmp):   # a directory is not ours
-            os.remove(tmp)
+    """Write payload, indented with sorted keys, through pipeline.write_output."""
+    pipeline.write_output(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _make_out_dir(out_dir) -> None:
@@ -129,8 +117,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     sweep runs first, so a drive at or above its Nyquist limit and a cell
     whose response overflows fail before out_dir is created."""
     sweep = cfg.sweep
-    y_max, f_dom = modal_sweep(spring_to_beam(cfg.spring), sweep.f_b_hz,
-                               sweep.h_b_m, cfg.sensor_position_m,
+    y_max, f_dom = modal_sweep(cfg.sensor_gain, sweep.f_b_hz, sweep.h_b_m,
                                sweep.sample_rate_hz, sweep.duration_s)
     _make_out_dir(out_dir)
     bin_width = sweep.sample_rate_hz / round(sweep.duration_s * sweep.sample_rate_hz)
@@ -138,15 +125,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
         np.abs(f_dom - np.asarray(sweep.f_b_hz, dtype=float)[:, None]) <= bin_width)
     total = f_dom.size
     csv_path = os.path.join(out_dir, "sweep.csv")
-    try:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("f_b_hz,h_b_m,y_max_m,f_dom_hz\n")
-            for i, fb in enumerate(sweep.f_b_hz):
-                for j, hb in enumerate(sweep.h_b_m):
-                    fh.write(f"{fb!r},{hb!r},"
-                             f"{float(y_max[i, j])!r},{float(f_dom[i, j])!r}\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {csv_path}: {exc}") from exc
+    lines = ["f_b_hz,h_b_m,y_max_m,f_dom_hz\n"]
+    for i, fb in enumerate(sweep.f_b_hz):
+        for j, hb in enumerate(sweep.h_b_m):
+            lines.append(f"{fb!r},{hb!r},"
+                         f"{float(y_max[i, j])!r},{float(f_dom[i, j])!r}\n")
+    pipeline.write_output(csv_path, lines)
     report = {
         "config": cfg.to_dict(),
         "csv": os.path.basename(csv_path),
@@ -165,11 +149,10 @@ def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
     terrain id), each synthesized only as build_dataset takes it, so a
     single run's samples are held at a time beside the feature matrix."""
     terrains = sorted(profiles, key=int)
-    spring_beam = spring_to_beam(cfg.spring)
+    gain = cfg.sensor_gain
     runs = ((terrain.synthesize_run(
                 profiles[tc], speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
-                child_seed(cfg.master_seed, *seed_scope, int(tc)),
-                spring_beam, cfg.sensor_position_m), tc)
+                child_seed(cfg.master_seed, *seed_scope, int(tc)), gain), tc)
             for tc in terrains)
     return pipeline.build_dataset(runs, len(terrains) * _run_windows(cfg))
 
@@ -195,8 +178,8 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
     """Write one dataset CSV per terrain, each in a worker, then the manifest.
 
     An earlier run's manifest and terrain CSVs go first, so the directory
-    holds only this run's files: a failed run leaves no manifest, and no
-    CSV of a terrain this run did not write.
+    holds only this run's files: a failed run leaves no manifest, no temp
+    file, and no CSV of a terrain this run did not write.
     """
     profiles = _prepare(cfg, out_dir, [cfg.speed_m_s])
     manifest = os.path.join(out_dir, "synth_manifest.json")
@@ -207,8 +190,14 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
                 os.remove(path)
         except OSError as exc:
             raise ConfigError(f"cannot remove old output {path}: {exc}") from exc
-    entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
-                           sorted(profiles, key=int))
+    try:
+        entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
+                               sorted(profiles, key=int))
+    except BaseException:
+        # the workers are joined; one terminated mid-write left its temp file
+        for tc in profiles:
+            pipeline.remove_tmp(os.path.join(out_dir, _csv_name(tc)))
+        raise
     report = {
         "config": cfg.to_dict(),
         "terrains": entries,
@@ -221,9 +210,9 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _serve(conn, fn, items) -> None:
     """Forked worker: send (True, result) or (False, exception) of fn(item)
-    for each of its items in order, then return. It ignores SIGINT: a Ctrl-C
-    reaches the whole process group, and the parent terminates its workers
-    as it unwinds."""
+    for each of its items in order, then return. It ignores SIGINT, which
+    the fork loop leaves blocked as well: a Ctrl-C reaches the whole process
+    group, and the parent terminates its workers as it unwinds."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for item in items:
         try:
@@ -279,14 +268,20 @@ def _ordered_map(fn, items: list) -> list:
     count = _worker_count(len(items), cpus)
     workers = []
     try:
-        for j in range(count):
-            conn, child_conn = context.Pipe(duplex=False)
-            proc = context.Process(target=_serve,
-                                   args=(child_conn, fn, items[j::count]),
-                                   daemon=True)
-            proc.start()
-            child_conn.close()
-            workers.append((proc, conn))
+        # a SIGINT between a fork and its append would leave a worker that
+        # nothing terminates: it waits until every worker is listed
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for j in range(count):
+                conn, child_conn = context.Pipe(duplex=False)
+                proc = context.Process(target=_serve,
+                                       args=(child_conn, fn, items[j::count]),
+                                       daemon=True)
+                proc.start()
+                child_conn.close()
+                workers.append((proc, conn))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = []
         for index in range(len(items)):
             proc, conn = workers[index % count]
@@ -362,14 +357,14 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
                              profiles: dict) -> dict:
     """Dominant frequency per terrain of a noise/jitter-free window, read as
     a sweep cell's is; None for an all-zero window, which has no dominant bin."""
-    spring_beam = spring_to_beam(cfg.spring)
+    gain = cfg.sensor_gain
     bins = {}
     for tc in sorted(profiles, key=int):
         heights, frequencies = terrain.temporal_components(
             profiles[tc], speed_m_s, cfg.sample_rate_hz)
         samples = beam.displacement_series(
-            spring_beam, heights, frequencies, [0.0] * len(heights),
-            cfg.sensor_position_m, cfg.sample_rate_hz, cfg.window_s)
+            gain, heights, frequencies, [0.0] * len(heights), cfg.sample_rate_hz,
+            pipeline.FEATURE_WIDTH / cfg.sample_rate_hz)
         bins[tc.label] = (pipeline.dominant_frequency(
             pipeline.fft_magnitude(samples), cfg.sample_rate_hz / len(samples))
             if samples.any() else None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import os
 
 import numpy as np
 
@@ -146,6 +147,34 @@ def split(dataset: Dataset, train_fraction: float, seed: int
             dataset.take(np.sort(np.concatenate(test_parts))))
 
 
+def write_output(path, chunks) -> str:
+    """Write the text chunks, in order, to a temp file beside path, then
+    os.replace it into place, so a failed or interrupted write leaves the
+    old file or none, never a truncated one. Returns the SHA-256 hex digest
+    of the bytes written. A path that cannot be written is a ConfigError."""
+    tmp = f"{path}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for text in chunks:
+                data = text.encode("utf-8")
+                fh.write(data)
+                digest.update(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        remove_tmp(path)
+    return digest.hexdigest()
+
+
+def remove_tmp(path) -> None:
+    """Remove path's temp file if one is left; a directory is not ours."""
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp) and not os.path.isdir(tmp):
+        os.remove(tmp)
+
+
 def write_dataset_csv(dataset: Dataset, path) -> str:
     """CSV with columns f000..f199, label, window_idx; lossless floats.
 
@@ -155,22 +184,13 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
     """
     matrix, rows = dataset.feature_rows()   # rows are formatted one at a time
     labels, window_idx = dataset.labels().tolist(), dataset.window_idx().tolist()
-    header = ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
-    digest = hashlib.sha256()
-    try:
-        with open(path, "wb") as fh:
-            def emit(text: str) -> None:
-                data = text.encode("utf-8")
-                fh.write(data)
-                digest.update(data)
 
-            emit(header)
-            for start in range(0, len(labels), CSV_BLOCK_ROWS):
-                block = range(start, min(start + CSV_BLOCK_ROWS, len(labels)))
-                # one row's floats at a time: a block's would outweigh its text
-                emit("".join(",".join(map(repr, matrix[rows[i]].tolist()))
-                             + f",{labels[i]},{window_idx[i]}\n" for i in block))
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return digest.hexdigest()
+    def blocks():
+        yield ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
+        for start in range(0, len(labels), CSV_BLOCK_ROWS):
+            block = range(start, min(start + CSV_BLOCK_ROWS, len(labels)))
+            # one row's floats at a time: a block's would outweigh its text
+            yield "".join(",".join(map(repr, matrix[rows[i]].tolist()))
+                          + f",{labels[i]},{window_idx[i]}\n" for i in block)
 
+    return write_output(path, blocks())

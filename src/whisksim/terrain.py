@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamSpec, displacement_series
+from .beam import displacement_series
 from .errors import PhysicsError
 
 
@@ -171,9 +171,9 @@ def temporal_components(profile: SpectralProfile, speed_m_s: float,
 
 
 def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float,
-                   sample_rate_hz: float, seed: int, beam: BeamSpec,
-                   sensor_position_m: float) -> np.ndarray:
-    """Simulated steady-state sensor samples for one constant-speed traversal.
+                   sample_rate_hz: float, seed: int, gain: float) -> np.ndarray:
+    """Simulated steady-state sensor samples for one constant-speed traversal
+    by the sensor whose steady_state_gain is gain.
 
     Superposes the steady beam response to every profile component at a
     drive phase drawn from +-jitter_rad (one draw per component, in
@@ -183,8 +183,8 @@ def synthesize_run(profile: SpectralProfile, speed_m_s: float, duration_s: float
     heights, frequencies = temporal_components(profile, speed_m_s, sample_rate_hz)
     phases = [rng.uniform(-c.jitter_rad, c.jitter_rad)
               for c in profile.components]
-    total = displacement_series(beam, heights, frequencies, phases,
-                                sensor_position_m, sample_rate_hz, duration_s)
+    total = displacement_series(gain, heights, frequencies, phases,
+                                sample_rate_hz, duration_s)
     if profile.noise_floor_m > 0.0:
         total += rng.normal(0.0, profile.noise_floor_m, total.size)
     return total

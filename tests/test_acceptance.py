@@ -16,6 +16,7 @@ from whisksim.beam import (
     displacement_series,
     modal_sweep,
     spring_to_beam,
+    steady_state_gain,
 )
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
 from whisksim.experiment import resolve_profiles, run_speed_sweep, run_train_eval
@@ -34,7 +35,13 @@ def beam():
     return spring_to_beam(SpringSpec())
 
 
-def test_criterion_1_dominant_frequency_fidelity(beam):
+@pytest.fixture(scope="module")
+def gain(beam):
+    """The default sensor's steady_state_gain, at 5 mm."""
+    return steady_state_gain(beam, 0.005)
+
+
+def test_criterion_1_dominant_frequency_fidelity(gain):
     """Four reference drive conditions: FFT peak within one bin of f_b, < 5 s."""
     start = time.perf_counter()
     rate, duration = 1000.0, 1.0
@@ -42,8 +49,7 @@ def test_criterion_1_dominant_frequency_fidelity(beam):
     failures = []
     for f_b in (100.0, 300.0):
         for h_b in (1e-4, 3e-4):
-            series = displacement_series(beam, [h_b], [f_b], [0.0], 0.005,
-                                         rate, duration)
+            series = displacement_series(gain, [h_b], [f_b], [0.0], rate, duration)
             f_dom = dominant_frequency(fft_magnitude(series), bin_width)
             if abs(f_dom - f_b) > bin_width:
                 failures.append((f_b, h_b, f_dom))
@@ -54,12 +60,12 @@ def test_criterion_1_dominant_frequency_fidelity(beam):
              f"{elapsed:.2f} s (failures: {failures})")
 
 
-def test_criterion_2_amplitude_invariance(beam):
+def test_criterion_2_amplitude_invariance(gain):
     """Across the default sweep grid f_dominant never varies with h_b, < 30 s."""
     start = time.perf_counter()
     sweep = SweepConfig()
-    surface = modal_sweep(beam, sweep.f_b_hz, sweep.h_b_m, 0.005,
-                          sweep.sample_rate_hz, sweep.duration_s)
+    surface = modal_sweep(gain, sweep.f_b_hz, sweep.h_b_m, sweep.sample_rate_hz,
+                          sweep.duration_s)
     constant_columns = sum(
         1 for row in surface.f_dominant_hz if np.all(row == row[0]))
     elapsed = time.perf_counter() - start

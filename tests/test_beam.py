@@ -30,6 +30,12 @@ def beam():
 
 
 @pytest.fixture(scope="module")
+def gain(beam):
+    """The default sensor's steady_state_gain, at 5 mm."""
+    return steady_state_gain(beam, 0.005)
+
+
+@pytest.fixture(scope="module")
 def drive():
     """Height (m) and frequency (Hz) of the reference drive."""
     return 1e-4, 100.0
@@ -158,40 +164,37 @@ class TestSteadyState:
         first_mode_hz = oracles.modal_angular_frequency(beam, 0) / (2.0 * math.pi)
         return [float(f) for f in range(5, 100)] + [first_mode_hz]
 
-    def test_series_equals_modal_sum(self, beam, f_b_grid):
+    def test_series_equals_modal_sum(self, beam, gain, f_b_grid):
         assert oracles.steady_state_offset(beam) <= self.T
         for f_b in f_b_grid:
             phase = 2.0 * math.pi * math.fmod(f_b * self.T, 1.0)
-            series = displacement_series(beam, [1e-4], [f_b], [phase], 0.005,
-                                         self.RATE, 0.0625)
+            series = displacement_series(gain, [1e-4], [f_b], [phase], self.RATE,
+                                         0.0625)
             times = self.T + np.arange(len(series)) / self.RATE
             modal = np.array([oracles.displacement(beam, 1e-4, f_b, 0.005, t)
                               for t in times])
             worst = np.max(np.abs(series - modal))
             assert worst <= 1e-12 * np.max(np.abs(modal)), f_b
 
-    def test_peak_over_h_f_squared_is_constant(self, beam, f_b_grid):
+    def test_peak_over_h_f_squared_is_constant(self, beam, gain, f_b_grid):
         # the modal sum at a crest of sin(2 pi f t), one per drive frequency
         ratios = []
         for f_b in f_b_grid:
             crest = (math.ceil(self.T * f_b) + 0.25) / f_b
             y_max = abs(oracles.displacement(beam, 1e-4, f_b, 0.005, crest))
             ratios.append(y_max / (1e-4 * f_b ** 2))
-        gain = abs(steady_state_gain(beam, 0.005))
-        assert ratios == pytest.approx([gain] * len(ratios), rel=1e-12)
+        assert ratios == pytest.approx([abs(gain)] * len(ratios), rel=1e-12)
 
 
 class TestDisplacementSeries:
-    def test_sample_count(self, beam, drive):
+    def test_sample_count(self, gain, drive):
         h_b, f_b = drive
-        series = displacement_series(beam, [h_b], [f_b], [0.0], 0.005, 1000.0, 1.0)
+        series = displacement_series(gain, [h_b], [f_b], [0.0], 1000.0, 1.0)
         assert len(series) == 1000
 
-    def test_doubling_amplitude_doubles_samples_exactly(self, beam):
-        s1 = displacement_series(beam, [1e-4], [100.0], [0.0], 0.005,
-                                 1000.0, 0.5)
-        s2 = displacement_series(beam, [2e-4], [100.0], [0.0], 0.005,
-                                 1000.0, 0.5)
+    def test_doubling_amplitude_doubles_samples_exactly(self, gain):
+        s1 = displacement_series(gain, [1e-4], [100.0], [0.0], 1000.0, 0.5)
+        s2 = displacement_series(gain, [2e-4], [100.0], [0.0], 1000.0, 0.5)
         assert np.array_equal(2.0 * s1, s2)
 
     def test_late_window_is_periodic(self, beam, drive):
@@ -270,14 +273,14 @@ class TestTransientSidebands:
 
     @pytest.mark.parametrize("f_b", [100.0, 300.0])
     @pytest.mark.parametrize("start", [1.0, 3.5])
-    def test_a_steady_window_holds_only_the_drive_line(self, beam, f_b, start):
+    def test_a_steady_window_holds_only_the_drive_line(self, beam, gain, f_b, start):
         # the sideband bins hold the Hann leakage of the drive line: they
         # read as in the steady closed form, up to the transient left at
         # start (5.9e-7 of the drive at 1.0 s, 1.6e-13 at 3.5 s)
         mags = self._modal(beam, f_b, start)
         steady = self._spectrum(displacement_series(
-            beam, [1e-4], [f_b], [2.0 * math.pi * math.fmod(f_b * start, 1.0)],
-            0.005, self.RATE, self.N / self.RATE))
+            gain, [1e-4], [f_b], [2.0 * math.pi * math.fmod(f_b * start, 1.0)],
+            self.RATE, self.N / self.RATE))
         drive = mags[round(f_b / self.BIN_HZ)]
         _, bins = self._sidebands(beam, f_b)
         assert mags[bins].max() <= 1e-5 * drive   # measured 7.1e-6 to 8.3e-6
@@ -289,8 +292,8 @@ SWEEP_H_B = [1e-4, 2e-4, 3e-4]
 
 
 @pytest.fixture(scope="module")
-def surface(beam):
-    return modal_sweep(beam, SWEEP_F_B, SWEEP_H_B, 0.005, 1000.0, 1.0)
+def surface(gain):
+    return modal_sweep(gain, SWEEP_F_B, SWEEP_H_B, 1000.0, 1.0)
 
 
 class TestModalSweep:
@@ -310,7 +313,7 @@ class TestModalSweep:
             ratios = row / h
             assert ratios == pytest.approx([ratios[0]] * len(h), rel=1e-9)
 
-    def test_rejects_unresolvable_grid_point(self, beam):
+    def test_rejects_unresolvable_grid_point(self, gain):
         with pytest.raises(PhysicsError):
-            modal_sweep(beam, [600.0], [1e-4], 0.005, 1000.0, 1.0)
+            modal_sweep(gain, [600.0], [1e-4], 1000.0, 1.0)
 

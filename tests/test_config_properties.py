@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from hypothesis import example, given, settings, strategies as st
 
-from whisksim.beam import SpringSpec
+from whisksim.beam import SpringSpec, spring_to_beam, steady_state_gain
 from whisksim.cli import main
 from whisksim.config import (ExperimentConfig, SweepConfig, TrainSection,
                              config_from_dict, is_finite_number, load_profiles)
@@ -75,6 +75,10 @@ def test_config_loads_well_typed_or_raises_config_error(data):
     except ConfigError:
         return
     _assert_well_typed(cfg)
+    # the one number through which the spring reaches every response
+    assert math.isfinite(cfg.sensor_gain)
+    assert cfg.sensor_gain.hex() == steady_state_gain(
+        spring_to_beam(cfg.spring), cfg.sensor_position_m).hex()
 
 
 def _mostly(strategy, other):

@@ -16,7 +16,7 @@ import pytest
 import oracles
 import whisksim
 from whisksim import experiment, pipeline, terrain
-from whisksim.beam import SpringSpec, SweepSurface, spring_to_beam, steady_state_gain
+from whisksim.beam import SweepSurface
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.errors import ConfigError, PhysicsError, TrainingDivergedError
@@ -519,6 +519,35 @@ class TestWorkerPool:
         assert (proc.returncode, out, err) == (130, "", "interrupted\n")
         assert not (tmp_path / "out" / "train_eval_report.json").exists()
 
+    def test_a_ctrl_c_during_the_forks_leaves_no_worker(self):
+        # SIGINT lands just after the first fork, before the parent lists
+        # that worker: were it not held until every worker is listed, the
+        # worker would sleep out its item with the caller's pipes open
+        script = textwrap.dedent("""
+            import os, signal, time
+            from multiprocessing import popen_fork
+            from whisksim.experiment import _ordered_map
+
+            launch = popen_fork.Popen._launch
+
+            def launch_then_interrupt(self, process_obj):
+                launch(self, process_obj)
+                popen_fork.Popen._launch = launch
+                os.kill(os.getpid(), signal.SIGINT)
+
+            popen_fork.Popen._launch = launch_then_interrupt
+            try:
+                _ordered_map(time.sleep, [10.0, 10.0])
+            except KeyboardInterrupt:
+                print("interrupted")
+            """)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (0, "interrupted\n"), proc.stderr
+        assert elapsed < 5.0
+
     def test_synth_equals_serial_loop(self, tmp_path):
         cfg = _tiny_config()
         report = run_synth(cfg, tmp_path / "pool")
@@ -1004,7 +1033,7 @@ class TestCli:
                                                     factor, code):
         # a flat terrain whose one component sits at the bound times factor
         f = 0.2 / 0.04
-        gain = abs(steady_state_gain(spring_to_beam(SpringSpec()), 0.005))
+        gain = abs(ExperimentConfig().sensor_gain)
         (tmp_path / "profiles.json").write_text(
             _flat_profile(h_m=factor * experiment.MAX_RESPONSE_M / (gain * f * f)))
         cfg = tmp_path / "cfg.json"
@@ -1165,7 +1194,9 @@ class TestCli:
         assert proc.returncode == 2
         assert re.fullmatch(r"config error: cannot write \S+/terrain_flat\.csv: "
                             r"\[Errno 27\] File too large\n", proc.stderr), proc.stderr
-        assert not (tmp_path / "out" / "synth_manifest.json").exists()
+        # every terrain's CSV is over the limit: the workers that the failure
+        # terminated mid-write leave no temp file, and none leaves a cut CSV
+        assert os.listdir(tmp_path / "out") == []
 
     def test_overflowing_noise_floor_is_physics_error(self, tmp_path, capsys):
         # 1e300 is finite, so the profile loads, but the squares of the noisy

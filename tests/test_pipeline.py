@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from whisksim.beam import spring_to_beam
+from whisksim.beam import displacement_series
 from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
 from whisksim.experiment import build_labeled_dataset, resolve_profiles
@@ -26,6 +26,12 @@ from whisksim.pipeline import (
     write_dataset_csv,
 )
 from whisksim.terrain import TerrainClass, default_profiles, synthesize_run
+
+
+@pytest.fixture(scope="module")
+def gain():
+    """The default sensor's steady_state_gain."""
+    return ExperimentConfig().sensor_gain
 
 
 def _series(n):
@@ -137,11 +143,8 @@ class TestDominantFrequency:
         x = np.sin(2.0 * np.pi * 100.0 * t)
         assert dominant_frequency(fft_magnitude(x), 1.0) == pytest.approx(100.0)
 
-    def test_beam_signal_at_300hz(self):
-        from whisksim.beam import SpringSpec, displacement_series, spring_to_beam
-        beam = spring_to_beam(SpringSpec())
-        series = displacement_series(beam, [3e-4], [300.0], [0.0], 0.005,
-                                     1000.0, 1.0)
+    def test_beam_signal_at_300hz(self, gain):
+        series = displacement_series(gain, [3e-4], [300.0], [0.0], 1000.0, 1.0)
         assert dominant_frequency(
             fft_magnitude(series), 1.0) == pytest.approx(300.0)
 
@@ -397,13 +400,13 @@ class TestDatasetCsv:
                         ",".join(repr(float(-v)) for v in values) + ",7,3", ""]
         assert rows[0].startswith("5e-324,1e+300,2.0,0.1,0.3333333333333333,")
 
-    def test_write_streams_the_default_terrain_through_its_sha256(self, tmp_path):
+    def test_write_streams_the_default_terrain_through_its_sha256(self, tmp_path, gain):
         # one default terrain, 300 rows and about 1.1 MB of text; holding
         # the whole text once took 3.0 times the file size
         cfg = ExperimentConfig()
         samples = synthesize_run(default_profiles()[TerrainClass.BRICK],
                                  cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, 5,
-                                 spring_to_beam(cfg.spring), cfg.sensor_position_m)
+                                 gain)
         ds = build_dataset([(samples, TerrainClass.BRICK)], 300)
         assert len(ds) == 300
         path = tmp_path / "brick.csv"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from whisksim.beam import SpringSpec, displacement_series, spring_to_beam
+from whisksim.beam import (SpringSpec, displacement_series, spring_to_beam,
+                           steady_state_gain)
 from whisksim.config import ExperimentConfig, load_profiles
 from whisksim.errors import ConfigError, PhysicsError
 from whisksim.terrain import (
@@ -26,6 +27,12 @@ from whisksim.pipeline import build_dataset, dominant_frequency
 @pytest.fixture(scope="module")
 def beam():
     return spring_to_beam(SpringSpec())
+
+
+@pytest.fixture(scope="module")
+def gain(beam):
+    """The default sensor's steady_state_gain, at 5 mm."""
+    return steady_state_gain(beam, 0.005)
 
 
 class TestTerrainClass:
@@ -127,32 +134,32 @@ class TestTemporalComponents:
 
 
 class TestSynthesizeRun:
-    def test_rejects_bad_run_parameters(self, beam):
+    def test_rejects_bad_run_parameters(self, gain):
         # a sample rate of 0 Hz resolves no drive: the Nyquist check refuses it
         flat = default_profiles()[TerrainClass.FLAT]
         with pytest.raises(PhysicsError):
-            synthesize_run(flat, 0.2, 10.0, 0.0, 0, beam, 0.005)
+            synthesize_run(flat, 0.2, 10.0, 0.0, 0, gain)
 
-    def test_seeded_determinism(self, beam):
+    def test_seeded_determinism(self, gain):
         sand = default_profiles()[TerrainClass.SAND]
-        a = synthesize_run(sand, 0.2, 5.0, 200.0, 123, beam, 0.005)
-        b = synthesize_run(sand, 0.2, 5.0, 200.0, 123, beam, 0.005)
+        a = synthesize_run(sand, 0.2, 5.0, 200.0, 123, gain)
+        b = synthesize_run(sand, 0.2, 5.0, 200.0, 123, gain)
         assert a.tobytes() == b.tobytes()
 
-    def test_different_seeds_differ(self, beam):
+    def test_different_seeds_differ(self, gain):
         sand = default_profiles()[TerrainClass.SAND]
-        a = synthesize_run(sand, 0.2, 5.0, 200.0, 1, beam, 0.005)
-        b = synthesize_run(sand, 0.2, 5.0, 200.0, 2, beam, 0.005)
+        a = synthesize_run(sand, 0.2, 5.0, 200.0, 1, gain)
+        b = synthesize_run(sand, 0.2, 5.0, 200.0, 2, gain)
         assert not np.array_equal(a, b)
 
-    def test_single_component_no_noise_equals_beam_series(self, beam):
+    def test_single_component_no_noise_equals_beam_series(self, gain):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
-        got = synthesize_run(profile, 0.2, 2.0, 200.0, 7, beam, 0.005)
-        want = displacement_series(beam, [3e-5], [20.0], [0.0], 0.005, 200.0, 2.0)
+        got = synthesize_run(profile, 0.2, 2.0, 200.0, 7, gain)
+        want = displacement_series(gain, [3e-5], [20.0], [0.0], 200.0, 2.0)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
-    def test_jitter_is_a_drive_phase(self, beam, tc):
+    def test_jitter_is_a_drive_phase(self, beam, gain, tc):
         # one phase per component, drawn in component order before the noise;
         # a phase phi is the modal sum started phi / omega later, up to
         # rounding. The run starts its clock at 0, so beside phi each
@@ -162,18 +169,17 @@ class TestSynthesizeRun:
         assert oracles.steady_state_offset(beam) <= T
         profile = SpectralProfile(default_profiles()[tc].components, 0.0)
         seed = 1000 + int(tc)
-        got = synthesize_run(profile, 0.2, 1.0, rate, seed, beam, 0.005)
+        got = synthesize_run(profile, 0.2, 1.0, rate, seed, gain)
         rng = np.random.default_rng(seed)
         phases = [rng.uniform(-c.jitter_rad, c.jitter_rad)
                   for c in profile.components]
         heights, frequencies = temporal_components(profile, 0.2, rate)
-        steady = displacement_series(beam, heights, frequencies, phases, 0.005,
-                                     rate, 1.0)
+        steady = displacement_series(gain, heights, frequencies, phases, rate, 1.0)
         assert np.array_equal(got, steady)
         at_T = displacement_series(
-            beam, heights, frequencies,
+            gain, heights, frequencies,
             [phase + 2.0 * math.pi * math.fmod(f * T, 1.0)
-             for f, phase in zip(frequencies, phases)], 0.005, rate, 1.0)
+             for f, phase in zip(frequencies, phases)], rate, 1.0)
         times = T + np.arange(got.size) / rate
         drives = list(zip(heights, frequencies, phases))
         modal = np.array([sum(oracles.displacement(
@@ -182,41 +188,39 @@ class TestSynthesizeRun:
                           for t in times])
         assert np.max(np.abs(at_T - modal)) <= 1e-12 * np.max(np.abs(modal))
 
-    def test_sample_count_five_minutes(self, beam):
+    def test_sample_count_five_minutes(self, gain):
         series = synthesize_run(default_profiles()[TerrainClass.FLAT], 0.2, 300.0,
-                                200.0, 0, beam, 0.005)
+                                200.0, 0, gain)
         assert len(series) == 60000
         ds = build_dataset([(series, TerrainClass.FLAT)], 300)
         assert len(ds) == 300
 
-    def test_superposition_consistency(self, beam):
+    def test_superposition_consistency(self, gain):
         comps = (SpectralComponent(0.01, 3e-5, 0.0),
                  SpectralComponent(0.02, 1e-5, 0.0),
                  SpectralComponent(0.004, 2e-6, 0.0))
-        full = synthesize_run(SpectralProfile(comps, 0.0), 0.2, 2.0, 200.0, 99,
-                              beam, 0.005)
-        parts = [synthesize_run(SpectralProfile((c,), 0.0), 0.2, 2.0, 200.0, 99,
-                                beam, 0.005)
+        full = synthesize_run(SpectralProfile(comps, 0.0), 0.2, 2.0, 200.0, 99, gain)
+        parts = [synthesize_run(SpectralProfile((c,), 0.0), 0.2, 2.0, 200.0, 99, gain)
                  for c in comps]
         assert np.array_equal(full, parts[0] + parts[1] + parts[2])
 
-    def test_speed_scales_dominant_frequency(self, beam):
+    def test_speed_scales_dominant_frequency(self, gain):
         profile = SpectralProfile((SpectralComponent(0.01, 3e-5, 0.0),), 0.0)
         for v, expected in ((0.1, 10.0), (0.2, 20.0), (0.3, 30.0)):
-            series = synthesize_run(profile, v, 1.0, 200.0, 0, beam, 0.005)
+            series = synthesize_run(profile, v, 1.0, 200.0, 0, gain)
             mags = np.abs(np.fft.fft(series))
             assert dominant_frequency(mags, 1.0) == pytest.approx(expected)
 
     @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
-    def test_transient_memory_of_a_five_minute_run(self, beam, tc):
+    def test_transient_memory_of_a_five_minute_run(self, gain, tc):
         # the time grid, one component's term and the running total are the
         # only run-length buffers held at once, whatever the component count;
         # a one-second run first imports numpy.random, which numpy loads lazily
         profile = default_profiles()[tc]
-        synthesize_run(profile, 0.2, 1.0, 200.0, 0, beam, 0.005)
+        synthesize_run(profile, 0.2, 1.0, 200.0, 0, gain)
         tracemalloc.start()
         try:
-            series = synthesize_run(profile, 0.2, 300.0, 200.0, 0, beam, 0.005)
+            series = synthesize_run(profile, 0.2, 300.0, 200.0, 0, gain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -230,13 +234,13 @@ class TestNoSidebands:
     component, at v / lambda and its mirror bin, and nothing else."""
 
     @pytest.mark.parametrize("tc", list(TerrainClass), ids=lambda tc: tc.label)
-    def test_default_terrain_energy_only_at_component_bins(self, beam, tc):
+    def test_default_terrain_energy_only_at_component_bins(self, tc):
         cfg = ExperimentConfig()
         profile = SpectralProfile(tuple(
             SpectralComponent(c.lambda_m, c.h_m)
             for c in default_profiles()[tc].components))
         series = synthesize_run(profile, cfg.speed_m_s, cfg.window_s,
-                                cfg.sample_rate_hz, 0, beam, cfg.sensor_position_m)
+                                cfg.sample_rate_hz, 0, cfg.sensor_gain)
         mags = np.abs(np.fft.fft(series))
         n = mags.size
         on_bin = np.zeros(n, dtype=bool)
