@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 from functools import partial
@@ -209,17 +210,19 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def _serve(conn, fn, items) -> None:
-    """Forked worker: send (True, result) or (False, exception) of fn(item)
-    for each of its items in order, then return. It ignores SIGINT, which
-    the fork loop leaves blocked as well: a Ctrl-C reaches the whole process
-    group, and the parent terminates its workers as it unwinds."""
+    """Forked worker: pickle (True, result) or (False, exception) of fn(item)
+    onto conn, a buffered binary file flushed after each reply, for each of
+    its items in order, then return. It ignores SIGINT, which the fork loop
+    leaves blocked as well: a Ctrl-C reaches the whole process group, and
+    the parent terminates its workers as it unwinds."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for item in items:
         try:
             reply = True, fn(item)
         except Exception as exc:
             reply = False, exc
-        conn.send(reply)
+        pickle.dump(reply, conn)
+        conn.flush()
 
 
 def _worker_count(n: int, cpus: int) -> int:
@@ -245,62 +248,66 @@ def _ordered_map(fn, items: list) -> list:
     the fork: of w workers, worker j runs items[j::w] (five speeds on two
     CPUs: three workers holding 2, 2 and 1 speeds). Fork hands every worker
     fn and its share, with whatever they hold (a dataset, a profile table),
-    without pickling them: only results cross back, each worker on a
-    one-way pipe of its own, and the workers share the parent's memory
-    pages. The parent reads item i from worker i % w, so results keep input
-    order and reports do not depend on the worker count. If items fail, the
-    exception of the first one in input order is raised once every item
-    before it has succeeded, as the plain loop would, and the workers are
-    terminated. A worker that dies before replying (killed by the kernel,
-    say) fails its item with a WorkerDiedError naming the item and the exit
-    code. No lock is shared with a worker, so terminating one cannot
-    leave the parent waiting (multiprocessing.Pool can hang there: it may
-    kill a worker that holds its result queue's lock). Where fork is not
-    available (Windows), the plain loop runs instead.
+    without pickling them: only results cross back, pickled onto a one-way
+    pipe of the worker's own (os.pipe: importing multiprocessing costs the
+    parent 0.4 MiB, its first Pipe and Process 0.4 more), and the workers
+    share the parent's memory pages. The parent reads item i from worker
+    i % w, so results keep input order and reports do not depend on the
+    worker count. If items fail, the exception of the first one in input
+    order is raised once every item before it has succeeded, as the plain
+    loop would, and the workers are terminated. A worker that dies before
+    its reply is whole (killed by the kernel, say) fails its item with a
+    WorkerDiedError naming the item and the exit code. No lock is shared
+    with a worker, so terminating one cannot leave the parent waiting
+    (multiprocessing.Pool can hang there: it may kill a worker that holds
+    its result queue's lock). Where fork is not available (Windows), the
+    plain loop runs instead.
     """
-    import multiprocessing   # here, so that importing whisksim stays cheap
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return [fn(item) for item in items]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    context = multiprocessing.get_context("fork")
     count = _worker_count(len(items), cpus)
-    workers = []
+    readers, pids = [], []   # pids of the workers not yet reaped
     try:
         # a SIGINT between a fork and its append would leave a worker that
         # nothing terminates: it waits until every worker is listed
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for j in range(count):
-                conn, child_conn = context.Pipe(duplex=False)
-                proc = context.Process(target=_serve,
-                                       args=(child_conn, fn, items[j::count]),
-                                       daemon=True)
-                proc.start()
-                child_conn.close()
-                workers.append((proc, conn))
+                fd, writer_fd = os.pipe()
+                readers.append(open(fd, "rb"))
+                with open(writer_fd, "wb") as writer:   # the parent's copy closes here
+                    if (pid := os.fork()) == 0:   # the worker leaves only by os._exit
+                        try:
+                            _serve(writer, fn, items[j::count])
+                            os._exit(0)
+                        except BaseException:
+                            sys.excepthook(*sys.exc_info())
+                        finally:
+                            os._exit(1)
+                pids.append(pid)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = []
         for index in range(len(items)):
-            proc, conn = workers[index % count]
             try:
-                ok, value = conn.recv()
-            except EOFError:   # the worker died before replying
-                proc.join()
+                ok, value = pickle.load(readers[index % count])
+            except (EOFError, pickle.UnpicklingError):   # it died before or mid-reply
+                _, status = os.waitpid(pids.pop(index % count), 0)
                 raise WorkerDiedError(
                     f"worker for item {index} exited with code "
-                    f"{proc.exitcode} before replying") from None
+                    f"{os.waitstatus_to_exitcode(status)} before replying") from None
             if not ok:
                 raise value
             results.append(value)
         return results
     finally:
-        for proc, conn in workers:
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def _report_accuracies(values) -> list:

@@ -1,9 +1,9 @@
 """Sample arrays to labeled frequency-domain feature vectors.
 
-One array pass per run: cut non-overlapping FEATURE_WIDTH-sample windows
-as rows, standardize each row to zero mean / unit standard deviation (flat
-rows are dropped), take the full two-sided FFT magnitude of the stack (same
-width as the window), attach the terrain label.
+Per run: cut non-overlapping FEATURE_WIDTH-sample windows as rows, take
+their standard deviations in one array pass (flat rows are dropped), then
+standardize CSV_BLOCK_ROWS kept rows at a time to zero mean / unit standard
+deviation and take their full two-sided FFT magnitudes; attach the label.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, PhysicsError
 
 FEATURE_WIDTH = 200
-CSV_BLOCK_ROWS = 16   # dataset rows per block written and hashed
+CSV_BLOCK_ROWS = 16   # dataset rows per block transformed, written and hashed
 
 
 class Dataset:
@@ -86,10 +86,12 @@ def build_dataset(runs, windows: int) -> Dataset:
 
     `runs` may be a generator that synthesizes each run as it is taken: a
     run is let go before the next is taken. `windows` is the count of whole
-    windows in all runs. Flat windows (standard deviation at most 1e-12) are
-    skipped, counted in Dataset.dropped, and cut from the matrix in a copy.
-    A window whose standard deviation is not finite (NaN samples, or samples
-    so large that their squares overflow) is an error.
+    windows in all runs. Kept windows are standardized and transformed
+    CSV_BLOCK_ROWS at a time straight into the matrix, so no copy or
+    spectrum of a whole run is held. Flat windows (standard deviation at
+    most 1e-12) are skipped, counted in Dataset.dropped, and cut from the
+    matrix in a copy. A window whose standard deviation is not finite (NaN
+    samples, or samples so large that their squares overflow) is an error.
     """
     features = np.empty((windows, FEATURE_WIDTH))
     labels, window_idx, total, row = [], [], 0, 0
@@ -102,17 +104,18 @@ def build_dataset(runs, windows: int) -> Dataset:
         if not np.isfinite(std).all():
             raise PhysicsError(f"a window of the label {int(label)} run has a "
                                "non-finite standard deviation")
-        keep = std > 1e-12
-        if keep.any():  # an all-flat run adds no rows and no labels
-            flat = stack[keep]  # a copy: standardizing in place leaves the run alone
+        kept = np.flatnonzero(std > 1e-12)
+        for start in range(0, len(kept), CSV_BLOCK_ROWS):
+            block = kept[start:start + CSV_BLOCK_ROWS]
+            flat = stack[block]  # a copy: standardizing in place leaves the run alone
             flat -= flat.mean(axis=1, keepdims=True)
-            flat /= std[keep, None]
-            features[row:row + len(flat)] = fft_magnitude(flat)
-            row += len(flat)
-            labels.append(np.full(len(flat), int(label)))
-            window_idx.append(np.flatnonzero(keep))
+            flat /= std[block, None]
+            features[row:row + len(block)] = fft_magnitude(flat)
+            row += len(block)
+        labels.append(np.full(len(kept), int(label)))
+        window_idx.append(kept)
         samples = stack = flat = None   # let the run go before the next is taken
-    if not labels:
+    if row == 0:
         raise PhysicsError(f"all {total} windows were degenerate")
     if row < windows:
         features = features[:row].copy()

@@ -7,7 +7,8 @@ route rather than against itself. Two float references sit beside them:
 the five-mode modal sum at any t (modal_terms, displacement), which the
 steady-state form of whisksim.beam reduces to once the transient has
 decayed (steady_state_offset), and read_dataset_csv, which parses what
-write_dataset_csv writes.
+write_dataset_csv writes. one_stack_dataset is build_dataset as it was
+before it transformed a run's windows block by block: one stack per run.
 """
 
 import math
@@ -149,6 +150,26 @@ def read_dataset_csv(path) -> Dataset:
     if not rows:
         raise PhysicsError(f"dataset file {path} contains no vectors")
     return Dataset(rows, labels, window_idx)
+
+
+def one_stack_dataset(runs) -> Dataset:
+    """The dataset build_dataset makes of (samples, label) runs, with each
+    run's kept windows standardized and transformed as one stack."""
+    features, labels, window_idx, dropped = [], [], [], 0
+    for samples, label in runs:
+        count = len(samples) // FEATURE_WIDTH
+        stack = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
+        std = stack.std(axis=1)
+        keep = std > 1e-12
+        flat = stack[keep]
+        flat -= flat.mean(axis=1, keepdims=True)
+        flat /= std[keep, None]
+        features.append(np.abs(np.fft.fft(flat)))
+        labels.append(np.full(len(flat), int(label)))
+        window_idx.append(np.flatnonzero(keep))
+        dropped += count - len(flat)
+    return Dataset(np.concatenate(features), np.concatenate(labels),
+                   np.concatenate(window_idx), dropped)
 
 
 def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:

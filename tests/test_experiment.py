@@ -1,7 +1,6 @@
 """Experiment drivers and the command line interface."""
 
 import json
-import multiprocessing.context
 import os
 import re
 import signal
@@ -19,7 +18,8 @@ from whisksim import experiment, pipeline, terrain
 from whisksim.beam import SweepSurface
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
-from whisksim.errors import ConfigError, PhysicsError, TrainingDivergedError
+from whisksim.errors import (ConfigError, PhysicsError, TrainingDivergedError,
+                             WorkerDiedError)
 from whisksim.experiment import (
     _noiseless_dominant_bins,
     _ordered_map,
@@ -299,6 +299,24 @@ def _slow_first_item(item):
     return item * item
 
 
+class _ExitsWhenPickled:
+    """Kills the worker with exit code 7 midway through pickling its reply."""
+
+    def __reduce__(self):
+        os._exit(7)
+
+
+def _killed_mid_reply(item):
+    """Item 0 holds up the parent's read, so item 1's worker blocks writing a
+    reply larger than its pipe and is killed by SIGALRM with it half sent."""
+    if item == 0:
+        time.sleep(1.0)
+        return 0
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    return bytes(1 << 20)
+
+
 def _serial_speed_point(cfg, profiles, speed):
     """A speed-sweep report entry computed in this process."""
     scope = ("speed-sweep", repr(speed))
@@ -362,16 +380,17 @@ class TestWorkerPool:
     def two_cpus(self, monkeypatch):
         """Two CPUs in the affinity mask; returns the PIDs of the workers."""
         started = []
-        start = multiprocessing.context.ForkProcess.start
+        fork = os.fork
 
-        def recording_start(proc):
-            start(proc)
-            started.append(proc.pid)
+        def recording_fork():
+            pid = fork()
+            if pid:   # in the parent
+                started.append(pid)
+            return pid
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                            recording_start)
+        monkeypatch.setattr(os, "fork", recording_fork)
         return started
 
     def test_train_eval_on_more_workers_than_cpus_equals_serial_loop(
@@ -459,6 +478,49 @@ class TestWorkerPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "worker for item 1 exited with code 3 before replying\n"
 
+    def test_a_reply_cut_short_is_a_dead_worker(self):
+        # the bytes fill more than a 64 KiB pipe, so the parent has read
+        # part of the reply when the worker dies between two of its values
+        with pytest.raises(WorkerDiedError, match="^worker for item 0 exited "
+                           "with code 7 before replying$"):
+            _ordered_map(lambda i: (bytes(1 << 17), _ExitsWhenPickled()), [0])
+
+    def test_a_reply_cut_mid_value_is_a_dead_worker(self, two_cpus):
+        # the worker dies inside a value, so the pipe ends in a truncated
+        # pickle: pickle.load raises an UnpicklingError, not an EOFError
+        with pytest.raises(WorkerDiedError, match="^worker for item 1 exited "
+                           f"with code {-signal.SIGALRM} before replying$"):
+            _ordered_map(_killed_mid_reply, [0, 1])
+        assert len(two_cpus) == 2
+
+    def test_a_command_that_forks_leaves_multiprocessing_unimported(self, tmp_path):
+        script = textwrap.dedent("""
+            import json, os, sys
+            from whisksim import cli
+
+            forks = []
+            fork = os.fork
+
+            def counting_fork():
+                pid = fork()
+                forks.append(pid)
+                return pid
+
+            os.fork = counting_fork
+            code = cli.main(sys.argv[1:])
+            print(json.dumps([code, len(forks), "multiprocessing" in sys.modules]))
+            """)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 2}))
+        proc = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
+                               "--out", str(tmp_path / "out"), "synth"],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, forks, imported = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, imported) == (0, False)
+        assert forks >= 1
+
     def test_a_dead_worker_exits_5_with_one_line(self, tmp_path):
         # brick's synth worker dies mid-item, as under an OOM kill
         script = textwrap.dedent("""
@@ -525,17 +587,18 @@ class TestWorkerPool:
         # worker would sleep out its item with the caller's pipes open
         script = textwrap.dedent("""
             import os, signal, time
-            from multiprocessing import popen_fork
             from whisksim.experiment import _ordered_map
 
-            launch = popen_fork.Popen._launch
+            fork = os.fork
 
-            def launch_then_interrupt(self, process_obj):
-                launch(self, process_obj)
-                popen_fork.Popen._launch = launch
-                os.kill(os.getpid(), signal.SIGINT)
+            def fork_then_interrupt():
+                pid = fork()
+                if pid:   # in the parent
+                    os.fork = fork
+                    os.kill(os.getpid(), signal.SIGINT)
+                return pid
 
-            popen_fork.Popen._launch = launch_then_interrupt
+            os.fork = fork_then_interrupt
             try:
                 _ordered_map(time.sleep, [10.0, 10.0])
             except KeyboardInterrupt:

@@ -1,7 +1,9 @@
 """Windowing, standardization, FFT features, splits, CSV round-trips.
 
-build_dataset windows, standardizes and transforms each run in one array
-pass; TestWindow and TestStandardize check those two steps through it."""
+build_dataset windows each run and takes its standard deviations in one
+array pass, then standardizes and transforms its kept windows
+CSV_BLOCK_ROWS at a time; TestWindow and TestStandardize check those two
+steps through it."""
 
 import hashlib
 import tracemalloc
@@ -276,9 +278,35 @@ class TestBuildDataset:
         assert ds.features().base is None
         assert ds.dropped == 1
 
-    def test_default_dataset_peaks_below_2_25_matrices(self):
-        # beside the matrix sits one run's synthesis and transform at a
-        # time: about 0.9 times the matrix (every run held at once: 1.7)
+    @pytest.mark.parametrize("kept", [1, 15, 16, 17, 33])
+    def test_blocks_equal_one_stack_per_run_bit_for_bit(self, kept):
+        # flat windows open and close the run and sit at the edges of the
+        # kept windows' blocks (after kept windows 15 and 31); a second run
+        # follows the first
+        rng = np.random.default_rng(kept)
+        flats = {0, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2, 2 * CSV_BLOCK_ROWS + 3}
+        keeps = []
+        while sum(keeps) < kept:
+            keeps.append(len(keeps) not in flats)
+        keeps.append(False)
+        windows = [rng.normal(5e3, 3.0, 200) if keep else np.full(200, 0.5)
+                   for keep in keeps]
+        first = np.concatenate(windows + [rng.normal(0.0, 1.0, 77)])
+        second = rng.normal(-1.0, 0.5, 17 * 200)
+        runs = [(first, TerrainClass.SAND), (second, TerrainClass.BRICK)]
+        raw = len(keeps)
+        ds = build_dataset(runs, raw + 17)
+        expected = oracles.one_stack_dataset(runs)
+        assert np.count_nonzero(ds.labels() == int(TerrainClass.SAND)) == kept
+        assert np.array_equal(ds.features(), expected.features())
+        assert np.array_equal(ds.labels(), expected.labels())
+        assert np.array_equal(ds.window_idx(), expected.window_idx())
+        assert ds.dropped == expected.dropped == raw - kept
+
+    def test_default_dataset_peaks_below_1_75_matrices(self):
+        # beside the matrix sits one run's synthesis and one block's
+        # transform at a time: about 0.44 times the matrix (the whole run
+        # transformed as one stack: 1.08; every run held at once: 1.7)
         cfg = ExperimentConfig()
         profiles = resolve_profiles(cfg)
         build_labeled_dataset(replace(cfg, duration_s=2.0), cfg.speed_m_s,
@@ -290,7 +318,7 @@ class TestBuildDataset:
         finally:
             tracemalloc.stop()
         assert len(ds) == 2100
-        assert peak < 2.25 * ds.features().nbytes
+        assert peak < 1.75 * ds.features().nbytes
 
 
 class TestSplit:
