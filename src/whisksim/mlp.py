@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError, TrainingDivergedError
-from .pipeline import Dataset
+from .pipeline import BLOCK_ROWS, Dataset
 
 NUM_CLASSES = 7
 _PROB_FLOOR = 1e-12
@@ -189,10 +189,15 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
 
 def evaluate(model: MlpModel, test_set: Dataset) -> np.ndarray:
     """Confusion counts of the argmax predictions (ties to the lower class
-    id): true-class rows, predicted-class columns."""
-    probs = forward(model, test_set.features())
-    predictions = probs.argmax(axis=1)  # argmax returns the first maximum
+    id): true-class rows, predicted-class columns. The test rows are
+    gathered and classified BLOCK_ROWS at a time, so beside the model only
+    one block's rows and layers are held."""
+    matrix, rows = test_set.feature_rows()
+    labels = test_set.labels()
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
-    np.add.at(counts, (test_set.labels() - 1, predictions), 1)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        probs = forward(model, matrix[rows[block]])
+        predictions = probs.argmax(axis=1)  # argmax returns the first maximum
+        np.add.at(counts, (labels[block] - 1, predictions), 1)
     return counts
-

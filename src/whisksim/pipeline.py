@@ -2,8 +2,9 @@
 
 Per run: cut non-overlapping FEATURE_WIDTH-sample windows as rows, take
 their standard deviations in one array pass (flat rows are dropped), then
-standardize CSV_BLOCK_ROWS kept rows at a time to zero mean / unit standard
+standardize BLOCK_ROWS kept rows at a time to zero mean / unit standard
 deviation and take their full two-sided FFT magnitudes; attach the label.
+The CSV writer and mlp.evaluate take a dataset's rows BLOCK_ROWS at a time too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, PhysicsError
 
 FEATURE_WIDTH = 200
-CSV_BLOCK_ROWS = 16   # dataset rows per block transformed, written and hashed
+BLOCK_ROWS = 16   # dataset rows per block transformed, written, hashed or evaluated
 
 
 class Dataset:
@@ -87,7 +88,7 @@ def build_dataset(runs, windows: int) -> Dataset:
     `runs` may be a generator that synthesizes each run as it is taken: a
     run is let go before the next is taken. `windows` is the count of whole
     windows in all runs. Kept windows are standardized and transformed
-    CSV_BLOCK_ROWS at a time straight into the matrix, so no copy or
+    BLOCK_ROWS (16) at a time straight into the matrix, so no copy or
     spectrum of a whole run is held. Flat windows (standard deviation at
     most 1e-12) are skipped, counted in Dataset.dropped, and cut from the
     matrix in a copy. A window whose standard deviation is not finite (NaN
@@ -105,8 +106,8 @@ def build_dataset(runs, windows: int) -> Dataset:
             raise PhysicsError(f"a window of the label {int(label)} run has a "
                                "non-finite standard deviation")
         kept = np.flatnonzero(std > 1e-12)
-        for start in range(0, len(kept), CSV_BLOCK_ROWS):
-            block = kept[start:start + CSV_BLOCK_ROWS]
+        for start in range(0, len(kept), BLOCK_ROWS):
+            block = kept[start:start + BLOCK_ROWS]
             flat = stack[block]  # a copy: standardizing in place leaves the run alone
             flat -= flat.mean(axis=1, keepdims=True)
             flat /= std[block, None]
@@ -136,7 +137,9 @@ def split(dataset: Dataset, train_fraction: float, seed: int
     rng = np.random.default_rng(seed)
     labels = dataset.labels()
     train_parts, test_parts = [], []
-    for label in np.unique(labels):
+    # the ascending labels present, as np.unique gives them, without the
+    # numpy.ma import that np.unique's first call makes
+    for label in np.flatnonzero(np.bincount(labels)):
         idx = np.flatnonzero(labels == label)
         if idx.size < 2:
             raise PhysicsError(
@@ -181,7 +184,7 @@ def remove_tmp(path) -> None:
 def write_dataset_csv(dataset: Dataset, path) -> str:
     """CSV with columns f000..f199, label, window_idx; lossless floats.
 
-    Rows are formatted, written and hashed CSV_BLOCK_ROWS at a time, so the
+    Rows are formatted, written and hashed BLOCK_ROWS at a time, so the
     file is never held in memory whole. Returns the SHA-256 hex digest of
     the bytes written.
     """
@@ -190,8 +193,8 @@ def write_dataset_csv(dataset: Dataset, path) -> str:
 
     def blocks():
         yield ",".join(f"f{i:03d}" for i in range(FEATURE_WIDTH)) + ",label,window_idx\n"
-        for start in range(0, len(labels), CSV_BLOCK_ROWS):
-            block = range(start, min(start + CSV_BLOCK_ROWS, len(labels)))
+        for start in range(0, len(labels), BLOCK_ROWS):
+            block = range(start, min(start + BLOCK_ROWS, len(labels)))
             # one row's floats at a time: a block's would outweigh its text
             yield "".join(",".join(map(repr, matrix[rows[i]].tolist()))
                           + f",{labels[i]},{window_idx[i]}\n" for i in block)

@@ -8,7 +8,9 @@ the five-mode modal sum at any t (modal_terms, displacement), which the
 steady-state form of whisksim.beam reduces to once the transient has
 decayed (steady_state_offset), and read_dataset_csv, which parses what
 write_dataset_csv writes. one_stack_dataset is build_dataset as it was
-before it transformed a run's windows block by block: one stack per run.
+before it transformed a run's windows block by block: one stack per run;
+one_shot_evaluate is mlp.evaluate as it was before it classified the test
+rows block by block: one forward pass over them all.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
                            _mode_weights)
 from whisksim.errors import PhysicsError
+from whisksim.mlp import NUM_CLASSES, MlpModel, forward
 from whisksim.pipeline import FEATURE_WIDTH, Dataset
 
 mp.mp.dps = 50
@@ -170,6 +173,15 @@ def one_stack_dataset(runs) -> Dataset:
         dropped += count - len(flat)
     return Dataset(np.concatenate(features), np.concatenate(labels),
                    np.concatenate(window_idx), dropped)
+
+
+def one_shot_evaluate(model: MlpModel, test_set: Dataset) -> np.ndarray:
+    """The confusion counts mlp.evaluate gives, from one forward pass over
+    every gathered test row."""
+    predictions = forward(model, test_set.features()).argmax(axis=1)
+    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=int)
+    np.add.at(counts, (test_set.labels() - 1, predictions), 1)
+    return counts
 
 
 def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:

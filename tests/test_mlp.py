@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 import whisksim
 from whisksim.errors import PhysicsError, TrainingDivergedError
 from whisksim.mlp import (
@@ -24,7 +26,7 @@ from whisksim.mlp import (
     init,
     train,
 )
-from whisksim.pipeline import Dataset, split
+from whisksim.pipeline import BLOCK_ROWS, Dataset, split
 
 SMALL_ARCH = MlpArchitecture((200, 16, 8, 7))
 
@@ -264,6 +266,16 @@ class TestTrain:
         assert history[-1] < 0.05
 
 
+def _run_script(script, timeout):
+    """The standard output of script, run in a fresh interpreter that
+    imports this whisksim."""
+    src = os.path.dirname(os.path.dirname(whisksim.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=timeout).stdout
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults with getrusage")
 def test_sgd_steps_cause_no_page_faults():
@@ -286,12 +298,7 @@ def test_sgd_steps_cause_no_page_faults():
         steps = train_cfg.epochs * math.ceil(len(train_set) / train_cfg.batch_size)
         print(len(train_set), faults / steps)
         """)
-    src = os.path.dirname(os.path.dirname(whisksim.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    vectors, faults_per_step = out.split()
+    vectors, faults_per_step = _run_script(script, timeout=120).split()
     assert int(vectors) == 525
     assert float(faults_per_step) < 20
 
@@ -351,3 +358,69 @@ class TestEvaluate:
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         assert np.array_equal(forward(model, x),
                               shifted / shifted.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 49, 525])
+    def test_blocks_give_the_one_shot_counts(self, rows, trained):
+        # the test rows are a scattered subset of a larger matrix, with
+        # inputs that depend on the label, so a trained model tells classes
+        # apart and each block's labels must meet its own predictions
+        rng = np.random.default_rng(rows)
+        labels = rng.integers(1, 8, size=600)
+        x = rng.normal(0.0, 1.0, (600, 200)) + labels[:, None] * np.linspace(-1, 1, 200)
+        ds = _dataset_from(x, labels)
+        test_set = ds.take(np.sort(rng.choice(600, rows, replace=False)))
+        model = init(MlpArchitecture(), 47)
+        if trained:
+            train(model, ds, TrainConfig(0.001, 3, 32, seed=5))
+        counts = evaluate(model, test_set)
+        assert counts.sum() == rows
+        assert np.array_equal(counts, oracles.one_shot_evaluate(model, test_set))
+
+    def test_a_non_finite_row_in_the_last_block_is_refused_as_in_one_shot(self):
+        rng = np.random.default_rng(15)
+        x, labels = rng.normal(0.0, 1.0, (49, 200)), rng.integers(1, 8, size=49)
+        x[48, 3] = np.inf   # the one row of the fourth block of 16
+        model, ds = init(SMALL_ARCH, 48), _dataset_from(x, labels)
+        with pytest.raises(TrainingDivergedError) as blocked:
+            evaluate(model, ds)
+        with pytest.raises(TrainingDivergedError) as one_shot:
+            oracles.one_shot_evaluate(model, ds)
+        assert str(blocked.value) == str(one_shot.value)
+        assert str(blocked.value) == "non-finite activations after layer 0"
+
+    def test_default_test_set_peaks_below_a_twentieth_of_the_matrix(
+            self, default_config, default_dataset):
+        # one block of 16 rows and its layers at a time: about 0.03 times
+        # the matrix (the whole test set gathered and passed at once: 0.73)
+        _, test_set = split(default_dataset, default_config.train_fraction, 0)
+        model = init(MlpArchitecture(), 0)
+        evaluate(model, test_set)   # imports and caches
+        tracemalloc.start()
+        try:
+            evaluate(model, test_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(test_set) == 525 == 32 * BLOCK_ROWS + 13
+        assert peak < 0.05 * default_dataset.features().nbytes
+
+
+def test_split_and_evaluate_leave_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma (numpy 2.4.6 does), about
+    # 1.6 MiB in each worker that splits; split finds the labels without
+    # it. Where np.unique does not import numpy.ma this passes trivially.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from whisksim import mlp, pipeline
+
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(1, 8), 7)
+        dataset = pipeline.Dataset(rng.normal(0.0, 1.0, (49, 200)), labels,
+                                   np.arange(49))
+        _, test_set = pipeline.split(dataset, 0.75, 0)
+        counts = mlp.evaluate(mlp.init(mlp.MlpArchitecture(), 0), test_set)
+        print(int(counts.sum()), "numpy.ma" in sys.modules)
+        """)
+    assert _run_script(script, timeout=60).split() == ["14", "False"]

@@ -2,7 +2,7 @@
 
 build_dataset windows each run and takes its standard deviations in one
 array pass, then standardizes and transforms its kept windows
-CSV_BLOCK_ROWS at a time; TestWindow and TestStandardize check those two
+BLOCK_ROWS at a time; TestWindow and TestStandardize check those two
 steps through it."""
 
 import hashlib
@@ -19,7 +19,7 @@ from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
 from whisksim.experiment import build_labeled_dataset, resolve_profiles
 from whisksim.pipeline import (
-    CSV_BLOCK_ROWS,
+    BLOCK_ROWS,
     Dataset,
     build_dataset,
     dominant_frequency,
@@ -284,7 +284,7 @@ class TestBuildDataset:
         # kept windows' blocks (after kept windows 15 and 31); a second run
         # follows the first
         rng = np.random.default_rng(kept)
-        flats = {0, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 2, 2 * CSV_BLOCK_ROWS + 3}
+        flats = {0, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 3}
         keeps = []
         while sum(keeps) < kept:
             keeps.append(len(keeps) not in flats)
@@ -393,10 +393,19 @@ class TestSplit:
         with pytest.raises(PhysicsError):
             split(ds, 0.75, 0)
 
+    def test_a_one_vector_class_is_named(self):
+        # classes 1, 2 and 4 could be split; 3 is the first that cannot
+        labels = [1, 2, 3, 4, 1, 2, 4, 4]
+        ds = Dataset(np.random.default_rng(7).normal(0, 1, (len(labels), 200)),
+                     labels, np.arange(len(labels)))
+        with pytest.raises(PhysicsError) as info:
+            split(ds, 0.75, 0)
+        assert str(info.value) == "class 3 has 1 vector(s); need at least 2 to split"
+
 
 class TestDatasetCsv:
     def test_lossless_roundtrip(self, tmp_path):
-        n = 2 * CSV_BLOCK_ROWS + 3   # two whole blocks and part of a third
+        n = 2 * BLOCK_ROWS + 3   # two whole blocks and part of a third
         rng = np.random.default_rng(8)
         ds = Dataset(rng.normal(0, 1, (n, 200)), 1 + np.arange(n) % 7,
                      np.arange(n))
