@@ -219,8 +219,9 @@ def modal_sweep(gain: float, f_b_hz, h_b_m, sample_rate_hz: float,
 
     Each cell samples the late-time (steady) response and reads the dominant
     frequency from the magnitude spectrum. Cells are independent; any
-    per-cell failure aborts the whole sweep, a response that overflows
-    included.
+    per-cell failure aborts the whole sweep with a PhysicsError that names
+    the cell: a response that overflows, and one that is zero everywhere
+    (a height so small that it underflows), which has no dominant frequency.
     """
     from .pipeline import dominant_frequency, fft_magnitude
 
@@ -241,6 +242,10 @@ def modal_sweep(gain: float, f_b_hz, h_b_m, sample_rate_hz: float,
                 if not np.isfinite(spectrum).all():
                     raise PhysicsError(f"the response to f_b {fb} Hz, h_b {hb} m "
                                        "overflows")
+                dominant = dominant_frequency(spectrum, sample_rate_hz / len(samples))
+                if dominant is None:
+                    raise PhysicsError(f"the response to f_b {fb} Hz, h_b {hb} m "
+                                       "is zero everywhere")
                 y_max[i, j] = float(np.max(np.abs(samples)))
-                f_dom[i, j] = dominant_frequency(spectrum, sample_rate_hz / len(samples))
+                f_dom[i, j] = dominant
     return SweepSurface(y_max, f_dom)

@@ -4,16 +4,18 @@ and validation.
 All values are SI except where a key name says otherwise (h_b_mm for the
 sweep grid, which is converted to meters on load). A config file and a
 profile file are read the same way: _read_json opens and parses the file,
-and _build makes each object into its dataclass, refusing unknown and
-missing keys, holding each value to its field's type and turning the
-dataclass's own range checks into ConfigErrors that name the key.
+and _build makes each object into its dataclass by one rule at every
+nesting level, a config's spring, train and sweep sections included: it
+refuses a value that is not an object and unknown and missing keys, holds
+each value to its field's type and turns the dataclass's own range checks
+into ConfigErrors that name the key.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .beam import SpringSpec, spring_to_beam, steady_state_gain
 from .errors import ConfigError, PhysicsError
@@ -56,10 +58,10 @@ class SweepConfig:
         object.__setattr__(self, "h_b_mm", tuple(float(v) for v in self.h_b_mm))
         if not self.f_b_hz or not self.h_b_mm:
             raise ConfigError("sweep grids must be nonempty")
-        if any(v <= 0.0 for v in self.f_b_hz):
-            raise ConfigError(f"sweep f_b_hz must be positive: {list(self.f_b_hz)}")
-        if any(v < 0.0 for v in self.h_b_mm):
-            raise ConfigError(f"sweep h_b_mm must be >= 0: {list(self.h_b_mm)}")
+        for name in ("f_b_hz", "h_b_mm"):
+            grid = list(getattr(self, name))
+            if any(v <= 0.0 for v in grid):
+                raise ConfigError(f"sweep {name} must be positive: {grid}")
         if self.sample_rate_hz <= 0.0 or self.duration_s <= 0.0:
             raise ConfigError("sweep sample rate and duration must be positive")
         _check_run_size(self.duration_s, self.sample_rate_hz)
@@ -155,58 +157,49 @@ class ExperimentConfig:
         return asdict(self)   # json.dump writes its tuples as lists
 
 
-def _check_types(cls, data: dict, context: str) -> None:
-    """Hold each value to its field's annotation before cls runs on it: int
-    fields take ints, float fields finite numbers (JSON allows NaN and
-    Infinity), tuple fields lists of finite numbers, str fields strings."""
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.type == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif f.type == "float":
-            ok = is_finite_number(value)
-        elif f.type == "tuple":
-            ok = (isinstance(value, (list, tuple))
-                  and all(is_finite_number(v) for v in value))
-        elif f.type == "str":
-            ok = isinstance(value, str)
-        else:
-            continue
-        if not ok:
-            kind = {"int": "an integer", "float": "a finite number",
-                    "tuple": "a list of finite numbers", "str": "a string"}[f.type]
-            raise ConfigError(f"{context} key {f.name} must be {kind}, got {value!r}")
+_KINDS = {   # a field's annotation: the test its JSON value must pass, and its name
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (is_finite_number, "a finite number"),   # JSON allows NaN and Infinity
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(is_finite_number, v)),
+              "a list of finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def _build(cls, data: dict, context: str):
+def _build(cls, data, context: str):
+    """cls made from the JSON object data, or a ConfigError that names
+    context. One rule holds at every nesting level: a value that is not an
+    object, an unknown key and a missing key are refused. A field whose
+    default is a dataclass factory (a config section) is built from its own
+    object by _build, with the field name as its context; every other value
+    must pass its annotation's test in _KINDS. cls's own range checks
+    become ConfigErrors."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{context} has unknown keys: {sorted(unknown)}")
+    values = {}
     for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{context} is missing key {f.name!r}")
-    _check_types(cls, data, context)
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{context} is missing key {f.name!r}")
+            continue
+        value = data[f.name]
+        if is_dataclass(f.default_factory):
+            value = _build(f.default_factory, value, f.name)
+        elif f.type in _KINDS and not _KINDS[f.type][0](value):
+            raise ConfigError(f"{context} key {f.name} must be "
+                              f"{_KINDS[f.type][1]}, got {value!r}")
+        values[f.name] = value
     try:
-        return cls(**data)
+        return cls(**values)
     except (PhysicsError, ConfigError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    nested = {}
-    if "spring" in data:
-        nested["spring"] = _build(SpringSpec, data.pop("spring"), "spring")
-    if "train" in data:
-        nested["train"] = _build(TrainSection, data.pop("train"), "train")
-    if "sweep" in data:
-        nested["sweep"] = _build(SweepConfig, data.pop("sweep"), "sweep")
-    cfg = _build(ExperimentConfig, {**data, **nested}, "config")
+def config_from_dict(data) -> ExperimentConfig:
+    cfg = _build(ExperimentConfig, data, "config")
     # a builtin table name or a path, whose existence is checked on loading
     if not cfg.profiles:
         raise ConfigError("profiles must be a builtin name or a file path")
@@ -220,8 +213,10 @@ def _read_json(path, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what} file {path} is nested too deeply to parse") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -116,7 +116,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """Drive-grid sweep; writes the CSV, row-major over the f_b grid, and
     returns the summary report, which counts bins as wide as a cell's. The
     sweep runs first, so a drive at or above its Nyquist limit and a cell
-    whose response overflows fail before out_dir is created."""
+    whose response overflows or is zero everywhere fail before out_dir is
+    created."""
     sweep = cfg.sweep
     y_max, f_dom = modal_sweep(cfg.sensor_gain, sweep.f_b_hz, sweep.h_b_m,
                                sweep.sample_rate_hz, sweep.duration_s)
@@ -372,9 +373,8 @@ def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
         samples = beam.displacement_series(
             gain, heights, frequencies, [0.0] * len(heights), cfg.sample_rate_hz,
             pipeline.FEATURE_WIDTH / cfg.sample_rate_hz)
-        bins[tc.label] = (pipeline.dominant_frequency(
+        bins[tc.label] = pipeline.dominant_frequency(
             pipeline.fft_magnitude(samples), cfg.sample_rate_hz / len(samples))
-            if samples.any() else None)
     return bins
 
 

@@ -70,14 +70,18 @@ def fft_magnitude(values: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft(values))
 
 
-def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float:
+def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float | None:
     """Frequency of the largest non-DC bin of one window's two-sided
-    spectrum (bin n-k mirrors bin k); ties go to the lower frequency."""
+    spectrum (bin n-k mirrors bin k); ties go to the lower frequency. None
+    when no non-DC bin holds energy (an all-zero window), which has no
+    dominant frequency."""
     mags = np.asarray(magnitudes, dtype=float)
     n = mags.size
     k = np.arange(n)
     freqs = np.minimum(k, n - k) * bin_width_hz
     best = mags[1:].max()
+    if best == 0.0:
+        return None
     return float(freqs[1:][mags[1:] == best].min())
 
 

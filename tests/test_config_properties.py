@@ -68,7 +68,7 @@ def _assert_well_typed(obj):
 
 
 @settings(max_examples=300, deadline=None)
-@given(config_dicts)
+@given(config_dicts | json_values)
 def test_config_loads_well_typed_or_raises_config_error(data):
     try:
         cfg = config_from_dict(data)

@@ -954,6 +954,7 @@ class TestCli:
         ('{"window_s": 2e-198, "sample_rate_hz": 1e200, "duration_s": 1}', "synth"),
         ('{"sweep": {"f_b_hz": [50.0, 0.0]}}', "sweep"),
         ('{"sweep": {"h_b_mm": [-0.1]}}', "sweep"),
+        ('{"sweep": {"h_b_mm": [0.0, 0.1]}}', "sweep"),
         ('{"sweep": {"duration_s": 0.002}}', "sweep"),
         ('{"duration_s": 0.5}', "synth"),
         ('{"sensor_position_m": 0.1}', "synth"),
@@ -976,17 +977,21 @@ class TestCli:
         ('{"spring": {"free_length_m": 1e10, "coil_count": 1, '
          '"wire_density_kg_m3": 1e300}}', "synth"),
         ('{"spring": {"wire_radius_m": 1e-200}, "duration_s": 2}', "synth"),
+        # deeper than the JSON parser recurses, and more digits than int reads
+        ("[" * 100_000, "sweep"),
+        ("1" * 5000, "sweep"),
     ], ids=["float-repetitions", "float-epochs", "bool-batch-size",
             "infinite-rate", "nan-duration", "nan-speed", "infinite-speeds",
             "infinite-spring", "nan-sweep", "overflowing-window",
             "huge-sweep-run", "huge-run", "zero-sweep-frequency",
-            "negative-sweep-height", "two-sample-sweep-cell",
+            "negative-sweep-height", "zero-sweep-height", "two-sample-sweep-cell",
             "run-shorter-than-window", "sensor-past-the-spring",
             "batch-over-training-set", "speed-sweep-batch-over-training-set",
             "one-window-run", "speed-sweep-one-window-run",
             "synth-dataset-over-cap", "dataset-over-cap",
             "speed-sweep-dataset-over-cap", "overflowing-spring",
-            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire"])
+            "zero-frequency-spring", "nan-gain-spring", "underflowing-wire",
+            "deep-file", "huge-integer"])
     def test_bad_number_is_config_error_before_any_work(
             self, tmp_path, capsys, monkeypatch, text, command):
         # JSON as Python reads it: NaN and Infinity are accepted literals
@@ -1028,6 +1033,33 @@ class TestCli:
         assert proc.returncode == 3
         assert re.fullmatch(r"error: the response to f_b \S+ Hz, h_b \S+ m "
                             r"overflows\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_underflowing_sweep_is_one_physics_line_before_out(self, tmp_path):
+        # h_b 1e-320 mm is positive, but 1e-323 m times gain * f_b^2 is 0 at
+        # every sample: no bin holds energy, so the cell has no dominant
+        # frequency
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": {"f_b_hz": [50.0], "h_b_mm": [1e-320]}}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "whisksim.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "sweep"],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: the response to f_b 50.0 Hz, h_b 1e-323 m "
+                               "is zero everywhere\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null", "[]",
+                                      '[["repetitions", 1]]'])
+    def test_a_config_that_is_not_an_object_is_refused(self, tmp_path, capsys,
+                                                       text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: config must be a JSON object\n"
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_spring_is_named_in_words(self, tmp_path, capsys):

@@ -167,6 +167,12 @@ class TestDominantFrequency:
         mags[5] = 1.0
         assert dominant_frequency(mags, 1.0) == 5.0
 
+    def test_no_energy_off_dc_has_no_dominant_frequency(self):
+        assert dominant_frequency(fft_magnitude(np.zeros(200)), 1.0) is None
+        mags = np.zeros(64)
+        mags[0] = 100.0
+        assert dominant_frequency(mags, 1.0) is None
+
 
 class TestBuildDataset:
     def _run(self, label, seconds=3, seed=0):

@@ -321,10 +321,11 @@ class TestProfileJson:
          "entry 0 component 0: lambda_m must be positive"),
         ('[{"terrain": "flat", "components": [{"lambda_m": NaN, "h_m": 2e-5}]}]',
          "entry 0 component 0 key lambda_m must be a finite number"),
+        ("[" * 100_000, "p.json is nested too deeply to parse"),
     ], ids=["object", "non-object-entry",
             "components-object", "misspelled-jitter", "misspelled-noise",
             "unknown-terrain", "missing-terrain", "missing-components",
-            "zero-lambda", "nan-lambda"])
+            "zero-lambda", "nan-lambda", "deep-file"])
     def test_malformed_file_names_the_key(self, tmp_path, text, message):
         path = tmp_path / "p.json"
         path.write_text(text)
