@@ -181,7 +181,8 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 
     An earlier run's manifest and terrain CSVs go first, so the directory
     holds only this run's files: a failed run leaves no manifest, no temp
-    file, and no CSV of a terrain this run did not write.
+    file, and no CSV of a terrain this run did not write. A run that drops
+    more than 1% of its windows as flat fails with a PhysicsError.
     """
     profiles = _prepare(cfg, out_dir, [cfg.speed_m_s])
     manifest = os.path.join(out_dir, "synth_manifest.json")
@@ -200,12 +201,12 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
         for tc in profiles:
             pipeline.remove_tmp(os.path.join(out_dir, _csv_name(tc)))
         raise
-    report = {
-        "config": cfg.to_dict(),
-        "terrains": entries,
-        "total_windows": sum(e["windows"] for e in entries),
-        "total_dropped": sum(e["dropped"] for e in entries),
-    }
+    windows = sum(e["windows"] for e in entries)
+    dropped = sum(e["dropped"] for e in entries)
+    if 100 * dropped > windows + dropped:
+        raise PhysicsError(f"{dropped} of {windows + dropped} windows degenerate")
+    report = {"config": cfg.to_dict(), "terrains": entries,
+              "total_windows": windows, "total_dropped": dropped}
     _write_json(manifest, report)
     return report
 
@@ -213,10 +214,7 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
 def _serve(conn, fn, items) -> None:
     """Forked worker: pickle (True, result) or (False, exception) of fn(item)
     onto conn, a buffered binary file flushed after each reply, for each of
-    its items in order, then return. It ignores SIGINT, which the fork loop
-    leaves blocked as well: a Ctrl-C reaches the whole process group, and
-    the parent terminates its workers as it unwinds."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    its items in order, then return."""
     for item in items:
         try:
             reply = True, fn(item)
@@ -271,9 +269,9 @@ def _ordered_map(fn, items: list) -> list:
     count = _worker_count(len(items), cpus)
     readers, pids = [], []   # pids of the workers not yet reaped
     try:
-        # a SIGINT between a fork and its append would leave a worker that
-        # nothing terminates: it waits until every worker is listed
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        # a SIGINT or SIGTERM between a fork and its append would leave a
+        # worker that nothing terminates: it waits until every worker is listed
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
             for j in range(count):
                 fd, writer_fd = os.pipe()
@@ -281,6 +279,15 @@ def _ordered_map(fn, items: list) -> list:
                 with open(writer_fd, "wb") as writer:   # the parent's copy closes here
                     if (pid := os.fork()) == 0:   # the worker leaves only by os._exit
                         try:
+                            # Ctrl-C reaches the whole group, and the parent
+                            # ends its workers with SIGTERM; an orphan, holding
+                            # no read end, dies of SIGPIPE at its next reply
+                            signal.signal(signal.SIGINT, signal.SIG_IGN)
+                            for signum in (signal.SIGTERM, signal.SIGPIPE):
+                                signal.signal(signum, signal.SIG_DFL)
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                            for reader in readers:
+                                reader.close()
                             _serve(writer, fn, items[j::count])
                             os._exit(0)
                         except BaseException:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError, TrainingDivergedError
-from .pipeline import BLOCK_ROWS, Dataset
+from .pipeline import BLOCK_ROWS, FEATURE_WIDTH, Dataset
 
 NUM_CLASSES = 7
 _PROB_FLOOR = 1e-12
 
-DEFAULT_LAYER_SIZES = (200, 256, 128, 64, 32, 16, 7)
+DEFAULT_LAYER_SIZES = (FEATURE_WIDTH, 256, 128, 64, 32, 16, NUM_CLASSES)
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,15 @@ def _serial_speed_point(cfg, profiles, speed):
     }
 
 
+def _alive(pid) -> bool:
+    """Whether pid is a process that has not exited: a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestWorkerPool:
     def test_results_keep_input_order(self):
         assert _ordered_map(lambda i: i * i, list(range(7))) == \
@@ -581,6 +590,71 @@ class TestWorkerPool:
         assert (proc.returncode, out, err) == (130, "", "interrupted\n")
         assert not (tmp_path / "out" / "train_eval_report.json").exists()
 
+    def test_sigterm_exits_143_and_ends_the_workers(self, tmp_path):
+        # timeout(1) and process supervisors send SIGTERM to the parent alone
+        script = textwrap.dedent("""
+            import os, sys, time
+            from whisksim import cli, mlp
+
+            def train_until_killed(*args):
+                print(os.getpid(), flush=True)
+                time.sleep(60)
+
+            mlp.train = train_until_killed
+            raise SystemExit(cli.main(sys.argv[1:]))
+            """)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 2, "repetitions": 1,
+                                   "train": {"batch_size": 7}}))
+        proc = subprocess.Popen([sys.executable, "-c", script, "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"), "train-eval"],
+                                env=_child_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            worker = int(proc.stdout.readline())
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (143, "", "terminated\n")
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)
+        assert list((tmp_path / "out").rglob("*.tmp")) == []
+
+    def test_an_orphaned_worker_dies_at_its_next_reply(self):
+        # SIGKILL gives the parent no chance to end its worker, which holds
+        # no read end of its pipe: its reply to the first item ends it
+        script = textwrap.dedent("""
+            import os, time
+            from whisksim.experiment import _ordered_map
+
+            def item(delay):
+                print(os.getpid(), flush=True)
+                time.sleep(delay)
+
+            os.sched_getaffinity = lambda pid: {0}   # one worker for every item
+            _ordered_map(item, [1.0] * 10)
+            """)
+        proc = subprocess.Popen([sys.executable, "-c", script], env=_child_env(),
+                                stdout=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(proc.stdout.readline())
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 3.0
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            if worker is not None and _alive(worker):
+                os.kill(worker, signal.SIGKILL)
+
     def test_a_ctrl_c_during_the_forks_leaves_no_worker(self):
         # SIGINT lands just after the first fork, before the parent lists
         # that worker: were it not held until every worker is listed, the
@@ -793,6 +867,40 @@ class TestCli:
         cfg = self._write_cfg(tmp_path, duration_s=1.0)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                      "synth"]) == 0
+
+    def test_synth_of_too_many_flat_windows_exits_3_and_writes_no_manifest(
+            self, tmp_path, capsys):
+        # a flat terrain that is noise floor alone, beside the default brick:
+        # 6 of its 20 windows are too flat to standardize
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([
+            {"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 0.0}],
+             "noise_floor_m": 1.03e-12},
+            {"terrain": "brick", "noise_floor_m": 3e-8, "components": [
+                {"lambda_m": 0.01, "h_m": 8e-5, "jitter_rad": 0.4},
+                {"lambda_m": 0.005, "h_m": 5e-6, "jitter_rad": 0.4}]},
+        ]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 20, "profiles": str(profiles)}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "synth"]) == 3
+        assert capsys.readouterr() == ("", "error: 6 of 40 windows degenerate\n")
+        assert not (tmp_path / "out" / "synth_manifest.json").exists()
+
+    def test_the_driver_is_looked_up_when_the_command_runs(self, tmp_path,
+                                                           monkeypatch):
+        # the benchmark's tracer patches the drivers after importing cli
+        calls = []
+
+        def fake_sweep(cfg, out_dir):
+            calls.append(out_dir)
+            return {"cells_total": 0, "cells_f_dom_within_one_bin": 0}
+
+        monkeypatch.setattr(experiment, "run_sweep", fake_sweep)
+        handler = signal.getsignal(signal.SIGTERM)
+        assert main(["--out", str(tmp_path / "out"), "sweep"]) == 0
+        assert calls == [str(tmp_path / "out")]
+        assert signal.getsignal(signal.SIGTERM) is handler
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
