@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -156,7 +157,20 @@ def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                 profiles[tc], speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
                 child_seed(cfg.master_seed, *seed_scope, int(tc)), gain), tc)
             for tc in terrains)
-    return pipeline.build_dataset(runs, len(terrains) * _run_windows(cfg))
+    return pipeline.build_dataset(runs, np.empty(
+        (len(terrains) * _run_windows(cfg), pipeline.FEATURE_WIDTH)))
+
+
+def _terrain_part(cfg: ExperimentConfig, profiles: dict, tc: TerrainClass,
+                  slot: np.ndarray) -> tuple:
+    """Synthesize terrain tc's run at cfg.speed_m_s, seeded as
+    build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",)) seeds
+    it, and transform it into slot; returns its part for pipeline.labeled,
+    which refuses a dataset only when every terrain is flat."""
+    samples = terrain.synthesize_run(
+        profiles[tc], cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
+        child_seed(cfg.master_seed, "synth", int(tc)), cfg.sensor_gain)
+    return pipeline.transform_run(samples, tc, slot)
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -166,9 +180,9 @@ def _csv_name(tc: TerrainClass) -> str:
 def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
     """Write terrain tc's dataset CSV, the rows of terrain tc that
-    build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",)) holds;
-    returns its manifest entry."""
-    ds = build_labeled_dataset(cfg, cfg.speed_m_s, {tc: profiles[tc]}, ("synth",))
+    train-eval trains on; returns its manifest entry."""
+    matrix = np.empty((_run_windows(cfg), pipeline.FEATURE_WIDTH))
+    ds = pipeline.labeled(matrix, [_terrain_part(cfg, profiles, tc, matrix)])
     name = _csv_name(tc)
     digest = pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     return {"terrain": tc.label, "file": name,
@@ -256,7 +270,9 @@ def _ordered_map(fn, items: list) -> list:
     order is raised once every item before it has succeeded, as the plain
     loop would, and the workers are terminated. A worker that dies before
     its reply is whole (killed by the kernel, say) fails its item with a
-    WorkerDiedError naming the item and the exit code. No lock is shared
+    WorkerDiedError naming the item and the exit code; a fork that fails
+    raises one naming the worker and the errno, once the workers already
+    forked are reaped. No lock is shared
     with a worker, so terminating one cannot leave the parent waiting
     (multiprocessing.Pool can hang there: it may kill a worker that holds
     its result queue's lock). Where fork is not available (Windows), the
@@ -277,7 +293,12 @@ def _ordered_map(fn, items: list) -> list:
                 fd, writer_fd = os.pipe()
                 readers.append(open(fd, "rb"))
                 with open(writer_fd, "wb") as writer:   # the parent's copy closes here
-                    if (pid := os.fork()) == 0:   # the worker leaves only by os._exit
+                    try:
+                        pid = os.fork()
+                    except OSError as exc:   # EAGAIN at the process limit, say
+                        raise WorkerDiedError(
+                            f"could not fork worker {j}: {exc}") from None
+                    if pid == 0:   # the worker leaves only by os._exit
                         try:
                             # Ctrl-C reaches the whole group, and the parent
                             # ends its workers with SIGTERM; an orphan, holding
@@ -345,10 +366,26 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
     }
 
 
+def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
+    """The dataset build_labeled_dataset(cfg, cfg.speed_m_s, profiles,
+    ("synth",)) builds, its terrains built in workers (see _ordered_map)
+    straight into their slots of one anonymous shared mapping, which every
+    later fork shares and which no file outlives. The caller never touches
+    the matrix, nor imports numpy.random to synthesize."""
+    terrains = sorted(profiles, key=int)
+    windows = _run_windows(cfg)
+    shared = mmap.mmap(-1, len(terrains) * windows * pipeline.FEATURE_WIDTH * 8)
+    matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
+    slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
+    parts = _ordered_map(lambda item: _terrain_part(cfg, profiles, *item),
+                         list(zip(terrains, slots)))
+    return pipeline.labeled(matrix, parts)
+
+
 def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], "train_eval_report.json")
-    dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
+    dataset = _pooled_dataset(cfg, profiles)
     reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
                         [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])

@@ -27,8 +27,9 @@ class Dataset:
     features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
     labels() holds terrain ids 1..7 and window_idx() each row's window index
     within its run. `dropped` counts degenerate windows skipped in the build.
-    A dataset holds its rows' indices into a feature matrix, every row in
-    order for a built one; a subset from take() shares its parent's matrix.
+    A dataset holds its rows' indices into a feature matrix: for a built one,
+    the rows its runs kept, which skip the slots of dropped windows (see
+    labeled); a subset from take() shares its parent's matrix.
     features() gathers the rows anew, feature_rows() gives both.
     """
 
@@ -85,47 +86,65 @@ def dominant_frequency(magnitudes: np.ndarray, bin_width_hz: float) -> float | N
     return float(freqs[1:][mags[1:] == best].min())
 
 
-def build_dataset(runs, windows: int) -> Dataset:
-    """Cut each run of samples into FEATURE_WIDTH-sample windows, then
-    standardize, transform and label them, into one matrix of `windows` rows.
+def transform_run(samples: np.ndarray, label, slot: np.ndarray) -> tuple:
+    """Cut one run of samples into FEATURE_WIDTH-sample windows, then
+    standardize and transform its kept windows BLOCK_ROWS (16) at a time
+    into the first rows of slot, so no copy or spectrum of the whole run is
+    held; returns the run's part for labeled: (label, windows, kept window
+    indices). Flat windows (standard deviation at most 1e-12) are skipped.
+    A window whose standard deviation is not finite (NaN samples, or
+    samples so large that their squares overflow) is an error."""
+    count = len(samples) // FEATURE_WIDTH
+    stack = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        std = stack.std(axis=1)
+    if not np.isfinite(std).all():
+        raise PhysicsError(f"a window of the label {int(label)} run has a "
+                           "non-finite standard deviation")
+    kept = np.flatnonzero(std > 1e-12)
+    for start in range(0, len(kept), BLOCK_ROWS):
+        block = kept[start:start + BLOCK_ROWS]
+        flat = stack[block]  # a copy: standardizing in place leaves the run alone
+        flat -= flat.mean(axis=1, keepdims=True)
+        flat /= std[block, None]
+        slot[start:start + len(block)] = fft_magnitude(flat)
+    return label, count, kept
+
+
+def labeled(matrix: np.ndarray, parts: list) -> Dataset:
+    """The dataset of runs transformed into consecutive slots of matrix, a
+    slot of one row per whole window for each run's part (see
+    transform_run). The rows of dropped windows are skipped by the row
+    indices, not cut from the matrix in a copy, so the matrix is not
+    touched here. Every window flat is an error."""
+    windows = [count for _, count, _ in parts]
+    kept = [rows for _, _, rows in parts]
+    if not any(len(rows) for rows in kept):
+        raise PhysicsError(f"all {sum(windows)} windows were degenerate")
+    dataset = Dataset(matrix, np.concatenate([np.full(len(rows), int(label))
+                                              for label, _, rows in parts]),
+                      np.concatenate(kept))
+    dataset._rows = np.concatenate([start + np.arange(len(rows)) for start, rows
+                                    in zip(np.cumsum([0] + windows), kept)])
+    dataset.dropped = sum(windows) - len(dataset)
+    return dataset
+
+
+def build_dataset(runs, matrix: np.ndarray) -> Dataset:
+    """Transform each (samples, label) run into the next slot of matrix
+    (see transform_run) and label the kept rows (see labeled); matrix needs
+    one row per whole window of all runs, and np.empty serves.
 
     `runs` may be a generator that synthesizes each run as it is taken: a
-    run is let go before the next is taken. `windows` is the count of whole
-    windows in all runs. Kept windows are standardized and transformed
-    BLOCK_ROWS (16) at a time straight into the matrix, so no copy or
-    spectrum of a whole run is held. Flat windows (standard deviation at
-    most 1e-12) are skipped, counted in Dataset.dropped, and cut from the
-    matrix in a copy. A window whose standard deviation is not finite (NaN
-    samples, or samples so large that their squares overflow) is an error.
+    run is let go before the next is taken, so beside the matrix only one
+    run and one block's transform are held.
     """
-    features = np.empty((windows, FEATURE_WIDTH))
-    labels, window_idx, total, row = [], [], 0, 0
+    parts, start = [], 0
     for samples, label in runs:
-        count = len(samples) // FEATURE_WIDTH
-        total += count
-        stack = samples[:count * FEATURE_WIDTH].reshape(count, FEATURE_WIDTH)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            std = stack.std(axis=1)
-        if not np.isfinite(std).all():
-            raise PhysicsError(f"a window of the label {int(label)} run has a "
-                               "non-finite standard deviation")
-        kept = np.flatnonzero(std > 1e-12)
-        for start in range(0, len(kept), BLOCK_ROWS):
-            block = kept[start:start + BLOCK_ROWS]
-            flat = stack[block]  # a copy: standardizing in place leaves the run alone
-            flat -= flat.mean(axis=1, keepdims=True)
-            flat /= std[block, None]
-            features[row:row + len(block)] = fft_magnitude(flat)
-            row += len(block)
-        labels.append(np.full(len(kept), int(label)))
-        window_idx.append(kept)
-        samples = stack = flat = None   # let the run go before the next is taken
-    if row == 0:
-        raise PhysicsError(f"all {total} windows were degenerate")
-    if row < windows:
-        features = features[:row].copy()
-    return Dataset(features, np.concatenate(labels), np.concatenate(window_idx),
-                   dropped=total - row)
+        parts.append(transform_run(samples, label, matrix[start:]))
+        start += parts[-1][1]
+        samples = None   # let the run go before the next is taken
+    return labeled(matrix, parts)
 
 
 def train_count(size: int, train_fraction: float) -> int:

@@ -1,5 +1,6 @@
 """Experiment drivers and the command line interface."""
 
+import errno
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from whisksim.errors import (ConfigError, PhysicsError, TrainingDivergedError,
 from whisksim.experiment import (
     _noiseless_dominant_bins,
     _ordered_map,
+    _pooled_dataset,
     _synth_terrain,
     _train_eval_once,
     _worker_count,
@@ -35,7 +37,7 @@ from whisksim.experiment import (
     run_train_eval,
 )
 from whisksim.mlp import MlpArchitecture, TrainConfig, init, train
-from whisksim.pipeline import split
+from whisksim.pipeline import BLOCK_ROWS, split
 from whisksim.terrain import TerrainClass
 
 
@@ -406,11 +408,67 @@ class TestWorkerPool:
             self, two_cpus, tmp_path):
         cfg = _tiny_config(repetitions=3)
         report = run_train_eval(cfg, tmp_path)
-        assert len(two_cpus) == 3
+        assert len(two_cpus) == 4 + 3   # 7 terrains built on 4, then 3 trainers
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
                                         resolve_profiles(cfg), ("synth",))
         assert report["repetitions"] == [
             _train_eval_once(cfg, dataset, ("train-eval", r)) for r in range(3)]
+
+    @pytest.mark.parametrize("table", ["default", "flat-beside-real",
+                                       "flat-at-block-edges"])
+    def test_pooled_dataset_equals_build_labeled_dataset(
+            self, two_cpus, tmp_path, monkeypatch, table):
+        cfg = _tiny_config()
+        if table == "flat-beside-real":
+            (tmp_path / "profiles.json").write_text(FLAT_BESIDE_REAL)
+            cfg = _tiny_config(profiles=str(tmp_path / "profiles.json"))
+        elif table == "flat-at-block-edges":
+            # flat windows open and close each run and sit at the edges of
+            # the kept windows' blocks of 16
+            cfg = _tiny_config(duration_s=60.0)
+            synthesize_run = terrain.synthesize_run
+
+            def with_flat_windows(*args):
+                samples = synthesize_run(*args)
+                for w in (0, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2,
+                          2 * BLOCK_ROWS + 3, 59):
+                    samples[w * 200:(w + 1) * 200] = 0.5
+                return samples
+
+            monkeypatch.setattr(terrain, "synthesize_run", with_flat_windows)
+        profiles = resolve_profiles(cfg)
+        pooled = _pooled_dataset(cfg, profiles)
+        assert len(two_cpus) == _worker_count(len(profiles), 2)
+        expected = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
+        matrix, rows = pooled.feature_rows()
+        assert np.array_equal(matrix[rows], expected.features())
+        assert np.array_equal(pooled.labels(), expected.labels())
+        assert np.array_equal(pooled.window_idx(), expected.window_idx())
+        assert pooled.dropped == expected.dropped == {
+            "default": 0, "flat-beside-real": 10, "flat-at-block-edges": 35}[table]
+
+    def test_one_flat_terrain_beside_real_ones_still_trains(self, tmp_path):
+        (tmp_path / "profiles.json").write_text(FLAT_BESIDE_REAL)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 10, "repetitions": 1,
+                                   "train": {"epochs": 1, "batch_size": 8},
+                                   "profiles": str(tmp_path / "profiles.json")}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 0
+        report = json.loads((tmp_path / "out" / "train_eval_report.json").read_text())
+        assert (report["dataset_vectors"], report["dataset_dropped"]) == (20, 10)
+
+    def test_every_terrain_flat_exits_3_with_the_total_count(self, tmp_path,
+                                                              capsys):
+        (tmp_path / "profiles.json").write_text(json.dumps([
+            {"terrain": name, "components": [{"lambda_m": 0.04, "h_m": 0.0}]}
+            for name in ("flat", "sand")]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 10, "train": {"batch_size": 8},
+                                   "profiles": str(tmp_path / "profiles.json")}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "train-eval"]) == 3
+        assert capsys.readouterr().err == "error: all 20 windows were degenerate\n"
 
     def test_speed_sweep_on_more_workers_than_cpus_equals_serial_loop(
             self, two_cpus, tmp_path):
@@ -503,32 +561,72 @@ class TestWorkerPool:
         assert len(two_cpus) == 2
 
     def test_a_command_that_forks_leaves_multiprocessing_unimported(self, tmp_path):
+        code, forks, imported = _parent_imports(tmp_path, "synth", {"duration_s": 2},
+                                                "multiprocessing")
+        assert (code, imported) == (0, False)
+        assert forks >= 1
+
+    def test_train_eval_leaves_numpy_random_unimported_in_its_parent(self, tmp_path):
+        # its workers synthesize the terrains and train; the parent forks
+        # them and writes the report
+        code, forks, imported = _parent_imports(
+            tmp_path, "train-eval", {"duration_s": 5, "repetitions": 1,
+                                     "train": {"epochs": 1, "batch_size": 8}},
+            "numpy.random")
+        assert (code, imported) == (0, False)
+        assert forks >= 2
+
+    def test_a_failed_fork_reaps_the_workers_already_forked(self, monkeypatch):
+        started = []
+        fork = os.fork
+
+        def fails_after_one():
+            if started:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = fork()
+            if pid:   # in the parent
+                started.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "fork", fails_after_one)
+        reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        with pytest.raises(WorkerDiedError,
+                           match=f"^could not fork worker 1: {re.escape(reason)}$"):
+            _ordered_map(lambda i: i, [0, 1])
+        assert len(started) == 1
+        with pytest.raises(ChildProcessError):   # reaped already
+            os.waitpid(started[0], os.WNOHANG)
+
+    def test_a_failed_fork_exits_5_with_one_line(self, tmp_path):
         script = textwrap.dedent("""
-            import json, os, sys
+            import errno, os, sys
             from whisksim import cli
 
             forks = []
             fork = os.fork
 
-            def counting_fork():
-                pid = fork()
-                forks.append(pid)
-                return pid
+            def fails_second():
+                if forks:
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                forks.append(fork())
+                return forks[-1]
 
-            os.fork = counting_fork
-            code = cli.main(sys.argv[1:])
-            print(json.dumps([code, len(forks), "multiprocessing" in sys.modules]))
+            os.fork = fails_second
+            os.sched_getaffinity = lambda pid: {0, 1}
+            raise SystemExit(cli.main(sys.argv[1:]))
             """)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"duration_s": 2}))
+        cfg.write_text(json.dumps({"duration_s": 5, "repetitions": 1,
+                                   "train": {"epochs": 1, "batch_size": 8}}))
         proc = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
-                               "--out", str(tmp_path / "out"), "synth"],
+                               "--out", str(tmp_path / "out"), "train-eval"],
                               env=_child_env(), capture_output=True, text=True,
                               timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        code, forks, imported = json.loads(proc.stdout.splitlines()[-1])
-        assert (code, imported) == (0, False)
-        assert forks >= 1
+        assert proc.returncode == 5
+        assert proc.stderr == (f"error: could not fork worker 1: [Errno {errno.EAGAIN}] "
+                               f"{os.strerror(errno.EAGAIN)}\n")
 
     def test_a_dead_worker_exits_5_with_one_line(self, tmp_path):
         # brick's synth worker dies mid-item, as under an OOM kill
@@ -739,6 +837,48 @@ class TestWorkerPool:
         assert main(["--config", str(path), "--out", str(tmp_path / "out"),
                      "train-eval"]) == 4
         assert f"training diverged: {serial.value}\n" in capsys.readouterr().err
+
+
+# an all-flat flat terrain, with no height and no noise, beside brick and sand
+FLAT_BESIDE_REAL = json.dumps([
+    {"terrain": "flat", "components": [{"lambda_m": 0.04, "h_m": 0.0}]},
+    {"terrain": "brick",
+     "components": [{"lambda_m": 0.01, "h_m": 8e-05, "jitter_rad": 0.4},
+                    {"lambda_m": 0.005, "h_m": 5e-06, "jitter_rad": 0.4}],
+     "noise_floor_m": 3e-08},
+    {"terrain": "sand",
+     "components": [{"lambda_m": 0.2 / 44, "h_m": 3.5e-05, "jitter_rad": 1.5},
+                    {"lambda_m": 0.2 / 16, "h_m": 8e-06, "jitter_rad": 1.5}],
+     "noise_floor_m": 6e-08}])
+
+
+def _parent_imports(tmp_path, command: str, config: dict, module: str) -> list:
+    """[exit code, forks, whether `module` is imported] of a command run
+    through cli.main in a fresh interpreter, seen from its parent process."""
+    script = textwrap.dedent(f"""
+        import json, os, sys
+        from whisksim import cli
+
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            forks.append(pid)
+            return pid
+
+        os.fork = counting_fork
+        code = cli.main(sys.argv[1:])
+        print(json.dumps([code, len(forks), {module!r} in sys.modules]))
+        """)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-c", script, "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), command],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

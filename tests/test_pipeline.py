@@ -41,7 +41,7 @@ def _series(n):
 
 
 def _features(samples, label=TerrainClass.FLAT):
-    return build_dataset([(samples, label)], len(samples) // 200)
+    return build_dataset([(samples, label)], np.empty((len(samples) // 200, 200)))
 
 
 def _reference_rows(samples, n=200):
@@ -55,19 +55,19 @@ def _reference_rows(samples, n=200):
 
 class TestWindow:
     def test_300_windows_from_five_minutes(self):
-        ds = build_dataset([(_series(60000), TerrainClass.FLAT)], 300)
+        ds = build_dataset([(_series(60000), TerrainClass.FLAT)], np.empty((300, 200)))
         assert ds.features().shape == (300, 200)
         assert ds.dropped == 0
 
     def test_trailing_remainder_dropped(self):
         series = _series(250)
-        ds = build_dataset([(series, TerrainClass.FLAT)], 1)
+        ds = build_dataset([(series, TerrainClass.FLAT)], np.empty((1, 200)))
         assert len(ds) == 1
         assert np.array_equal(ds.features(), _reference_rows(series[:200]))
 
     def test_short_series_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([(_series(199), TerrainClass.FLAT)], 0)
+            build_dataset([(_series(199), TerrainClass.FLAT)], np.empty((0, 200)))
 
     def test_windows_are_consecutive(self):
         samples = np.random.default_rng(9).normal(0.0, 1.0, 600)
@@ -183,35 +183,35 @@ class TestBuildDataset:
 
     def test_vector_count(self):
         runs = [self._run(t, seconds=3, seed=int(t)) for t in TerrainClass]
-        ds = build_dataset(runs, 21)
+        ds = build_dataset(runs, np.empty((21, 200)))
         assert len(ds) == 21
         assert ds.dropped == 0
 
     def test_single_window_run(self):
-        ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)], 1)
+        ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)], np.empty((1, 200)))
         assert len(ds) == 1
         assert ds.window_idx()[0] == 0
 
     def test_empty_run_list_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([], 0)
+            build_dataset([], np.empty((0, 200)))
 
     def test_degenerate_windows_skipped_and_counted(self):
         samples = np.concatenate([np.zeros(200),
                                   np.sin(2 * np.pi * 10 * np.arange(200) / 200.0)])
-        ds = build_dataset([(samples, TerrainClass.SAND)], 2)
+        ds = build_dataset([(samples, TerrainClass.SAND)], np.empty((2, 200)))
         assert len(ds) == 1
         assert ds.dropped == 1
         assert ds.window_idx()[0] == 1
 
     def test_all_degenerate_is_an_error(self):
         with pytest.raises(PhysicsError):
-            build_dataset([(np.zeros(400), TerrainClass.SAND)], 2)
+            build_dataset([(np.zeros(400), TerrainClass.SAND)], np.empty((2, 200)))
 
     def test_deterministic(self):
         runs = [self._run(TerrainClass.BRICK, seconds=2)]
-        a = build_dataset(runs, 2)
-        b = build_dataset(runs, 2)
+        a = build_dataset(runs, np.empty((2, 200)))
+        b = build_dataset(runs, np.empty((2, 200)))
         assert np.array_equal(a.features(), b.features())
 
     def test_rows_equal_per_window_reference_bit_for_bit(self):
@@ -222,7 +222,7 @@ class TestBuildDataset:
         first[400:600] = 1.25  # a constant window in the middle
         second = rng.normal(-1.0, 0.5, 10 * 200 + 150)
         ds = build_dataset([(first, TerrainClass.SAND),
-                            (second, TerrainClass.BRICK)], 30)
+                            (second, TerrainClass.BRICK)], np.empty((30, 200)))
         without_constant = np.concatenate([first[:400], first[600:]])
         expected = np.concatenate([_reference_rows(without_constant),
                                    _reference_rows(second)])
@@ -234,13 +234,13 @@ class TestBuildDataset:
     def test_input_series_left_untouched(self):
         series = _series(600)
         before = series.copy()
-        build_dataset([(series, TerrainClass.FLAT)], 3)
+        build_dataset([(series, TerrainClass.FLAT)], np.empty((3, 200)))
         assert np.array_equal(series, before)
 
     def test_constant_run_next_to_good_run(self):
         good = self._run(TerrainClass.BRICK, seconds=3)
         constant = (np.full(600, 0.5), TerrainClass.SAND)
-        ds = build_dataset([constant, good], 6)
+        ds = build_dataset([constant, good], np.empty((6, 200)))
         assert len(ds) == 3
         assert ds.dropped == 3
         assert set(ds.labels().tolist()) == {int(TerrainClass.BRICK)}
@@ -255,7 +255,7 @@ class TestBuildDataset:
         # the DC bin of every feature vector is ~0 because the window was
         # centered before the transform
         runs = [self._run(TerrainClass.CARPET, seconds=2)]
-        ds = build_dataset(runs, 2)
+        ds = build_dataset(runs, np.empty((2, 200)))
         assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
 
     def test_a_generator_of_runs_is_let_go_run_by_run(self):
@@ -271,15 +271,15 @@ class TestBuildDataset:
                 yield run, label
                 del run
 
-        ds = build_dataset(lazily(), windows=14)
-        expected = build_dataset(runs, 14)
+        ds = build_dataset(lazily(), np.empty((14, 200)))
+        expected = build_dataset(runs, np.empty((14, 200)))
         assert np.array_equal(ds.features(), expected.features())
         assert np.array_equal(ds.labels(), expected.labels())
         assert np.array_equal(ds.window_idx(), expected.window_idx())
 
     def test_degenerate_windows_leave_an_exact_matrix(self):
         samples = np.concatenate([np.zeros(200), _series(400)])
-        ds = build_dataset(iter([(samples, TerrainClass.SAND)]), windows=3)
+        ds = build_dataset(iter([(samples, TerrainClass.SAND)]), np.empty((3, 200)))
         assert ds.features().shape == (2, 200)
         assert ds.features().base is None
         assert ds.dropped == 1
@@ -301,13 +301,34 @@ class TestBuildDataset:
         second = rng.normal(-1.0, 0.5, 17 * 200)
         runs = [(first, TerrainClass.SAND), (second, TerrainClass.BRICK)]
         raw = len(keeps)
-        ds = build_dataset(runs, raw + 17)
+        ds = build_dataset(runs, np.empty((raw + 17, 200)))
         expected = oracles.one_stack_dataset(runs)
         assert np.count_nonzero(ds.labels() == int(TerrainClass.SAND)) == kept
         assert np.array_equal(ds.features(), expected.features())
         assert np.array_equal(ds.labels(), expected.labels())
         assert np.array_equal(ds.window_idx(), expected.window_idx())
         assert ds.dropped == expected.dropped == raw - kept
+
+    def test_one_dropped_window_peaks_below_1_5_matrices(self):
+        # the dropped window's row is skipped by the row indices; cutting
+        # it from the matrix in a copy took 2.01 matrices
+        rng = np.random.default_rng(12)
+        runs = [(rng.normal(0.0, 1.0, 300 * 200), t) for t in TerrainClass]
+        runs[3][0][1000:1200] = 0.5
+        build_dataset(runs[:1], np.empty((300, 200)))   # imports and caches
+        tracemalloc.start()
+        try:
+            ds = build_dataset(runs, np.empty((2100, 200)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix, rows = ds.feature_rows()
+        assert (len(ds), ds.dropped, len(matrix)) == (2099, 1, 2100)
+        assert peak < 1.5 * matrix.nbytes
+        expected = oracles.one_stack_dataset(runs)
+        assert np.array_equal(matrix[rows], expected.features())
+        assert np.array_equal(ds.labels(), expected.labels())
+        assert np.array_equal(ds.window_idx(), expected.window_idx())
 
     def test_default_dataset_peaks_below_1_75_matrices(self):
         # beside the matrix sits one run's synthesis and one block's
@@ -450,7 +471,7 @@ class TestDatasetCsv:
         samples = synthesize_run(default_profiles()[TerrainClass.BRICK],
                                  cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, 5,
                                  gain)
-        ds = build_dataset([(samples, TerrainClass.BRICK)], 300)
+        ds = build_dataset([(samples, TerrainClass.BRICK)], np.empty((300, 200)))
         assert len(ds) == 300
         path = tmp_path / "brick.csv"
         tracemalloc.start()

@@ -192,7 +192,7 @@ class TestSynthesizeRun:
         series = synthesize_run(default_profiles()[TerrainClass.FLAT], 0.2, 300.0,
                                 200.0, 0, gain)
         assert len(series) == 60000
-        ds = build_dataset([(series, TerrainClass.FLAT)], 300)
+        ds = build_dataset([(series, TerrainClass.FLAT)], np.empty((300, 200)))
         assert len(ds) == 300
 
     def test_superposition_consistency(self, gain):
