@@ -146,31 +146,30 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
+def _terrain_part(cfg: ExperimentConfig, profiles: dict, speed_m_s: float,
+                  seed_scope: tuple, tc: TerrainClass, slot: np.ndarray) -> tuple:
+    """Synthesize terrain tc's run at speed_m_s, seeded with
+    child_seed(master, *seed_scope, terrain id), and transform it into slot;
+    returns its part for pipeline.build_dataset. The run's samples are let
+    go on return."""
+    samples = terrain.synthesize_run(
+        profiles[tc], speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
+        child_seed(cfg.master_seed, *seed_scope, int(tc)), cfg.sensor_gain)
+    return pipeline.transform_run(samples, tc, slot)
+
+
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    """One seeded run per terrain, with seed child_seed(master, *seed_scope,
-    terrain id), each synthesized only as build_dataset takes it, so a
-    single run's samples are held at a time beside the feature matrix."""
+    """One seeded run per terrain (see _terrain_part), each transformed into
+    its slot before the next is synthesized, so a single run's samples are
+    held at a time beside the feature matrix."""
     terrains = sorted(profiles, key=int)
-    gain = cfg.sensor_gain
-    runs = ((terrain.synthesize_run(
-                profiles[tc], speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
-                child_seed(cfg.master_seed, *seed_scope, int(tc)), gain), tc)
-            for tc in terrains)
-    return pipeline.build_dataset(runs, np.empty(
-        (len(terrains) * _run_windows(cfg), pipeline.FEATURE_WIDTH)))
-
-
-def _terrain_part(cfg: ExperimentConfig, profiles: dict, tc: TerrainClass,
-                  slot: np.ndarray) -> tuple:
-    """Synthesize terrain tc's run at cfg.speed_m_s, seeded as
-    build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",)) seeds
-    it, and transform it into slot; returns its part for pipeline.labeled,
-    which refuses a dataset only when every terrain is flat."""
-    samples = terrain.synthesize_run(
-        profiles[tc], cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
-        child_seed(cfg.master_seed, "synth", int(tc)), cfg.sensor_gain)
-    return pipeline.transform_run(samples, tc, slot)
+    windows = _run_windows(cfg)
+    matrix = np.empty((len(terrains) * windows, pipeline.FEATURE_WIDTH))
+    slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
+    return pipeline.build_dataset(matrix, [
+        _terrain_part(cfg, profiles, speed_m_s, seed_scope, tc, slot)
+        for tc, slot in zip(terrains, slots)])
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -181,8 +180,7 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
     """Write terrain tc's dataset CSV, the rows of terrain tc that
     train-eval trains on; returns its manifest entry."""
-    matrix = np.empty((_run_windows(cfg), pipeline.FEATURE_WIDTH))
-    ds = pipeline.labeled(matrix, [_terrain_part(cfg, profiles, tc, matrix)])
+    ds = build_labeled_dataset(cfg, cfg.speed_m_s, {tc: profiles[tc]}, ("synth",))
     name = _csv_name(tc)
     digest = pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     return {"terrain": tc.label, "file": name,
@@ -368,18 +366,20 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 
 def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
     """The dataset build_labeled_dataset(cfg, cfg.speed_m_s, profiles,
-    ("synth",)) builds, its terrains built in workers (see _ordered_map)
-    straight into their slots of one anonymous shared mapping, which every
-    later fork shares and which no file outlives. The caller never touches
-    the matrix, nor imports numpy.random to synthesize."""
+    ("synth",)) builds, each terrain's _terrain_part run in a worker (see
+    _ordered_map) straight into its slot of one anonymous shared mapping,
+    which every later fork shares and which no file outlives. The caller
+    only labels the parts: it never touches the matrix, nor imports
+    numpy.random to synthesize."""
     terrains = sorted(profiles, key=int)
     windows = _run_windows(cfg)
     shared = mmap.mmap(-1, len(terrains) * windows * pipeline.FEATURE_WIDTH * 8)
     matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
     slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
-    parts = _ordered_map(lambda item: _terrain_part(cfg, profiles, *item),
-                         list(zip(terrains, slots)))
-    return pipeline.labeled(matrix, parts)
+    parts = _ordered_map(
+        lambda item: _terrain_part(cfg, profiles, cfg.speed_m_s, ("synth",), *item),
+        list(zip(terrains, slots)))
+    return pipeline.build_dataset(matrix, parts)
 
 
 def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:

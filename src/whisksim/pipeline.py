@@ -1,10 +1,12 @@
 """Sample arrays to labeled frequency-domain feature vectors.
 
-Per run: cut non-overlapping FEATURE_WIDTH-sample windows as rows, take
-their standard deviations in one array pass (flat rows are dropped), then
-standardize BLOCK_ROWS kept rows at a time to zero mean / unit standard
-deviation and take their full two-sided FFT magnitudes; attach the label.
-The CSV writer and mlp.evaluate take a dataset's rows BLOCK_ROWS at a time too.
+transform_run takes one run: it cuts non-overlapping FEATURE_WIDTH-sample
+windows as rows, takes their standard deviations in one array pass (flat
+rows are skipped), then standardizes BLOCK_ROWS kept rows at a time to zero
+mean / unit standard deviation and writes their full two-sided FFT
+magnitudes into the run's slot of the caller's feature matrix.
+build_dataset labels the kept rows of the runs' slots. The CSV writer and
+mlp.evaluate take a dataset's rows BLOCK_ROWS at a time too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Dataset:
     within its run. `dropped` counts degenerate windows skipped in the build.
     A dataset holds its rows' indices into a feature matrix: for a built one,
     the rows its runs kept, which skip the slots of dropped windows (see
-    labeled); a subset from take() shares its parent's matrix.
+    build_dataset); a subset from take() shares its parent's matrix.
     features() gathers the rows anew, feature_rows() gives both.
     """
 
@@ -90,8 +92,8 @@ def transform_run(samples: np.ndarray, label, slot: np.ndarray) -> tuple:
     """Cut one run of samples into FEATURE_WIDTH-sample windows, then
     standardize and transform its kept windows BLOCK_ROWS (16) at a time
     into the first rows of slot, so no copy or spectrum of the whole run is
-    held; returns the run's part for labeled: (label, windows, kept window
-    indices). Flat windows (standard deviation at most 1e-12) are skipped.
+    held; returns the run's part for build_dataset: (label, windows, kept
+    window indices). Flat windows (standard deviation at most 1e-12) are skipped.
     A window whose standard deviation is not finite (NaN samples, or
     samples so large that their squares overflow) is an error."""
     count = len(samples) // FEATURE_WIDTH
@@ -111,7 +113,7 @@ def transform_run(samples: np.ndarray, label, slot: np.ndarray) -> tuple:
     return label, count, kept
 
 
-def labeled(matrix: np.ndarray, parts: list) -> Dataset:
+def build_dataset(matrix: np.ndarray, parts: list) -> Dataset:
     """The dataset of runs transformed into consecutive slots of matrix, a
     slot of one row per whole window for each run's part (see
     transform_run). The rows of dropped windows are skipped by the row
@@ -128,23 +130,6 @@ def labeled(matrix: np.ndarray, parts: list) -> Dataset:
                                     in zip(np.cumsum([0] + windows), kept)])
     dataset.dropped = sum(windows) - len(dataset)
     return dataset
-
-
-def build_dataset(runs, matrix: np.ndarray) -> Dataset:
-    """Transform each (samples, label) run into the next slot of matrix
-    (see transform_run) and label the kept rows (see labeled); matrix needs
-    one row per whole window of all runs, and np.empty serves.
-
-    `runs` may be a generator that synthesizes each run as it is taken: a
-    run is let go before the next is taken, so beside the matrix only one
-    run and one block's transform are held.
-    """
-    parts, start = [], 0
-    for samples, label in runs:
-        parts.append(transform_run(samples, label, matrix[start:]))
-        start += parts[-1][1]
-        samples = None   # let the run go before the next is taken
-    return labeled(matrix, parts)
 
 
 def train_count(size: int, train_fraction: float) -> int:

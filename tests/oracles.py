@@ -7,10 +7,12 @@ route rather than against itself. Two float references sit beside them:
 the five-mode modal sum at any t (modal_terms, displacement), which the
 steady-state form of whisksim.beam reduces to once the transient has
 decayed (steady_state_offset), and read_dataset_csv, which parses what
-write_dataset_csv writes. one_stack_dataset is build_dataset as it was
+write_dataset_csv writes. one_stack_dataset is the dataset build as it was
 before it transformed a run's windows block by block: one stack per run;
 one_shot_evaluate is mlp.evaluate as it was before it classified the test
-rows block by block: one forward pass over them all.
+rows block by block: one forward pass over them all. dataset_of is no
+reference: it builds a dataset of sample arrays as the commands build
+theirs, for the tests that start from samples.
 """
 
 import math
@@ -22,7 +24,7 @@ from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
                            _mode_weights)
 from whisksim.errors import PhysicsError
 from whisksim.mlp import NUM_CLASSES, MlpModel, forward
-from whisksim.pipeline import FEATURE_WIDTH, Dataset
+from whisksim.pipeline import FEATURE_WIDTH, Dataset, build_dataset, transform_run
 
 mp.mp.dps = 50
 
@@ -155,8 +157,20 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(rows, labels, window_idx)
 
 
+def dataset_of(runs) -> Dataset:
+    """The dataset of (samples, label) runs, each transformed by
+    transform_run into the next slot of one matrix, labeled by build_dataset."""
+    matrix = np.empty((sum(len(samples) // FEATURE_WIDTH for samples, _ in runs),
+                       FEATURE_WIDTH))
+    parts, start = [], 0
+    for samples, label in runs:
+        parts.append(transform_run(samples, label, matrix[start:]))
+        start += parts[-1][1]
+    return build_dataset(matrix, parts)
+
+
 def one_stack_dataset(runs) -> Dataset:
-    """The dataset build_dataset makes of (samples, label) runs, with each
+    """The dataset dataset_of makes of (samples, label) runs, with each
     run's kept windows standardized and transformed as one stack."""
     features, labels, window_idx, dropped = [], [], [], 0
     for samples, label in runs:

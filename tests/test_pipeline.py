@@ -1,9 +1,9 @@
 """Windowing, standardization, FFT features, splits, CSV round-trips.
 
-build_dataset windows each run and takes its standard deviations in one
+transform_run windows each run and takes its standard deviations in one
 array pass, then standardizes and transforms its kept windows
 BLOCK_ROWS at a time; TestWindow and TestStandardize check those two
-steps through it."""
+steps through it, by way of oracles.dataset_of."""
 
 import hashlib
 import tracemalloc
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from whisksim import terrain
 from whisksim.beam import displacement_series
 from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
@@ -21,7 +22,6 @@ from whisksim.experiment import build_labeled_dataset, resolve_profiles
 from whisksim.pipeline import (
     BLOCK_ROWS,
     Dataset,
-    build_dataset,
     dominant_frequency,
     fft_magnitude,
     split,
@@ -41,7 +41,7 @@ def _series(n):
 
 
 def _features(samples, label=TerrainClass.FLAT):
-    return build_dataset([(samples, label)], np.empty((len(samples) // 200, 200)))
+    return oracles.dataset_of([(samples, label)])
 
 
 def _reference_rows(samples, n=200):
@@ -55,19 +55,19 @@ def _reference_rows(samples, n=200):
 
 class TestWindow:
     def test_300_windows_from_five_minutes(self):
-        ds = build_dataset([(_series(60000), TerrainClass.FLAT)], np.empty((300, 200)))
+        ds = oracles.dataset_of([(_series(60000), TerrainClass.FLAT)])
         assert ds.features().shape == (300, 200)
         assert ds.dropped == 0
 
     def test_trailing_remainder_dropped(self):
         series = _series(250)
-        ds = build_dataset([(series, TerrainClass.FLAT)], np.empty((1, 200)))
+        ds = oracles.dataset_of([(series, TerrainClass.FLAT)])
         assert len(ds) == 1
         assert np.array_equal(ds.features(), _reference_rows(series[:200]))
 
     def test_short_series_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([(_series(199), TerrainClass.FLAT)], np.empty((0, 200)))
+            oracles.dataset_of([(_series(199), TerrainClass.FLAT)])
 
     def test_windows_are_consecutive(self):
         samples = np.random.default_rng(9).normal(0.0, 1.0, 600)
@@ -183,35 +183,35 @@ class TestBuildDataset:
 
     def test_vector_count(self):
         runs = [self._run(t, seconds=3, seed=int(t)) for t in TerrainClass]
-        ds = build_dataset(runs, np.empty((21, 200)))
+        ds = oracles.dataset_of(runs)
         assert len(ds) == 21
         assert ds.dropped == 0
 
     def test_single_window_run(self):
-        ds = build_dataset([self._run(TerrainClass.FLAT, seconds=1)], np.empty((1, 200)))
+        ds = oracles.dataset_of([self._run(TerrainClass.FLAT, seconds=1)])
         assert len(ds) == 1
         assert ds.window_idx()[0] == 0
 
     def test_empty_run_list_is_an_error(self):
         with pytest.raises(PhysicsError, match="all 0 windows"):
-            build_dataset([], np.empty((0, 200)))
+            oracles.dataset_of([])
 
     def test_degenerate_windows_skipped_and_counted(self):
         samples = np.concatenate([np.zeros(200),
                                   np.sin(2 * np.pi * 10 * np.arange(200) / 200.0)])
-        ds = build_dataset([(samples, TerrainClass.SAND)], np.empty((2, 200)))
+        ds = oracles.dataset_of([(samples, TerrainClass.SAND)])
         assert len(ds) == 1
         assert ds.dropped == 1
         assert ds.window_idx()[0] == 1
 
     def test_all_degenerate_is_an_error(self):
         with pytest.raises(PhysicsError):
-            build_dataset([(np.zeros(400), TerrainClass.SAND)], np.empty((2, 200)))
+            oracles.dataset_of([(np.zeros(400), TerrainClass.SAND)])
 
     def test_deterministic(self):
         runs = [self._run(TerrainClass.BRICK, seconds=2)]
-        a = build_dataset(runs, np.empty((2, 200)))
-        b = build_dataset(runs, np.empty((2, 200)))
+        a = oracles.dataset_of(runs)
+        b = oracles.dataset_of(runs)
         assert np.array_equal(a.features(), b.features())
 
     def test_rows_equal_per_window_reference_bit_for_bit(self):
@@ -221,8 +221,8 @@ class TestBuildDataset:
         first = rng.normal(5e3, 3.0, 20 * 200 + 77)
         first[400:600] = 1.25  # a constant window in the middle
         second = rng.normal(-1.0, 0.5, 10 * 200 + 150)
-        ds = build_dataset([(first, TerrainClass.SAND),
-                            (second, TerrainClass.BRICK)], np.empty((30, 200)))
+        ds = oracles.dataset_of([(first, TerrainClass.SAND),
+                                 (second, TerrainClass.BRICK)])
         without_constant = np.concatenate([first[:400], first[600:]])
         expected = np.concatenate([_reference_rows(without_constant),
                                    _reference_rows(second)])
@@ -234,13 +234,13 @@ class TestBuildDataset:
     def test_input_series_left_untouched(self):
         series = _series(600)
         before = series.copy()
-        build_dataset([(series, TerrainClass.FLAT)], np.empty((3, 200)))
+        oracles.dataset_of([(series, TerrainClass.FLAT)])
         assert np.array_equal(series, before)
 
     def test_constant_run_next_to_good_run(self):
         good = self._run(TerrainClass.BRICK, seconds=3)
         constant = (np.full(600, 0.5), TerrainClass.SAND)
-        ds = build_dataset([constant, good], np.empty((6, 200)))
+        ds = oracles.dataset_of([constant, good])
         assert len(ds) == 3
         assert ds.dropped == 3
         assert set(ds.labels().tolist()) == {int(TerrainClass.BRICK)}
@@ -255,31 +255,12 @@ class TestBuildDataset:
         # the DC bin of every feature vector is ~0 because the window was
         # centered before the transform
         runs = [self._run(TerrainClass.CARPET, seconds=2)]
-        ds = build_dataset(runs, np.empty((2, 200)))
+        ds = oracles.dataset_of(runs)
         assert np.all(np.abs(ds.features()[:, 0]) < 1e-9)
-
-    def test_a_generator_of_runs_is_let_go_run_by_run(self):
-        runs = [self._run(t, seconds=2, seed=int(t)) for t in TerrainClass]
-        taken = []
-
-        def lazily():
-            for samples, label in runs:
-                # the run taken before this one is no longer referenced
-                assert all(ref() is None for ref in taken)
-                run = samples.copy()
-                taken.append(weakref.ref(run))
-                yield run, label
-                del run
-
-        ds = build_dataset(lazily(), np.empty((14, 200)))
-        expected = build_dataset(runs, np.empty((14, 200)))
-        assert np.array_equal(ds.features(), expected.features())
-        assert np.array_equal(ds.labels(), expected.labels())
-        assert np.array_equal(ds.window_idx(), expected.window_idx())
 
     def test_degenerate_windows_leave_an_exact_matrix(self):
         samples = np.concatenate([np.zeros(200), _series(400)])
-        ds = build_dataset(iter([(samples, TerrainClass.SAND)]), np.empty((3, 200)))
+        ds = oracles.dataset_of([(samples, TerrainClass.SAND)])
         assert ds.features().shape == (2, 200)
         assert ds.features().base is None
         assert ds.dropped == 1
@@ -301,7 +282,7 @@ class TestBuildDataset:
         second = rng.normal(-1.0, 0.5, 17 * 200)
         runs = [(first, TerrainClass.SAND), (second, TerrainClass.BRICK)]
         raw = len(keeps)
-        ds = build_dataset(runs, np.empty((raw + 17, 200)))
+        ds = oracles.dataset_of(runs)
         expected = oracles.one_stack_dataset(runs)
         assert np.count_nonzero(ds.labels() == int(TerrainClass.SAND)) == kept
         assert np.array_equal(ds.features(), expected.features())
@@ -315,10 +296,10 @@ class TestBuildDataset:
         rng = np.random.default_rng(12)
         runs = [(rng.normal(0.0, 1.0, 300 * 200), t) for t in TerrainClass]
         runs[3][0][1000:1200] = 0.5
-        build_dataset(runs[:1], np.empty((300, 200)))   # imports and caches
+        oracles.dataset_of(runs[:1])   # imports and caches
         tracemalloc.start()
         try:
-            ds = build_dataset(runs, np.empty((2100, 200)))
+            ds = oracles.dataset_of(runs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -330,10 +311,27 @@ class TestBuildDataset:
         assert np.array_equal(ds.labels(), expected.labels())
         assert np.array_equal(ds.window_idx(), expected.window_idx())
 
-    def test_default_dataset_peaks_below_1_75_matrices(self):
+    def test_a_run_is_let_go_before_the_next_is_synthesized(self, monkeypatch):
+        synthesize = terrain.synthesize_run
+        taken = []
+
+        def recording(*args):
+            # every run synthesized before this one is no longer referenced
+            assert all(ref() is None for ref in taken)
+            run = synthesize(*args)
+            taken.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(terrain, "synthesize_run", recording)
+        cfg = replace(ExperimentConfig(), duration_s=10.0)
+        ds = build_labeled_dataset(cfg, cfg.speed_m_s, resolve_profiles(cfg), ("synth",))
+        assert (len(taken), len(ds)) == (7, 70)
+        assert all(ref() is None for ref in taken)
+
+    def test_default_dataset_peaks_below_1_6_matrices(self):
         # beside the matrix sits one run's synthesis and one block's
-        # transform at a time: about 0.44 times the matrix (the whole run
-        # transformed as one stack: 1.08; every run held at once: 1.7)
+        # transform at a time: 1.43 matrices in all (every run synthesized
+        # before the first is transformed: 2.29)
         cfg = ExperimentConfig()
         profiles = resolve_profiles(cfg)
         build_labeled_dataset(replace(cfg, duration_s=2.0), cfg.speed_m_s,
@@ -345,7 +343,7 @@ class TestBuildDataset:
         finally:
             tracemalloc.stop()
         assert len(ds) == 2100
-        assert peak < 1.75 * ds.features().nbytes
+        assert peak < 1.6 * ds.features().nbytes
 
 
 class TestSplit:
@@ -471,7 +469,7 @@ class TestDatasetCsv:
         samples = synthesize_run(default_profiles()[TerrainClass.BRICK],
                                  cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz, 5,
                                  gain)
-        ds = build_dataset([(samples, TerrainClass.BRICK)], np.empty((300, 200)))
+        ds = oracles.dataset_of([(samples, TerrainClass.BRICK)])
         assert len(ds) == 300
         path = tmp_path / "brick.csv"
         tracemalloc.start()

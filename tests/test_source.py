@@ -1,6 +1,11 @@
-"""The package holds only code that the commands or the benchmark call."""
+"""The package holds only code that the commands or the benchmark call,
+and every name that the benchmark looks up is still there."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,35 @@ def test_an_unused_import_is_found(tmp_path):
                       "from .pipeline import Dataset, FEATURE_WIDTH\n"
                       "def f(d: Dataset):\n    return np.zeros(os.cpu_count())\n")
     assert _unused_imports(module) == ["osp", "FEATURE_WIDTH"]
+
+
+def _bench_module(monkeypatch, name: str):
+    """A module of bench/, imported as the harness imports it: beside spans."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module(name)
+
+
+def test_every_function_the_traced_harness_wraps_exists(monkeypatch):
+    # a stand-in tracer that wraps nothing and lists what it cannot find;
+    # a deleted or renamed function would crash every traced run
+    missing = []
+
+    class Recorder:
+        def patch(self, owner, attr, name, counts=None):
+            if not hasattr(owner, attr):
+                missing.append(f"{owner.__name__}.{attr}")
+
+    _bench_module(monkeypatch, "traced_cli").install(Recorder(), {})
+    assert missing == []
+
+
+def test_the_benchmark_setup_probe_runs(monkeypatch, tmp_path):
+    # it imports, resolves the config and resolves the profiles, as every
+    # command does before its work
+    probe = _bench_module(monkeypatch, "run").SETUP_PROBE
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe, "--seed", "1",
+                           "--out", str(tmp_path / "out"), "train-eval"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.split()[-1]).resolve().parent == ROOT / "src" / "whisksim"

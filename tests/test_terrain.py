@@ -21,7 +21,7 @@ from whisksim.terrain import (
     synthesize_run,
     temporal_components,
 )
-from whisksim.pipeline import build_dataset, dominant_frequency
+from whisksim.pipeline import dominant_frequency
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ class TestSynthesizeRun:
         series = synthesize_run(default_profiles()[TerrainClass.FLAT], 0.2, 300.0,
                                 200.0, 0, gain)
         assert len(series) == 60000
-        ds = build_dataset([(series, TerrainClass.FLAT)], np.empty((300, 200)))
+        ds = oracles.dataset_of([(series, TerrainClass.FLAT)])
         assert len(ds) == 300
 
     def test_superposition_consistency(self, gain):
