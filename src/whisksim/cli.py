@@ -90,7 +90,7 @@ def _print_speed_sweep(report: dict, out_dir: str) -> None:
     _print("speed   overall " + " ".join(f"{tc.label:>10s}" for tc in TerrainClass))
     for entry in report["per_speed"]:
         cells = " ".join(_accuracy_cell(a, 10) for a in entry["per_class_accuracy"])
-        _print(f"{entry['speed_m_s']:<7.3g} {entry['overall_accuracy']:7.4f} {cells}")
+        _print(f"{entry['speed_m_s']!r:<7} {entry['overall_accuracy']:7.4f} {cells}")
     _print(f"wrote {out_dir}/speed_sweep_report.json")
 
 

@@ -122,6 +122,9 @@ class ExperimentConfig:
             raise ConfigError(f"the spring has no usable equivalent beam: {exc}") from exc
         if not math.isfinite(gain):
             raise ConfigError("the spring's equivalent beam has no finite response")
+        if gain == 0.0:   # the mode shapes cancel so near the root
+            raise ConfigError(f"sensor_position_m {self.sensor_position_m} is so near "
+                              "the root that the sensor sees no response")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
         if len(set(self.speeds_m_s)) != len(self.speeds_m_s):

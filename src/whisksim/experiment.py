@@ -34,6 +34,10 @@ def child_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# the seed scope of the terrain runs that synth writes and train-eval trains on
+SYNTH_SCOPE = ("synth",)
+
+
 def resolve_profiles(cfg: ExperimentConfig) -> dict[TerrainClass, terrain.SpectralProfile]:
     if cfg.profiles == "default":
         return terrain.default_profiles()
@@ -180,11 +184,11 @@ def _synth_terrain(cfg: ExperimentConfig, profiles: dict, out_dir,
                    tc: TerrainClass) -> dict:
     """Write terrain tc's dataset CSV, the rows of terrain tc that
     train-eval trains on; returns its manifest entry."""
-    ds = build_labeled_dataset(cfg, cfg.speed_m_s, {tc: profiles[tc]}, ("synth",))
+    ds = build_labeled_dataset(cfg, cfg.speed_m_s, {tc: profiles[tc]}, SYNTH_SCOPE)
     name = _csv_name(tc)
     digest = pipeline.write_dataset_csv(ds, os.path.join(out_dir, name))
     return {"terrain": tc.label, "file": name,
-            "seed": child_seed(cfg.master_seed, "synth", int(tc)), "sha256": digest,
+            "seed": child_seed(cfg.master_seed, *SYNTH_SCOPE, int(tc)), "sha256": digest,
             "windows": len(ds), "dropped": ds.dropped}
 
 
@@ -366,7 +370,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 
 def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
     """The dataset build_labeled_dataset(cfg, cfg.speed_m_s, profiles,
-    ("synth",)) builds, each terrain's _terrain_part run in a worker (see
+    SYNTH_SCOPE) builds, each terrain's _terrain_part run in a worker (see
     _ordered_map) straight into its slot of one anonymous shared mapping,
     which every later fork shares and which no file outlives. The caller
     only labels the parts: it never touches the matrix, nor imports
@@ -377,7 +381,7 @@ def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
     matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
     slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
     parts = _ordered_map(
-        lambda item: _terrain_part(cfg, profiles, cfg.speed_m_s, ("synth",), *item),
+        lambda item: _terrain_part(cfg, profiles, cfg.speed_m_s, SYNTH_SCOPE, *item),
         list(zip(terrains, slots)))
     return pipeline.build_dataset(matrix, parts)
 

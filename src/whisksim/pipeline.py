@@ -11,7 +11,6 @@ mlp.evaluate take a dataset's rows BLOCK_ROWS at a time too.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 
@@ -29,17 +28,19 @@ class Dataset:
     features() is (n, FEATURE_WIDTH), one magnitude spectrum per window;
     labels() holds terrain ids 1..7 and window_idx() each row's window index
     within its run. `dropped` counts degenerate windows skipped in the build.
-    A dataset holds its rows' indices into a feature matrix: for a built one,
-    the rows its runs kept, which skip the slots of dropped windows (see
-    build_dataset); a subset from take() shares its parent's matrix.
+    The constructor holds its arrays as given: `rows` indexes `matrix`, for
+    a built dataset the rows its runs kept, which skip the slots of dropped
+    windows (see build_dataset); a subset from take() shares its parent's
+    matrix.
     features() gathers the rows anew, feature_rows() gives both.
     """
 
-    def __init__(self, features, labels, window_idx, dropped: int = 0):
-        self._features = np.asarray(features, dtype=float)
-        self._labels = np.asarray(labels, dtype=int)
-        self._rows = np.arange(len(self._labels))
-        self._window_idx = np.asarray(window_idx, dtype=int)
+    def __init__(self, matrix: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+                 window_idx: np.ndarray, dropped: int = 0):
+        self._matrix = matrix
+        self._rows = rows
+        self._labels = labels
+        self._window_idx = window_idx
         self.dropped = dropped
 
     def __len__(self) -> int:
@@ -47,18 +48,15 @@ class Dataset:
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The rows at these indices, sharing this dataset's feature matrix."""
-        part = copy.copy(self)
-        part._rows = self._rows[rows]
-        part._labels, part._window_idx = self._labels[rows], self._window_idx[rows]
-        part.dropped = 0
-        return part
+        return Dataset(self._matrix, self._rows[rows], self._labels[rows],
+                       self._window_idx[rows])
 
     def feature_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(matrix, rows): features() is matrix[rows]."""
-        return self._features, self._rows
+        return self._matrix, self._rows
 
     def features(self) -> np.ndarray:
-        return self._features[self._rows]
+        return self._matrix[self._rows]
 
     def labels(self) -> np.ndarray:
         return self._labels
@@ -123,13 +121,13 @@ def build_dataset(matrix: np.ndarray, parts: list) -> Dataset:
     kept = [rows for _, _, rows in parts]
     if not any(len(rows) for rows in kept):
         raise PhysicsError(f"all {sum(windows)} windows were degenerate")
-    dataset = Dataset(matrix, np.concatenate([np.full(len(rows), int(label))
-                                              for label, _, rows in parts]),
-                      np.concatenate(kept))
-    dataset._rows = np.concatenate([start + np.arange(len(rows)) for start, rows
-                                    in zip(np.cumsum([0] + windows), kept)])
-    dataset.dropped = sum(windows) - len(dataset)
-    return dataset
+    starts = np.cumsum([0] + windows)
+    return Dataset(matrix,
+                   np.concatenate([start + np.arange(len(rows))
+                                   for start, rows in zip(starts, kept)]),
+                   np.concatenate([np.full(len(rows), int(label))
+                                   for label, _, rows in parts]),
+                   np.concatenate(kept), sum(windows) - sum(map(len, kept)))
 
 
 def train_count(size: int, train_fraction: float) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 from whisksim.config import ExperimentConfig
-from whisksim.experiment import build_labeled_dataset, resolve_profiles
+from whisksim.experiment import SYNTH_SCOPE, build_labeled_dataset, resolve_profiles
 
 
 @pytest.fixture(scope="session")
@@ -14,4 +14,4 @@ def default_dataset(default_config):
     """The full default-profile dataset (2100 vectors), built once."""
     profiles = resolve_profiles(default_config)
     return build_labeled_dataset(default_config, default_config.speed_m_s,
-                                 profiles, ("synth",))
+                                 profiles, SYNTH_SCOPE)

@@ -10,9 +10,10 @@ decayed (steady_state_offset), and read_dataset_csv, which parses what
 write_dataset_csv writes. one_stack_dataset is the dataset build as it was
 before it transformed a run's windows block by block: one stack per run;
 one_shot_evaluate is mlp.evaluate as it was before it classified the test
-rows block by block: one forward pass over them all. dataset_of is no
-reference: it builds a dataset of sample arrays as the commands build
-theirs, for the tests that start from samples.
+rows block by block: one forward pass over them all. dataset_of and
+plain_dataset are no references: dataset_of builds a dataset of sample
+arrays as the commands build theirs, for the tests that start from
+samples, and plain_dataset makes one of raw feature rows.
 """
 
 import math
@@ -154,7 +155,15 @@ def read_dataset_csv(path) -> Dataset:
             window_idx.append(int(parts[FEATURE_WIDTH + 1]))
     if not rows:
         raise PhysicsError(f"dataset file {path} contains no vectors")
-    return Dataset(rows, labels, window_idx)
+    return plain_dataset(rows, labels, window_idx)
+
+
+def plain_dataset(features, labels, window_idx, dropped=0) -> Dataset:
+    """The dataset of these feature rows, in order: its rows are every row
+    of its own matrix."""
+    matrix = np.asarray(features, dtype=float)
+    return Dataset(matrix, np.arange(len(matrix)), np.asarray(labels, dtype=int),
+                   np.asarray(window_idx, dtype=int), dropped)
 
 
 def dataset_of(runs) -> Dataset:
@@ -185,8 +194,8 @@ def one_stack_dataset(runs) -> Dataset:
         labels.append(np.full(len(flat), int(label)))
         window_idx.append(np.flatnonzero(keep))
         dropped += count - len(flat)
-    return Dataset(np.concatenate(features), np.concatenate(labels),
-                   np.concatenate(window_idx), dropped)
+    return plain_dataset(np.concatenate(features), np.concatenate(labels),
+                         np.concatenate(window_idx), dropped)
 
 
 def one_shot_evaluate(model: MlpModel, test_set: Dataset) -> np.ndarray:

@@ -69,6 +69,8 @@ def _assert_well_typed(obj):
 
 @settings(max_examples=300, deadline=None)
 @given(config_dicts | json_values)
+@example({"sensor_position_m": 1e-11})   # its mode shapes cancel: a gain of 0.0
+@example({"sensor_position_m": 1e-10})   # a tiny gain, 8.7e-23, still loads
 def test_config_loads_well_typed_or_raises_config_error(data):
     try:
         cfg = config_from_dict(data)
@@ -76,7 +78,7 @@ def test_config_loads_well_typed_or_raises_config_error(data):
         return
     _assert_well_typed(cfg)
     # the one number through which the spring reaches every response
-    assert math.isfinite(cfg.sensor_gain)
+    assert math.isfinite(cfg.sensor_gain) and cfg.sensor_gain != 0.0
     assert cfg.sensor_gain.hex() == steady_state_gain(
         spring_to_beam(cfg.spring), cfg.sensor_position_m).hex()
 

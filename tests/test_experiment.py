@@ -22,6 +22,7 @@ from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.errors import (ConfigError, PhysicsError, TrainingDivergedError,
                              WorkerDiedError)
 from whisksim.experiment import (
+    SYNTH_SCOPE,
     _noiseless_dominant_bins,
     _ordered_map,
     _pooled_dataset,
@@ -197,7 +198,7 @@ class TestRunSynth:
         cfg = _tiny_config(duration_s=3.0)
         report = run_synth(cfg, tmp_path)
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
-                                        resolve_profiles(cfg), ("synth",))
+                                        resolve_profiles(cfg), SYNTH_SCOPE)
         for entry in report["terrains"]:
             table = np.loadtxt(tmp_path / entry["file"], delimiter=",",
                                skiprows=1, ndmin=2)
@@ -206,6 +207,23 @@ class TestRunSynth:
             np.testing.assert_array_equal(table[:, -2], dataset.labels()[rows])
             np.testing.assert_array_equal(table[:, -1], dataset.window_idx()[rows])
         assert report["total_windows"] == len(dataset)
+
+    def test_each_manifest_seed_synthesizes_its_terrain_csv(self, tmp_path):
+        # each terrain's CSV holds the windows of the run seeded with its
+        # manifest seed
+        cfg = _tiny_config(duration_s=3.0)
+        report = run_synth(cfg, tmp_path)
+        profiles = resolve_profiles(cfg)
+        for entry in report["terrains"]:
+            tc = TerrainClass.from_label(entry["terrain"])
+            samples = terrain.synthesize_run(profiles[tc], cfg.speed_m_s, cfg.duration_s,
+                                             cfg.sample_rate_hz, entry["seed"],
+                                             cfg.sensor_gain)
+            expected = oracles.dataset_of([(samples, tc)])
+            written = oracles.read_dataset_csv(tmp_path / entry["file"])
+            assert np.array_equal(written.features(), expected.features())
+            assert np.array_equal(written.labels(), expected.labels())
+            assert np.array_equal(written.window_idx(), expected.window_idx())
 
     def test_different_seed_changes_hashes(self, tmp_path):
         a = run_synth(_tiny_config(master_seed=1), tmp_path / "a")
@@ -356,7 +374,7 @@ class TestWorkerPool:
         cfg = _tiny_config()
         report = run_train_eval(cfg, tmp_path)
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
-                                        resolve_profiles(cfg), ("synth",))
+                                        resolve_profiles(cfg), SYNTH_SCOPE)
         serial = [_train_eval_once(cfg, dataset, ("train-eval", r))
                   for r in range(cfg.repetitions)]
         assert report["repetitions"] == serial
@@ -410,7 +428,7 @@ class TestWorkerPool:
         report = run_train_eval(cfg, tmp_path)
         assert len(two_cpus) == 4 + 3   # 7 terrains built on 4, then 3 trainers
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
-                                        resolve_profiles(cfg), ("synth",))
+                                        resolve_profiles(cfg), SYNTH_SCOPE)
         assert report["repetitions"] == [
             _train_eval_once(cfg, dataset, ("train-eval", r)) for r in range(3)]
 
@@ -439,7 +457,7 @@ class TestWorkerPool:
         profiles = resolve_profiles(cfg)
         pooled = _pooled_dataset(cfg, profiles)
         assert len(two_cpus) == _worker_count(len(profiles), 2)
-        expected = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
+        expected = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, SYNTH_SCOPE)
         matrix, rows = pooled.feature_rows()
         assert np.array_equal(matrix[rows], expected.features())
         assert np.array_equal(pooled.labels(), expected.labels())
@@ -828,7 +846,7 @@ class TestWorkerPool:
                      "repetitions": 2, "duration_s": 10}
         cfg = config_from_dict(overrides)
         dataset = build_labeled_dataset(cfg, cfg.speed_m_s,
-                                        resolve_profiles(cfg), ("synth",))
+                                        resolve_profiles(cfg), SYNTH_SCOPE)
         with pytest.raises(TrainingDivergedError) as serial:
             for r in range(cfg.repetitions):
                 _train_eval_once(cfg, dataset, ("train-eval", r))
@@ -1001,6 +1019,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "speed_sweep_report.json").exists()
         assert "overall" in capsys.readouterr().out
+
+    def test_speed_sweep_prints_near_speeds_apart(self, tmp_path, capsys):
+        # 0.1 and 0.1004 agree to three significant digits
+        cfg = self._write_cfg(tmp_path, speeds_m_s=[0.1, 0.1004], duration_s=8.0)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "speed-sweep"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row[:8] for row in rows] == ["0.1     ", "0.1004  "]
 
     def test_synth_accepts_a_one_window_run(self, tmp_path):
         # only train-eval and speed-sweep split each run's windows
@@ -1206,6 +1232,10 @@ class TestCli:
         ('{"sweep": {"duration_s": 0.002}}', "sweep"),
         ('{"duration_s": 0.5}', "synth"),
         ('{"sensor_position_m": 0.1}', "synth"),
+        # inside (0, free length], but the mode shapes cancel there: a gain
+        # of 0.0, on which train-eval would train on noise alone
+        ('{"sensor_position_m": 1e-11}', "train-eval"),
+        ('{"sensor_position_m": 1e-11}', "sweep"),
         # 7 terrains of 5 windows train on 7 * round(5 * 0.75) = 28 vectors
         ('{"duration_s": 5, "repetitions": 1, "train": {"batch_size": 10000}}',
          "train-eval"),
@@ -1234,6 +1264,7 @@ class TestCli:
             "huge-sweep-run", "huge-run", "zero-sweep-frequency",
             "negative-sweep-height", "zero-sweep-height", "two-sample-sweep-cell",
             "run-shorter-than-window", "sensor-past-the-spring",
+            "sensor-that-sees-nothing", "sweep-sensor-that-sees-nothing",
             "batch-over-training-set", "speed-sweep-batch-over-training-set",
             "one-window-run", "speed-sweep-one-window-run",
             "synth-dataset-over-cap", "dataset-over-cap",

@@ -26,7 +26,7 @@ from whisksim.mlp import (
     init,
     train,
 )
-from whisksim.pipeline import BLOCK_ROWS, Dataset, split
+from whisksim.pipeline import BLOCK_ROWS, split
 
 SMALL_ARCH = MlpArchitecture((200, 16, 8, 7))
 
@@ -39,7 +39,7 @@ def _random_batch(n, seed=0, scale=1.0):
 
 
 def _dataset_from(x, labels):
-    return Dataset(x, labels, np.arange(len(labels)))
+    return oracles.plain_dataset(x, labels, np.arange(len(labels)))
 
 
 class TestArchitecture:
@@ -205,7 +205,8 @@ class TestTrain:
         # float64 rows as batches of the gathered matrix
         ds = self._toy(n=140, seed=3)
         subset, _ = split(ds, 0.75, 8)
-        copied = Dataset(subset.features(), subset.labels(), subset.window_idx())
+        copied = oracles.plain_dataset(subset.features(), subset.labels(),
+                                       subset.window_idx())
         model = init(SMALL_ARCH, 25)
         cfg = TrainConfig(0.05, 3, 8, seed=6)
         a, history_a = train(copy.deepcopy(model), subset, cfg)
@@ -288,7 +289,7 @@ def test_sgd_steps_cause_no_page_faults():
 
         cfg = config_from_dict({"duration_s": 100})
         dataset = experiment.build_labeled_dataset(
-            cfg, cfg.speed_m_s, experiment.resolve_profiles(cfg), ("synth",))
+            cfg, cfg.speed_m_s, experiment.resolve_profiles(cfg), experiment.SYNTH_SCOPE)
         train_set, _ = pipeline.split(dataset, cfg.train_fraction, 0)
         model = mlp.init(mlp.MlpArchitecture(), 0)
         train_cfg = mlp.TrainConfig(epochs=5)   # the default network and batch
@@ -417,8 +418,8 @@ def test_split_and_evaluate_leave_numpy_ma_unimported():
 
         rng = np.random.default_rng(0)
         labels = np.repeat(np.arange(1, 8), 7)
-        dataset = pipeline.Dataset(rng.normal(0.0, 1.0, (49, 200)), labels,
-                                   np.arange(49))
+        dataset = pipeline.Dataset(rng.normal(0.0, 1.0, (49, 200)), np.arange(49),
+                                   labels, np.arange(49))
         _, test_set = pipeline.split(dataset, 0.75, 0)
         counts = mlp.evaluate(mlp.init(mlp.MlpArchitecture(), 0), test_set)
         print(int(counts.sum()), "numpy.ma" in sys.modules)

@@ -18,10 +18,9 @@ from whisksim import terrain
 from whisksim.beam import displacement_series
 from whisksim.config import ExperimentConfig
 from whisksim.errors import PhysicsError
-from whisksim.experiment import build_labeled_dataset, resolve_profiles
+from whisksim.experiment import SYNTH_SCOPE, build_labeled_dataset, resolve_profiles
 from whisksim.pipeline import (
     BLOCK_ROWS,
-    Dataset,
     dominant_frequency,
     fft_magnitude,
     split,
@@ -324,7 +323,7 @@ class TestBuildDataset:
 
         monkeypatch.setattr(terrain, "synthesize_run", recording)
         cfg = replace(ExperimentConfig(), duration_s=10.0)
-        ds = build_labeled_dataset(cfg, cfg.speed_m_s, resolve_profiles(cfg), ("synth",))
+        ds = build_labeled_dataset(cfg, cfg.speed_m_s, resolve_profiles(cfg), SYNTH_SCOPE)
         assert (len(taken), len(ds)) == (7, 70)
         assert all(ref() is None for ref in taken)
 
@@ -335,10 +334,10 @@ class TestBuildDataset:
         cfg = ExperimentConfig()
         profiles = resolve_profiles(cfg)
         build_labeled_dataset(replace(cfg, duration_s=2.0), cfg.speed_m_s,
-                              profiles, ("synth",))   # imports and caches
+                              profiles, SYNTH_SCOPE)   # imports and caches
         tracemalloc.start()
         try:
-            ds = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, ("synth",))
+            ds = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, SYNTH_SCOPE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,7 +351,7 @@ class TestSplit:
         rng = np.random.default_rng(6)
         n = per_class * len(TerrainClass)
         labels = np.repeat([int(t) for t in TerrainClass], per_class)
-        return Dataset(rng.normal(0, 1, (n, 200)), labels, np.arange(n))
+        return oracles.plain_dataset(rng.normal(0, 1, (n, 200)), labels, np.arange(n))
 
     def test_table_counts(self):
         ds = self._balanced_dataset(300)
@@ -413,16 +412,17 @@ class TestSplit:
         assert np.array_equal(inner.features(), ds.features()[inner.window_idx()])
 
     def test_small_class_is_an_error(self):
-        ds = Dataset(np.random.default_rng(7).normal(0, 1, (1, 200)),
-                     [TerrainClass.FLAT], [0])
+        ds = oracles.plain_dataset(np.random.default_rng(7).normal(0, 1, (1, 200)),
+                                   [TerrainClass.FLAT], [0])
         with pytest.raises(PhysicsError):
             split(ds, 0.75, 0)
 
     def test_a_one_vector_class_is_named(self):
         # classes 1, 2 and 4 could be split; 3 is the first that cannot
         labels = [1, 2, 3, 4, 1, 2, 4, 4]
-        ds = Dataset(np.random.default_rng(7).normal(0, 1, (len(labels), 200)),
-                     labels, np.arange(len(labels)))
+        ds = oracles.plain_dataset(
+            np.random.default_rng(7).normal(0, 1, (len(labels), 200)), labels,
+            np.arange(len(labels)))
         with pytest.raises(PhysicsError) as info:
             split(ds, 0.75, 0)
         assert str(info.value) == "class 3 has 1 vector(s); need at least 2 to split"
@@ -432,8 +432,8 @@ class TestDatasetCsv:
     def test_lossless_roundtrip(self, tmp_path):
         n = 2 * BLOCK_ROWS + 3   # two whole blocks and part of a third
         rng = np.random.default_rng(8)
-        ds = Dataset(rng.normal(0, 1, (n, 200)), 1 + np.arange(n) % 7,
-                     np.arange(n))
+        ds = oracles.plain_dataset(rng.normal(0, 1, (n, 200)), 1 + np.arange(n) % 7,
+                                   np.arange(n))
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         again = oracles.read_dataset_csv(path)
@@ -443,7 +443,7 @@ class TestDatasetCsv:
         assert np.array_equal(again.window_idx(), ds.window_idx())
 
     def test_header(self, tmp_path):
-        ds = Dataset(np.zeros((1, 200)) + 0.5, [TerrainClass.FLAT], [0])
+        ds = oracles.plain_dataset(np.zeros((1, 200)) + 0.5, [TerrainClass.FLAT], [0])
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         header = path.read_text().split("\n", 1)[0].split(",")
@@ -454,7 +454,7 @@ class TestDatasetCsv:
     def test_rows_are_repr_of_each_float(self, tmp_path):
         edge = [5e-324, 1e300, 2.0, 0.1, 1 / 3]
         values = np.resize(edge, 200)
-        ds = Dataset(np.stack([values, -values]), [4, 7], [12, 3])
+        ds = oracles.plain_dataset(np.stack([values, -values]), [4, 7], [12, 3])
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         rows = path.read_text(encoding="utf-8").split("\n")[1:]
@@ -483,7 +483,7 @@ class TestDatasetCsv:
         assert peak < len(data) / 4
 
     def test_short_row_is_an_error(self, tmp_path):
-        ds = Dataset(np.ones((2, 200)), [1, 2], [0, 1])
+        ds = oracles.plain_dataset(np.ones((2, 200)), [1, 2], [0, 1])
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         lines = path.read_text().split("\n")
