@@ -13,17 +13,15 @@ import json
 import math
 import mmap
 import os
-import pickle
-import signal
 import sys
 from functools import partial
 
 import numpy as np
 
-from . import beam, mlp, pipeline, terrain
+from . import beam, mlp, pipeline, pool, terrain
 from .beam import modal_sweep
 from .config import MAX_RUN_SAMPLES, ExperimentConfig, load_profiles
-from .errors import ConfigError, PhysicsError, WorkerDiedError
+from .errors import ConfigError, PhysicsError
 from .terrain import TerrainClass
 
 
@@ -210,8 +208,8 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot remove old output {path}: {exc}") from exc
     try:
-        entries = _ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
-                               sorted(profiles, key=int))
+        entries = pool.ordered_map(partial(_synth_terrain, cfg, profiles, out_dir),
+                                   sorted(profiles, key=int))
     except BaseException:
         # the workers are joined; one terminated mid-write left its temp file
         for tc in profiles:
@@ -225,120 +223,6 @@ def run_synth(cfg: ExperimentConfig, out_dir) -> dict:
               "total_windows": windows, "total_dropped": dropped}
     _write_json(manifest, report)
     return report
-
-
-def _serve(conn, fn, items) -> None:
-    """Forked worker: pickle (True, result) or (False, exception) of fn(item)
-    onto conn, a buffered binary file flushed after each reply, for each of
-    its items in order, then return."""
-    for item in items:
-        try:
-            reply = True, fn(item)
-        except Exception as exc:
-            reply = False, exc
-        pickle.dump(reply, conn)
-        conn.flush()
-
-
-def _worker_count(n: int, cpus: int) -> int:
-    """Workers for n equal items on cpus CPUs: the fewest w in
-    [min(n, cpus), min(n, 2 * cpus)] whose last round of n % w items (w when
-    it divides n) still holds every CPU, or min(n, cpus) where no w in range
-    does. The kernel shares the CPUs among the w >= cpus runnable workers,
-    so n equal items take about n / cpus item-times instead of
-    ceil(n / cpus): 5 trainings on 2 CPUs run on 3 workers in 2.5
-    training-times, not 3, and 7 synth terrains run on 4 workers."""
-    fewest = min(n, cpus)
-    for w in range(fewest, min(n, 2 * cpus) + 1):
-        if n % w == 0 or n % w >= cpus:
-            return w
-    return fewest
-
-
-def _ordered_map(fn, items: list) -> list:
-    """[fn(item) for item in items] in forked worker processes, up to two
-    per CPU: as many as fill the last round (see _worker_count).
-
-    Every caller maps items of equal cost, so they are dealt round-robin at
-    the fork: of w workers, worker j runs items[j::w] (five speeds on two
-    CPUs: three workers holding 2, 2 and 1 speeds). Fork hands every worker
-    fn and its share, with whatever they hold (a dataset, a profile table),
-    without pickling them: only results cross back, pickled onto a one-way
-    pipe of the worker's own (os.pipe: importing multiprocessing costs the
-    parent 0.4 MiB, its first Pipe and Process 0.4 more), and the workers
-    share the parent's memory pages. The parent reads item i from worker
-    i % w, so results keep input order and reports do not depend on the
-    worker count. If items fail, the exception of the first one in input
-    order is raised once every item before it has succeeded, as the plain
-    loop would, and the workers are terminated. A worker that dies before
-    its reply is whole (killed by the kernel, say) fails its item with a
-    WorkerDiedError naming the item and the exit code; a fork that fails
-    raises one naming the worker and the errno, once the workers already
-    forked are reaped. No lock is shared
-    with a worker, so terminating one cannot leave the parent waiting
-    (multiprocessing.Pool can hang there: it may kill a worker that holds
-    its result queue's lock). Where fork is not available (Windows), the
-    plain loop runs instead.
-    """
-    if not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    count = _worker_count(len(items), cpus)
-    readers, pids = [], []   # pids of the workers not yet reaped
-    try:
-        # a SIGINT or SIGTERM between a fork and its append would leave a
-        # worker that nothing terminates: it waits until every worker is listed
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
-        try:
-            for j in range(count):
-                fd, writer_fd = os.pipe()
-                readers.append(open(fd, "rb"))
-                with open(writer_fd, "wb") as writer:   # the parent's copy closes here
-                    try:
-                        pid = os.fork()
-                    except OSError as exc:   # EAGAIN at the process limit, say
-                        raise WorkerDiedError(
-                            f"could not fork worker {j}: {exc}") from None
-                    if pid == 0:   # the worker leaves only by os._exit
-                        try:
-                            # Ctrl-C reaches the whole group, and the parent
-                            # ends its workers with SIGTERM; an orphan, holding
-                            # no read end, dies of SIGPIPE at its next reply
-                            signal.signal(signal.SIGINT, signal.SIG_IGN)
-                            for signum in (signal.SIGTERM, signal.SIGPIPE):
-                                signal.signal(signum, signal.SIG_DFL)
-                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                            for reader in readers:
-                                reader.close()
-                            _serve(writer, fn, items[j::count])
-                            os._exit(0)
-                        except BaseException:
-                            sys.excepthook(*sys.exc_info())
-                        finally:
-                            os._exit(1)
-                pids.append(pid)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        results = []
-        for index in range(len(items)):
-            try:
-                ok, value = pickle.load(readers[index % count])
-            except (EOFError, pickle.UnpicklingError):   # it died before or mid-reply
-                _, status = os.waitpid(pids.pop(index % count), 0)
-                raise WorkerDiedError(
-                    f"worker for item {index} exited with code "
-                    f"{os.waitstatus_to_exitcode(status)} before replying") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
 
 
 def _report_accuracies(values) -> list:
@@ -371,7 +255,7 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
 def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
     """The dataset build_labeled_dataset(cfg, cfg.speed_m_s, profiles,
     SYNTH_SCOPE) builds, each terrain's _terrain_part run in a worker (see
-    _ordered_map) straight into its slot of one anonymous shared mapping,
+    pool.ordered_map) straight into its slot of one anonymous shared mapping,
     which every later fork shares and which no file outlives. The caller
     only labels the parts: it never touches the matrix, nor imports
     numpy.random to synthesize."""
@@ -380,7 +264,7 @@ def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
     shared = mmap.mmap(-1, len(terrains) * windows * pipeline.FEATURE_WIDTH * 8)
     matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
     slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
-    parts = _ordered_map(
+    parts = pool.ordered_map(
         lambda item: _terrain_part(cfg, profiles, cfg.speed_m_s, SYNTH_SCOPE, *item),
         list(zip(terrains, slots)))
     return pipeline.build_dataset(matrix, parts)
@@ -390,8 +274,8 @@ def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], "train_eval_report.json")
     dataset = _pooled_dataset(cfg, profiles)
-    reps = _ordered_map(partial(_train_eval_once, cfg, dataset),
-                        [("train-eval", r) for r in range(cfg.repetitions)])
+    reps = pool.ordered_map(partial(_train_eval_once, cfg, dataset),
+                            [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])
     per_class = np.array([r["per_class_accuracy"] for r in reps], dtype=float)
     confusion = np.array([r["confusion"] for r in reps], dtype=float)
@@ -445,8 +329,8 @@ def run_speed_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     if len(cfg.speeds_m_s) < 2:
         raise ConfigError("speed sweep needs at least 2 speeds")
     profiles = _prepare(cfg, out_dir, cfg.speeds_m_s, "speed_sweep_report.json")
-    per_speed = _ordered_map(partial(_speed_point, cfg, profiles),
-                             sorted(cfg.speeds_m_s))
+    per_speed = pool.ordered_map(partial(_speed_point, cfg, profiles),
+                                 sorted(cfg.speeds_m_s))
     report = {
         "config": cfg.to_dict(),
         "speeds_m_s": [s["speed_m_s"] for s in per_speed],

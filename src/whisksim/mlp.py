@@ -2,10 +2,11 @@
 
 Seven node layers by default (input 200, five hidden, output 7), weights
 initialized He-style, cross-entropy loss, plain backprop. Everything is
-seeded and single-threaded so training runs are exactly reproducible:
-importing whisksim sets the BLAS thread variables to one thread unless they
-are already set (see whisksim/__init__.py), which holds only if numpy was
-not imported first.
+seeded and single-threaded, so a training run's bytes repeat on one machine
+with one BLAS kernel; across machines, the golden record's bound in
+tests/test_golden.py is the contract. Importing whisksim sets the BLAS
+thread variables to one thread unless they are already set (see
+whisksim/__init__.py), which holds only if numpy was not imported first.
 """
 
 from __future__ import annotations

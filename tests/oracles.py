@@ -13,16 +13,21 @@ one_shot_evaluate is mlp.evaluate as it was before it classified the test
 rows block by block: one forward pass over them all. dataset_of and
 plain_dataset are no references: dataset_of builds a dataset of sample
 arrays as the commands build theirs, for the tests that start from
-samples, and plain_dataset makes one of raw feature rows.
+samples, and plain_dataset makes one of raw feature rows. Nor are
+tiny_config and child_env, the small config and the fresh interpreter's
+environment that the experiment and pool tests share.
 """
 
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 
+import whisksim
 from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
                            _mode_weights)
+from whisksim.config import config_from_dict
 from whisksim.errors import PhysicsError
 from whisksim.mlp import NUM_CLASSES, MlpModel, forward
 from whisksim.pipeline import FEATURE_WIDTH, Dataset, build_dataset, transform_run
@@ -263,3 +268,27 @@ def dominant_frequency(profile, speed_m_s: float) -> float:
     h * f^2 and f = v / lambda, so the ranking does not depend on speed."""
     return speed_m_s / max(profile.components,
                            key=lambda c: c.h_m / c.lambda_m ** 2).lambda_m
+
+
+def tiny_config(**overrides):
+    """Small but complete experiment: seconds instead of minutes."""
+    base = {
+        "duration_s": 10.0,
+        "repetitions": 2,
+        "train": {"learning_rate": 0.001, "epochs": 3, "batch_size": 8},
+        "sweep": {"f_b_hz": [50.0, 100.0], "h_b_mm": [0.1, 0.2],
+                  "sample_rate_hz": 1000.0, "duration_s": 1.0},
+        "master_seed": 99,
+    }
+    base.update(overrides)
+    return config_from_dict(base)
+
+
+def child_env(drop=(), **preset) -> dict:
+    """This environment for a fresh interpreter that imports the whisksim
+    under test, less the variables in `drop`, plus `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(whisksim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

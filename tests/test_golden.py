@@ -15,6 +15,11 @@ losses by 1.1e-15; re-basing the signal on the steady-state closed form (an
 earlier change that moved default features by up to 6.7e-12 and losses by
 2.9e-12) moved these tiny outputs by 6.8e-14 and 2.2e-14. SHA-256 digests
 are bytes of one machine and are not compared; the benchmark compares those.
+They repeat on one machine with one BLAS kernel, but OpenBLAS picks its
+kernel by CPU, and train-eval's digests differ between kernels. So across
+machines this record is the contract, and where numpy's OpenBLAS can be
+forced onto other kernels (DYNAMIC_ARCH), the outputs are compared under
+four of them.
 
 A change that moves outputs on purpose re-records the file:
 
@@ -27,10 +32,15 @@ time was such a change: it moved every drive phase, the features by up to
 
 import csv
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from oracles import child_env
 from whisksim.cli import main
 
 RECORD = Path(__file__).with_name("data") / "golden_outputs.json"
@@ -150,6 +160,31 @@ def test_the_bound_catches_a_change_of_one_part_in_1e13():
         owner[path[-1]] *= 1 + 1e-13
         assert len(_mismatches(moved, golden[command])) == 1
         assert not _mismatches(golden[command], golden[command])
+
+
+def _openblas_configuration() -> str:
+    """The configuration string of numpy's OpenBLAS, or "" for another BLAS
+    or a numpy older than show_config's dicts mode (1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return ""
+    return blas.get("openblas configuration") or ""
+
+
+@pytest.mark.skipif("DYNAMIC_ARCH" not in _openblas_configuration(),
+                    reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem", "Prescott"])
+def test_every_output_matches_the_record_on_other_blas_kernels(kernel, tmp_path):
+    # OPENBLAS_CORETYPE is read when the library loads, so each kernel runs
+    # in a fresh interpreter
+    script = ("import pathlib, sys, test_golden; "
+              "test_golden.test_every_output_matches_the_record(pathlib.Path(sys.argv[1]))")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          cwd=Path(__file__).parent,
+                          env=child_env(OPENBLAS_CORETYPE=kernel),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 if __name__ == "__main__":

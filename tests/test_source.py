@@ -1,5 +1,6 @@
 """The package holds only code that the commands or the benchmark call,
-and every name that the benchmark looks up is still there."""
+every name that the benchmark looks up is still there, and one module
+manages processes."""
 
 import ast
 import importlib
@@ -82,6 +83,34 @@ def test_an_unused_import_is_found(tmp_path):
                       "from .pipeline import Dataset, FEATURE_WIDTH\n"
                       "def f(d: Dataset):\n    return np.zeros(os.cpu_count())\n")
     assert _unused_imports(module) == ["osp", "FEATURE_WIDTH"]
+
+
+# the calls that fork, reap and signal workers and carry their replies;
+# cli's SIGTERM handler uses signal.signal, which is not among them
+PROCESS_CALLS = {"os.fork", "os.pipe", "os.waitpid", "signal.pthread_sigmask",
+                 "pickle"}
+
+
+def _process_calls(path: Path) -> set:
+    """The PROCESS_CALLS that path makes: os.fork as an attribute or an
+    imported name, and pickle by any import."""
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found & PROCESS_CALLS
+
+
+def test_only_the_pool_manages_processes():
+    calls = {path.name: _process_calls(path) for path in SRC}
+    pool = calls.pop("pool.py", set())
+    assert {name: found for name, found in calls.items() if found} == {}
+    assert pool == PROCESS_CALLS
 
 
 def _bench_module(monkeypatch, name: str):
