@@ -162,16 +162,28 @@ def _terrain_part(cfg: ExperimentConfig, profiles: dict, speed_m_s: float,
 
 def build_labeled_dataset(cfg: ExperimentConfig, speed_m_s: float,
                           profiles: dict, seed_scope: tuple) -> pipeline.Dataset:
-    """One seeded run per terrain (see _terrain_part), each transformed into
-    its slot before the next is synthesized, so a single run's samples are
-    held at a time beside the feature matrix."""
+    """One seeded run per terrain (see _terrain_part), each run through
+    pool.ordered_map into its slot of one anonymous shared mapping, which
+    later forks share and no file outlives, then labeled by
+    pipeline.build_dataset. Train-eval's parent runs its terrains in workers,
+    so it never touches the matrix nor imports numpy.random; a speed-sweep or
+    synth worker runs them one at a time, so it holds one run's samples at a
+    time beside the matrix. A matrix that cannot be mapped is a ConfigError."""
     terrains = sorted(profiles, key=int)
     windows = _run_windows(cfg)
-    matrix = np.empty((len(terrains) * windows, pipeline.FEATURE_WIDTH))
+    size = len(terrains) * windows * pipeline.FEATURE_WIDTH * 8
+    try:
+        shared = mmap.mmap(-1, size)
+    except OSError as exc:
+        raise ConfigError(f"cannot allocate the feature matrix of {len(terrains)} "
+                          f"terrains x {windows} windows x {pipeline.FEATURE_WIDTH} "
+                          f"values ({size / 2**20:.3g} MiB): {exc}") from exc
+    matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
     slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
-    return pipeline.build_dataset(matrix, [
-        _terrain_part(cfg, profiles, speed_m_s, seed_scope, tc, slot)
-        for tc, slot in zip(terrains, slots)])
+    parts = pool.ordered_map(
+        lambda item: _terrain_part(cfg, profiles, speed_m_s, seed_scope, *item),
+        list(zip(terrains, slots)))
+    return pipeline.build_dataset(matrix, parts)
 
 
 def _csv_name(tc: TerrainClass) -> str:
@@ -252,28 +264,10 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
     }
 
 
-def _pooled_dataset(cfg: ExperimentConfig, profiles: dict) -> pipeline.Dataset:
-    """The dataset build_labeled_dataset(cfg, cfg.speed_m_s, profiles,
-    SYNTH_SCOPE) builds, each terrain's _terrain_part run in a worker (see
-    pool.ordered_map) straight into its slot of one anonymous shared mapping,
-    which every later fork shares and which no file outlives. The caller
-    only labels the parts: it never touches the matrix, nor imports
-    numpy.random to synthesize."""
-    terrains = sorted(profiles, key=int)
-    windows = _run_windows(cfg)
-    shared = mmap.mmap(-1, len(terrains) * windows * pipeline.FEATURE_WIDTH * 8)
-    matrix = np.frombuffer(shared).reshape(-1, pipeline.FEATURE_WIDTH)
-    slots = matrix.reshape(len(terrains), windows, pipeline.FEATURE_WIDTH)
-    parts = pool.ordered_map(
-        lambda item: _terrain_part(cfg, profiles, cfg.speed_m_s, SYNTH_SCOPE, *item),
-        list(zip(terrains, slots)))
-    return pipeline.build_dataset(matrix, parts)
-
-
 def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
     """Seeded repetitions of split/train/evaluate on one synthesized dataset."""
     profiles = _prepare(cfg, out_dir, [cfg.speed_m_s], "train_eval_report.json")
-    dataset = _pooled_dataset(cfg, profiles)
+    dataset = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, SYNTH_SCOPE)
     reps = pool.ordered_map(partial(_train_eval_once, cfg, dataset),
                             [("train-eval", r) for r in range(cfg.repetitions)])
     overall = np.array([r["overall_accuracy"] for r in reps])

@@ -72,22 +72,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _forward(model: MlpModel, x: np.ndarray, keep: bool = False):
+def _forward(model: MlpModel, x: np.ndarray):
     """(probabilities, activations) for the rows of x. Each layer is formed
-    in place in one new array; with keep, activations holds x and every
-    hidden layer's post-activation values, for _backward, else it is empty."""
+    in place in one new array; activations holds x and every hidden layer's
+    post-activation values, for _backward."""
     activations = []
     h = x
     for i in range(len(model.weights) - 1):
-        if keep:
-            activations.append(h)
+        activations.append(h)
         h = h @ model.weights[i]
         h += model.biases[i]
         np.maximum(h, 0.0, out=h)
         if not np.isfinite(h).all():
             raise TrainingDivergedError(f"non-finite activations after layer {i}")
-    if keep:
-        activations.append(h)
+    activations.append(h)
     logits = h @ model.weights[-1]
     logits += model.biases[-1]
     if not np.isfinite(logits).all():
@@ -129,7 +127,7 @@ def _backward(model: MlpModel, probs: np.ndarray, activations: list,
 def gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     """Mean parameter gradients of the cross entropy over a batch, as
     (weight_grads, bias_grads) shaped like the model's parameters."""
-    probs, activations = _forward(model, x, keep=True)
+    probs, activations = _forward(model, x)
     w_grads = [np.empty_like(w) for w in model.weights]
     b_grads = [np.empty_like(b) for b in model.biases]
     _backward(model, probs, activations, labels, w_grads, b_grads)
@@ -168,7 +166,7 @@ def train(model: MlpModel, train_set: Dataset, cfg: TrainConfig
                 for batch, start in enumerate(range(0, n, cfg.batch_size)):
                     idx = perm[start:start + cfg.batch_size]
                     xb, yb = matrix[rows[idx]], labels[idx]
-                    probs, activations = _forward(model, xb, keep=True)
+                    probs, activations = _forward(model, xb)
                     sample_losses[idx] = _batch_losses(probs, yb)
                     _backward(model, probs, activations, yb, w_grads, b_grads)
                     for param, grad in zip(params, grads):

@@ -3,7 +3,9 @@
 ordered_map(fn, items) is [fn(item) for item in items], computed in forked
 worker processes: train-eval maps its terrains and then its repetitions
 through it, speed-sweep its speeds and synth its terrains. Where fork is
-not available (Windows), the plain loop runs instead.
+not available (Windows), and inside a worker, the plain loop runs instead:
+no worker forks, so speed-sweep's and synth's workers build their datasets
+in their own process, and no process has grandchildren.
 
 How many workers (_worker_count). For n items on the CPUs of the process's
 affinity mask (os.cpu_count, or 1, where the platform has no mask), the
@@ -56,6 +58,8 @@ import sys
 
 from .errors import WorkerDiedError
 
+_in_worker = False   # set in each forked worker before it serves its items
+
 
 def _serve(conn, fn, items) -> None:
     """Forked worker: pickle (True, result) or (False, exception) of fn(item)
@@ -82,7 +86,8 @@ def _worker_count(n: int, cpus: int) -> int:
 def ordered_map(fn, items: list) -> list:
     """[fn(item) for item in items], with that loop's results and first
     failure, in forked workers (see the module docstring)."""
-    if not hasattr(os, "fork"):
+    global _in_worker
+    if _in_worker or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -113,6 +118,7 @@ def ordered_map(fn, items: list) -> list:
                             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                             for reader in readers:
                                 reader.close()
+                            _in_worker = True
                             _serve(writer, fn, items[j::count])
                             os._exit(0)
                         except BaseException:

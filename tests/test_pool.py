@@ -2,6 +2,7 @@
 
 import errno
 import json
+import mmap
 import os
 import re
 import signal
@@ -13,18 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from oracles import child_env, tiny_config
-from whisksim import terrain
+from oracles import child_env, dataset_of, tiny_config
+from whisksim import experiment, terrain
 from whisksim.cli import main
 from whisksim.config import config_from_dict
 from whisksim.errors import PhysicsError, TrainingDivergedError, WorkerDiedError
 from whisksim.experiment import (
     SYNTH_SCOPE,
     _noiseless_dominant_bins,
-    _pooled_dataset,
     _synth_terrain,
     _train_eval_once,
     build_labeled_dataset,
+    child_seed,
     resolve_profiles,
     run_speed_sweep,
     run_synth,
@@ -68,7 +69,7 @@ def _killed_mid_reply(item):
 
 
 def _serial_speed_point(cfg, profiles, speed):
-    """A speed-sweep report entry computed in this process."""
+    """A speed-sweep report entry trained in this process."""
     scope = ("speed-sweep", repr(speed))
     dataset = build_labeled_dataset(cfg, speed, profiles, scope)
     serial = _train_eval_once(cfg, dataset, scope)
@@ -187,7 +188,7 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("table", ["default", "flat-beside-real",
                                        "flat-at-block-edges"])
-    def test_pooled_dataset_equals_build_labeled_dataset(
+    def test_pooled_dataset_equals_runs_built_here(
             self, two_cpus, tmp_path, monkeypatch, table):
         cfg = tiny_config()
         if table == "flat-beside-real":
@@ -208,15 +209,70 @@ class TestWorkerPool:
 
             monkeypatch.setattr(terrain, "synthesize_run", with_flat_windows)
         profiles = resolve_profiles(cfg)
-        pooled = _pooled_dataset(cfg, profiles)
+        pooled = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, SYNTH_SCOPE)
         assert len(two_cpus) == _worker_count(len(profiles), 2)
-        expected = build_labeled_dataset(cfg, cfg.speed_m_s, profiles, SYNTH_SCOPE)
+        # each terrain's run, seeded as synth's manifest says, transformed here
+        expected = dataset_of([
+            (terrain.synthesize_run(
+                profiles[tc], cfg.speed_m_s, cfg.duration_s, cfg.sample_rate_hz,
+                child_seed(cfg.master_seed, *SYNTH_SCOPE, int(tc)), cfg.sensor_gain), tc)
+            for tc in sorted(profiles, key=int)])
         matrix, rows = pooled.feature_rows()
         assert np.array_equal(matrix[rows], expected.features())
         assert np.array_equal(pooled.labels(), expected.labels())
         assert np.array_equal(pooled.window_idx(), expected.window_idx())
         assert pooled.dropped == expected.dropped == {
             "default": 0, "flat-beside-real": 10, "flat-at-block-edges": 35}[table]
+
+    def test_a_map_inside_a_worker_runs_there_and_forks_nothing(self, two_cpus):
+        def outer(item):
+            before = len(two_cpus)   # this worker's copy of the list
+            inner = ordered_map(lambda i: os.getpid(), [0, 1, 2])
+            return os.getpid(), inner, len(two_cpus) - before
+
+        results = ordered_map(outer, [0, 1])
+        assert len(two_cpus) == 2
+        assert [pid for pid, _, _ in results] == two_cpus
+        for pid, inner, forked in results:
+            assert (inner, forked) == ([pid] * 3, 0)
+
+    @pytest.mark.parametrize("command, workers", [(run_speed_sweep, 3),
+                                                  (run_synth, 4)],
+                             ids=["speed-sweep", "synth"])
+    def test_workers_build_their_datasets_without_forking(
+            self, two_cpus, tmp_path, monkeypatch, command, workers):
+        # five speeds, or seven terrains, on two CPUs; no worker has children
+        build = experiment.build_labeled_dataset
+
+        def forks_nothing(*args):
+            before = len(two_cpus)   # this worker's copy of the list
+            dataset = build(*args)
+            assert len(two_cpus) == before
+            return dataset
+
+        monkeypatch.setattr(experiment, "build_labeled_dataset", forks_nothing)
+        command(tiny_config(), tmp_path)
+        assert len(two_cpus) == workers
+
+    @pytest.mark.parametrize("command", ["train-eval", "speed-sweep"])
+    def test_a_matrix_that_cannot_be_mapped_exits_2_with_one_line(
+            self, tmp_path, capsys, monkeypatch, command):
+        # train-eval maps its matrix in the parent, speed-sweep each speed's
+        # in that speed's worker, after --out is created
+        def out_of_memory(*args):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", out_of_memory)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration_s": 5, "repetitions": 1,
+                                   "train": {"epochs": 1, "batch_size": 8}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     command]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot allocate the feature matrix of 7 terrains x 5 "
+            "windows x 200 values (0.0534 MiB): "
+            f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}\n")
+        assert (tmp_path / "out").is_dir()
 
     def test_one_flat_terrain_beside_real_ones_still_trains(self, tmp_path):
         (tmp_path / "profiles.json").write_text(FLAT_BESIDE_REAL)
