@@ -15,11 +15,11 @@ import mmap
 import os
 import sys
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import beam, mlp, pipeline, pool, terrain
-from .beam import modal_sweep
 from .config import MAX_RUN_SAMPLES, ExperimentConfig, load_profiles
 from .errors import ConfigError, PhysicsError
 from .terrain import TerrainClass
@@ -113,6 +113,62 @@ def _make_out_dir(out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
+class SweepSurface(NamedTuple):
+    """Max displacement and dominant frequency over a drive grid, each of
+    shape (len(f_b grid), len(h_b grid))."""
+
+    y_max_m: np.ndarray
+    f_dominant_hz: np.ndarray
+
+
+def _steady_window(gain: float, heights_m, frequencies_hz, sample_rate_hz: float,
+                   duration_s: float) -> tuple:
+    """A noise-free window of these drive components, each at phase 0,
+    sampled by beam.displacement_series, and its dominant frequency, read
+    from pipeline.fft_magnitude by pipeline.dominant_frequency: None for a
+    window that is zero everywhere. A sweep cell and each of speed-sweep's
+    noise-free windows are read here. A spectrum that is not finite (the
+    response or its transform overflows) is a PhysicsError."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        samples = beam.displacement_series(gain, heights_m, frequencies_hz,
+                                           [0.0] * len(heights_m), sample_rate_hz,
+                                           duration_s)
+        spectrum = pipeline.fft_magnitude(samples)   # not finite if samples are not
+    if not np.isfinite(spectrum).all():
+        drives = ", ".join(f"f_b {f} Hz, h_b {h} m"
+                           for h, f in zip(heights_m, frequencies_hz))
+        raise PhysicsError(f"the response to {drives} overflows")
+    return samples, pipeline.dominant_frequency(spectrum, sample_rate_hz / len(samples))
+
+
+def modal_sweep(gain: float, f_b_hz, h_b_m, sample_rate_hz: float,
+                duration_s: float) -> SweepSurface:
+    """Evaluate max displacement and dominant frequency over a drive grid,
+    for the sensor whose steady_state_gain is gain, one _steady_window per
+    cell. Any cell's failure aborts the whole sweep with a PhysicsError
+    that names the cell: a response that overflows, and one that is zero
+    everywhere (a height so small that it underflows), which has no
+    dominant frequency."""
+    f_grid = np.asarray(list(f_b_hz), dtype=float)
+    h_grid = np.asarray(list(h_b_m), dtype=float)
+    for fb in f_grid:
+        if sample_rate_hz <= 2.0 * fb:
+            raise PhysicsError(
+                f"sample rate {sample_rate_hz} Hz cannot resolve grid point {fb} Hz")
+    y_max = np.empty((f_grid.size, h_grid.size))
+    f_dom = np.empty_like(y_max)
+    for i, fb in enumerate(f_grid):
+        for j, hb in enumerate(h_grid):
+            samples, dominant = _steady_window(gain, [hb], [fb], sample_rate_hz,
+                                               duration_s)
+            if dominant is None:
+                raise PhysicsError(f"the response to f_b {fb} Hz, h_b {hb} m "
+                                   "is zero everywhere")
+            y_max[i, j] = float(np.max(np.abs(samples)))
+            f_dom[i, j] = dominant
+    return SweepSurface(y_max, f_dom)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
@@ -289,18 +345,15 @@ def run_train_eval(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _noiseless_dominant_bins(cfg: ExperimentConfig, speed_m_s: float,
                              profiles: dict) -> dict:
-    """Dominant frequency per terrain of a noise/jitter-free window, read as
-    a sweep cell's is; None for an all-zero window, which has no dominant bin."""
+    """Dominant frequency per terrain of a noise/jitter-free window, read by
+    _steady_window as a sweep cell's is; None for an all-zero window."""
     gain = cfg.sensor_gain
     bins = {}
     for tc in sorted(profiles, key=int):
         heights, frequencies = terrain.temporal_components(
             profiles[tc], speed_m_s, cfg.sample_rate_hz)
-        samples = beam.displacement_series(
-            gain, heights, frequencies, [0.0] * len(heights), cfg.sample_rate_hz,
-            pipeline.FEATURE_WIDTH / cfg.sample_rate_hz)
-        bins[tc.label] = pipeline.dominant_frequency(
-            pipeline.fft_magnitude(samples), cfg.sample_rate_hz / len(samples))
+        bins[tc.label] = _steady_window(gain, heights, frequencies, cfg.sample_rate_hz,
+                                        pipeline.FEATURE_WIDTH / cfg.sample_rate_hz)[1]
     return bins
 
 

@@ -7,17 +7,32 @@ route rather than against itself. Two float references sit beside them:
 the five-mode modal sum at any t (modal_terms, displacement), which the
 steady-state form of whisksim.beam reduces to once the transient has
 decayed (steady_state_offset), and read_dataset_csv, which parses what
-write_dataset_csv writes. one_stack_dataset is the dataset build as it was
-before it transformed a run's windows block by block: one stack per run;
-one_shot_evaluate is mlp.evaluate as it was before it classified the test
-rows block by block: one forward pass over them all. dataset_of and
+write_dataset_csv writes. one_stack_dataset is the dataset build as it
+was before it transformed a run's windows block by block: one stack per
+run; one_shot_evaluate is mlp.evaluate as it was before it classified the
+test rows block by block: one forward pass over them all. dataset_of and
 plain_dataset are no references: dataset_of builds a dataset of sample
 arrays as the commands build theirs, for the tests that start from
 samples, and plain_dataset makes one of raw feature rows. Nor are
 tiny_config and child_env, the small config and the fresh interpreter's
 environment that the experiment and pool tests share.
+
+The modal sum is y(x, t) = sum_i -(forcing_i * shape_i * mix_i) / norm_i
+(beam_response_factors names each factor). Its forcing's decay envelope
+cancels the growing exponential of its mix, so modal_terms takes their
+product in the folded form
+
+    sin(w_b t) * ( exp(-zeta w_i t) (zeta sin(w_d t) + s1z cos(w_d t)) - s1z )
+
+with s1z = sqrt(1 - zeta^2), which stays finite at every t because the
+decay factor is at most 1; the rest of each term, mode_weights, comes
+from mpmath. The damping ratio ZETA sets only the transient: once the
+decay factor is below half a unit in the last place of s1z
+(steady_state_offset), the product is -s1z sin(w_b t), its s1z cancels
+the one in the norm, and the sum is whisksim.beam's steady form.
 """
 
+import functools
 import math
 import os
 
@@ -25,8 +40,7 @@ import mpmath as mp
 import numpy as np
 
 import whisksim
-from whisksim.beam import (CANTILEVER_MODE_CONSTANTS, DAMPING_RATIO, BeamSpec,
-                           _mode_weights)
+from whisksim.beam import BeamSpec
 from whisksim.config import config_from_dict
 from whisksim.errors import PhysicsError
 from whisksim.mlp import NUM_CLASSES, MlpModel, forward
@@ -35,6 +49,7 @@ from whisksim.pipeline import FEATURE_WIDTH, Dataset, build_dataset, transform_r
 mp.mp.dps = 50
 
 MODE_ROOTS = (1.8751, 4.6941, 7.8548, 10.9955, 14.137)
+ZETA = 0.04   # damping ratio of every mode; it sets only the transient
 
 
 def spring_parameters(free_length, wire_radius, outer_d, inner_d, coils,
@@ -58,67 +73,18 @@ def spring_parameters(free_length, wire_radius, outer_d, inner_d, coils,
     }
 
 
-def beam_response(length, area, rho, EI, zeta, h_b, f_b, x, t):
-    """Scalar five-mode response of the base-excited cantilever.
-
-    Assembled factor by factor in the same grouping the production code
-    uses, but in 50-digit arithmetic where the growing exponential is
-    harmless, so it also validates the production overflow fold.
-    """
-    length, area, rho = mp.mpf(length), mp.mpf(area), mp.mpf(rho)
-    EI, zeta = mp.mpf(EI), mp.mpf(zeta)
-    h_b, x, t = mp.mpf(h_b), mp.mpf(x), mp.mpf(t)
-    w_b = 2 * mp.pi * mp.mpf(f_b)
-    s1z = mp.sqrt(1 - zeta ** 2)
-    total = mp.mpf(0)
-    for d in MODE_ROOTS:
-        d = mp.mpf(d)
-        om = d ** 2 * mp.sqrt(EI / (area * rho)) / length ** 2
-        forcing = (2 * area * h_b * length ** 4 * w_b ** 2 * rho
-                   * mp.e ** (-(zeta * om * t)) * mp.sin(w_b * t)
-                   * (mp.cos(d) - 1) * (mp.cosh(d) - 1)
-                   * (mp.cos(d) + mp.cosh(d)))
-        xi = d * x / length
-        shape = (mp.sinh(xi) - mp.sin(xi)
-                 + (mp.cos(xi) - mp.cosh(xi))
-                 * (mp.sin(d) + mp.sinh(d)) / (mp.cos(d) + mp.cosh(d)))
-        mix = (zeta * mp.sin(om * s1z * t)
-               - mp.e ** (zeta * om * t) * s1z
-               + mp.cos(om * s1z * t) * s1z)
-        norm = d ** 4 * EI * s1z * (
-            3 * mp.sinh(d) * mp.cos(d) ** 2 * mp.cosh(d)
-            - d * mp.cos(d) ** 2
-            - 3 * mp.sin(d) * mp.cos(d) * mp.cosh(d) ** 2
-            + 3 * mp.sinh(d) * mp.cos(d)
-            + d * mp.cosh(d) ** 2
-            - 3 * mp.sin(d) * mp.cosh(d)
-            + 2 * d * mp.sin(d) * mp.sinh(d))
-        total += -(forcing * shape * mix) / norm
-    return total
-
-
-def beam_response_factors(length, area, rho, EI, zeta, h_b, f_b, x, t,
-                          mode_index):
-    """The four factors of a single modal term, for factor-level checks."""
-    length, area, rho = mp.mpf(length), mp.mpf(area), mp.mpf(rho)
-    EI, zeta = mp.mpf(EI), mp.mpf(zeta)
-    h_b, x, t = mp.mpf(h_b), mp.mpf(x), mp.mpf(t)
-    w_b = 2 * mp.pi * mp.mpf(f_b)
-    s1z = mp.sqrt(1 - zeta ** 2)
-    d = mp.mpf(MODE_ROOTS[mode_index])
+def _mode_constants(length, area, rho, EI, zeta, x, d):
+    """Of the mode with root d, from mpf arguments: its undamped angular
+    frequency, its forcing less the drive and time factors
+    (2 A L^4 rho trig(d)), its shape at x and its norm."""
     om = d ** 2 * mp.sqrt(EI / (area * rho)) / length ** 2
-    forcing = (2 * area * h_b * length ** 4 * w_b ** 2 * rho
-               * mp.e ** (-(zeta * om * t)) * mp.sin(w_b * t)
-               * (mp.cos(d) - 1) * (mp.cosh(d) - 1)
-               * (mp.cos(d) + mp.cosh(d)))
+    static = (2 * area * length ** 4 * rho
+              * (mp.cos(d) - 1) * (mp.cosh(d) - 1) * (mp.cos(d) + mp.cosh(d)))
     xi = d * x / length
     shape = (mp.sinh(xi) - mp.sin(xi)
              + (mp.cos(xi) - mp.cosh(xi))
              * (mp.sin(d) + mp.sinh(d)) / (mp.cos(d) + mp.cosh(d)))
-    mix = (zeta * mp.sin(om * s1z * t)
-           - mp.e ** (zeta * om * t) * s1z
-           + mp.cos(om * s1z * t) * s1z)
-    norm = d ** 4 * EI * s1z * (
+    norm = d ** 4 * EI * mp.sqrt(1 - zeta ** 2) * (
         3 * mp.sinh(d) * mp.cos(d) ** 2 * mp.cosh(d)
         - d * mp.cos(d) ** 2
         - 3 * mp.sin(d) * mp.cos(d) * mp.cosh(d) ** 2
@@ -126,7 +92,63 @@ def beam_response_factors(length, area, rho, EI, zeta, h_b, f_b, x, t,
         + d * mp.cosh(d) ** 2
         - 3 * mp.sin(d) * mp.cosh(d)
         + 2 * d * mp.sin(d) * mp.sinh(d))
+    return om, static, shape, norm
+
+
+def beam_response_factors(length, area, rho, EI, zeta, h_b, f_b, x, t,
+                          mode_index):
+    """The four factors of a single modal term, whose product
+    -(forcing * shape * mix) / norm is the mode's displacement:
+
+    * forcing: the drive scaling h_b w_b^2 sin(w_b t) times the decay
+      envelope exp(-zeta w_i t) at the modal rate,
+    * shape:   the clamped-free mode shape at x,
+    * mix:     the blend of the decaying oscillation at the damped modal
+      frequency w_d = w_i sqrt(1 - zeta^2) and the persistent term
+      -sqrt(1 - zeta^2) exp(+zeta w_i t), which the envelope cancels,
+    * norm:    the modal normalization constant.
+
+    In 50-digit arithmetic the growing exponential is harmless, so this
+    also validates the folded form of modal_terms."""
+    length, area, rho = mp.mpf(length), mp.mpf(area), mp.mpf(rho)
+    EI, zeta = mp.mpf(EI), mp.mpf(zeta)
+    h_b, x, t = mp.mpf(h_b), mp.mpf(x), mp.mpf(t)
+    w_b = 2 * mp.pi * mp.mpf(f_b)
+    s1z = mp.sqrt(1 - zeta ** 2)
+    om, static, shape, norm = _mode_constants(length, area, rho, EI, zeta, x,
+                                              mp.mpf(MODE_ROOTS[mode_index]))
+    forcing = static * h_b * w_b ** 2 * mp.e ** (-(zeta * om * t)) * mp.sin(w_b * t)
+    mix = (zeta * mp.sin(om * s1z * t)
+           - mp.e ** (zeta * om * t) * s1z
+           + mp.cos(om * s1z * t) * s1z)
     return forcing, shape, mix, norm
+
+
+def beam_response(length, area, rho, EI, zeta, h_b, f_b, x, t):
+    """Scalar five-mode response of the base-excited cantilever: the sum
+    over modes of -(forcing * shape * mix) / norm (beam_response_factors)."""
+    total = mp.mpf(0)
+    for i in range(len(MODE_ROOTS)):
+        forcing, shape, mix, norm = beam_response_factors(
+            length, area, rho, EI, zeta, h_b, f_b, x, t, i)
+        total += -(forcing * shape * mix) / norm
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def mode_weights(beam: BeamSpec, x: float) -> tuple:
+    """Per mode, the factors of forcing * shape / norm that depend on
+    neither the drive nor t, 2 A L^4 rho trig(d) shape(x) / norm, evaluated
+    in mpmath at damping ratio ZETA and rounded to floats (cached: the
+    modal sum is evaluated at one position many times)."""
+    args = [mp.mpf(v) for v in (beam.length_m, beam.cross_section_m2,
+                                beam.density_kg_m3, beam.bending_stiffness_nm2,
+                                ZETA, x)]
+    weights = []
+    for d in MODE_ROOTS:
+        _, static, shape, norm = _mode_constants(*args, mp.mpf(d))
+        weights.append(float(static * shape / norm))
+    return tuple(weights)
 
 
 def naive_dft_magnitudes(values):
@@ -214,7 +236,7 @@ def one_shot_evaluate(model: MlpModel, test_set: Dataset) -> np.ndarray:
 
 def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
     """Undamped angular frequency of mode `mode_index` (0-based), rad/s."""
-    d = CANTILEVER_MODE_CONSTANTS[mode_index]
+    d = MODE_ROOTS[mode_index]
     stiffness_rate = math.sqrt(
         beam.bending_stiffness_nm2 / (beam.cross_section_m2 * beam.density_kg_m3))
     return d * d * stiffness_rate / beam.length_m ** 2
@@ -222,7 +244,7 @@ def modal_angular_frequency(beam: BeamSpec, mode_index: int) -> float:
 
 def transient_time_constant(beam: BeamSpec) -> float:
     """Slowest decay time constant 1 / (zeta * omega_1), seconds."""
-    return 1.0 / (DAMPING_RATIO * modal_angular_frequency(beam, 0))
+    return 1.0 / (ZETA * modal_angular_frequency(beam, 0))
 
 
 def steady_state_offset(beam: BeamSpec) -> float:
@@ -239,13 +261,13 @@ def modal_terms(beam: BeamSpec, h_b: float, f_b: float, x: float,
     in the folded form, shape (5, len(t))."""
     if not 0.0 <= x <= beam.length_m:
         raise PhysicsError(f"position x={x} outside beam [0, {beam.length_m}]")
-    zeta = DAMPING_RATIO
+    zeta = ZETA
     s1z = math.sqrt(1.0 - zeta * zeta)
     w_b = 2.0 * math.pi * f_b
     drive_scale = h_b * w_b ** 2
     drive = np.sin(w_b * t)
-    terms = np.empty((len(CANTILEVER_MODE_CONSTANTS), t.size))
-    for i, weight in enumerate(_mode_weights(beam, x)):
+    terms = np.empty((len(MODE_ROOTS), t.size))
+    for i, weight in enumerate(mode_weights(beam, x)):
         om = modal_angular_frequency(beam, i)
         arg_d = om * s1z * t
         decay = np.exp(-zeta * om * t)

@@ -14,12 +14,12 @@ import oracles
 from whisksim.beam import (
     SpringSpec,
     displacement_series,
-    modal_sweep,
     spring_to_beam,
     steady_state_gain,
 )
 from whisksim.config import ExperimentConfig, SweepConfig, config_from_dict
-from whisksim.experiment import resolve_profiles, run_speed_sweep, run_train_eval
+from whisksim.experiment import (modal_sweep, resolve_profiles, run_speed_sweep,
+                                 run_train_eval)
 from whisksim.mlp import MlpArchitecture, _batch_losses, _forward, gradients, init
 from whisksim.pipeline import FEATURE_WIDTH, dominant_frequency, fft_magnitude, split
 from whisksim.terrain import TerrainClass

@@ -69,7 +69,7 @@ def _assert_well_typed(obj):
 
 @settings(max_examples=300, deadline=None)
 @given(config_dicts | json_values)
-@example({"sensor_position_m": 1e-11})   # its mode shapes cancel: a gain of 0.0
+@example({"sensor_position_m": 1e-11})   # round-off cancels its mode shapes: a gain of 0.0
 @example({"sensor_position_m": 1e-10})   # a tiny gain, 8.7e-23, still loads
 def test_config_loads_well_typed_or_raises_config_error(data):
     try:

@@ -13,12 +13,12 @@ import pytest
 import oracles
 from oracles import child_env, tiny_config
 from whisksim import experiment, pipeline, terrain
-from whisksim.beam import SweepSurface
 from whisksim.cli import main
 from whisksim.config import ExperimentConfig, config_from_dict, load_config
 from whisksim.errors import ConfigError
 from whisksim.experiment import (
     SYNTH_SCOPE,
+    SweepSurface,
     _noiseless_dominant_bins,
     build_labeled_dataset,
     child_seed,
@@ -268,6 +268,17 @@ class TestRunSpeedSweep:
         cfg = tiny_config(speeds_m_s=[0.2])
         with pytest.raises(ConfigError):
             run_speed_sweep(cfg, tmp_path)
+
+    def test_a_noise_free_window_reads_as_a_sweep_cell(self):
+        # one component per smoke terrain: its noise-free window is a sweep
+        # cell of that drive, 200 samples long at 200 Hz
+        cfg, profiles = ExperimentConfig(), terrain.smoke_profiles()
+        assert (cfg.sample_rate_hz, pipeline.FEATURE_WIDTH) == (200.0, 200)
+        bins = _noiseless_dominant_bins(cfg, 0.2, profiles)
+        for tc, profile in profiles.items():
+            (h,), (f,) = terrain.temporal_components(profile, 0.2, cfg.sample_rate_hz)
+            cell = experiment.modal_sweep(cfg.sensor_gain, [f], [h], 200.0, 1.0)
+            assert bins[tc.label] == cell.f_dominant_hz[0, 0], tc.label
 
 
 class TestWriteJson:
