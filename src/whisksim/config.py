@@ -19,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .beam import SpringSpec, spring_to_beam, steady_state_gain
 from .errors import ConfigError, PhysicsError
-from .mlp import TrainConfig
+from .mlp import TrainSection
 from .pipeline import FEATURE_WIDTH
 from .terrain import SpectralComponent, SpectralProfile, TerrainClass
 
@@ -73,21 +73,6 @@ class SweepConfig:
     @property
     def h_b_m(self) -> tuple:
         return tuple(v * 1e-3 for v in self.h_b_mm)
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    """The config's train keys: each training gets its own shuffle seed,
-    derived from the master seed, so the section holds none."""
-    learning_rate: float = TrainConfig.learning_rate
-    epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-
-    def __post_init__(self):
-        self.with_seed(0)   # TrainConfig checks the values
-
-    def with_seed(self, seed: int) -> TrainConfig:
-        return TrainConfig(self.learning_rate, self.epochs, self.batch_size, seed)
 
 
 @dataclass(frozen=True)

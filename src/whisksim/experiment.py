@@ -14,6 +14,7 @@ import math
 import mmap
 import os
 import sys
+from dataclasses import astuple
 from functools import partial
 from typing import NamedTuple
 
@@ -305,7 +306,8 @@ def _train_eval_once(cfg: ExperimentConfig, dataset: pipeline.Dataset,
              for purpose in ("split", "init", "shuffle")}
     train_set, test_set = pipeline.split(dataset, cfg.train_fraction, seeds["split"])
     model = mlp.init(mlp.MlpArchitecture(), seeds["init"])
-    model, history = mlp.train(model, train_set, cfg.train.with_seed(seeds["shuffle"]))
+    train_cfg = mlp.TrainConfig(*astuple(cfg.train), seeds["shuffle"])
+    model, history = mlp.train(model, train_set, train_cfg)
     counts = mlp.evaluate(model, test_set)
     tested = np.where(counts.any(axis=1), counts.sum(axis=1), np.nan)  # NaN: untested
     return {

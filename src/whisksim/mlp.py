@@ -38,13 +38,14 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainSection:
+    """The config's train keys. Each training gets its own shuffle seed,
+    derived from the master seed, so the section holds none."""
     # lr above ~3e-3 saturates the softmax on these feature magnitudes and
     # stalls two classes; 1e-3 converges cleanly in under 100 epochs.
     learning_rate: float = 0.001
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -53,6 +54,12 @@ class TrainConfig:
             raise PhysicsError("epochs must be >= 1")
         if self.batch_size < 1:
             raise PhysicsError("batch_size must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainConfig(TrainSection):
+    """One training: the train keys and its shuffle seed."""
+    seed: int = 0
 
 
 def init(arch: MlpArchitecture, seed: int) -> MlpModel:

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from whisksim.beam import SpringSpec, spring_to_beam, steady_state_gain
 from whisksim.cli import main
-from whisksim.config import (ExperimentConfig, SweepConfig, TrainSection,
-                             config_from_dict, is_finite_number, load_profiles)
+from whisksim.config import (ExperimentConfig, SweepConfig, config_from_dict,
+                             is_finite_number, load_profiles)
 from whisksim.errors import ConfigError
+from whisksim.mlp import TrainSection
 from whisksim.terrain import TerrainClass
 
 # what json.loads can return, NaN and Infinity included

@@ -4,6 +4,7 @@ manages processes."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -131,6 +132,40 @@ def test_every_function_the_traced_harness_wraps_exists(monkeypatch):
 
     _bench_module(monkeypatch, "traced_cli").install(Recorder(), {})
     assert missing == []
+
+
+def test_the_traced_harness_counts_what_src_hands_it(tmp_path):
+    # with the pool's plain loop, every training runs in the process that
+    # the harness patches: its sample-pass counts read the train config
+    # that src passes to mlp.train, and tracing moves no output byte
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"duration_s": 5, "repetitions": 2,
+                                  "train": {"epochs": 2, "batch_size": 8}}))
+    traced = ("import sys; from whisksim import pool; pool._in_worker = True; "
+              "import traced_cli; sys.exit(traced_cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")])}
+    args = ["--config", str(config), "--seed", "1", "--out", "out", "train-eval"]
+    runs = {}
+    for name, command in (("plain", ["-m", "whisksim.cli"]),
+                          ("traced", ["-c", traced, str(tmp_path / "spans.json")])):
+        (tmp_path / name).mkdir()
+        runs[name] = subprocess.run([sys.executable, *command, *args],
+                                    cwd=tmp_path / name, env=env,
+                                    capture_output=True, text=True, timeout=120)
+        assert runs[name].returncode == 0, runs[name].stderr
+    assert runs["traced"].stdout == runs["plain"].stdout
+    report, traced_report = (
+        (tmp_path / name / "out" / "train_eval_report.json").read_bytes()
+        for name in ("plain", "traced"))
+    assert traced_report == report
+    recorded = json.loads((tmp_path / "spans.json").read_text())
+    assert recorded["exit_code"] == 0
+    passes = [span["counts"]["sample_passes"] for span in recorded["spans"]
+              if span["name"] == "mlp.train"]
+    repetitions = json.loads(report)["repetitions"]
+    assert len(passes) == len(repetitions) == 2
+    assert sum(passes) == sum(r["train_size"] for r in repetitions) * 2
 
 
 def test_the_benchmark_setup_probe_runs(monkeypatch, tmp_path):
