@@ -124,8 +124,16 @@ def steady_state_gain(beam: BeamSpec, x: float) -> float:
         shd, chd = math.sinh(d), math.cosh(d)
         trig = (cd - 1.0) * (chd - 1.0) * (cd + chd)
         xi = d * x / beam.length_m
-        shape = (math.sinh(xi) - math.sin(xi)
-                 + (math.cos(xi) - math.cosh(xi)) * (sd + shd) / (cd + chd))
+        # near the root both differences cancel in floating point, and the
+        # shape grows as xi^2: cos xi - cosh xi is -2 (sinh^2(xi/2) +
+        # sin^2(xi/2)), and below xi = 1 sinh xi - sin xi is its series,
+        # 2 * sum of xi^k / k! over k = 3, 7, 11, ...
+        if xi < 1.0:
+            odd = 2.0 * sum(xi ** k / math.factorial(k) for k in (3, 7, 11, 15, 19))
+        else:
+            odd = math.sinh(xi) - math.sin(xi)
+        even = -2.0 * (math.sinh(xi / 2.0) ** 2 + math.sin(xi / 2.0) ** 2)
+        shape = odd + even * (sd + shd) / (cd + chd)
         combo = (3.0 * shd * cd ** 2 * chd
                  - d * cd ** 2
                  - 3.0 * sd * cd * chd ** 2

@@ -107,9 +107,9 @@ class ExperimentConfig:
             raise ConfigError(f"the spring has no usable equivalent beam: {exc}") from exc
         if not math.isfinite(gain):
             raise ConfigError("the spring's equivalent beam has no finite response")
-        if gain == 0.0:   # round-off in the mode shapes cancels them so near the root
+        if gain == 0.0:   # it goes as x^2: the default spring's underflows below 4.2e-161 m
             raise ConfigError(f"sensor_position_m {self.sensor_position_m} is so near "
-                              "the root that the sensor sees no response")
+                              "the root that the sensor's gain underflows to 0")
         if self.speed_m_s <= 0.0 or any(v <= 0.0 for v in self.speeds_m_s):
             raise ConfigError("speeds must be positive")
         if len(set(self.speeds_m_s)) != len(self.speeds_m_s):

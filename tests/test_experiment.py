@@ -615,10 +615,11 @@ class TestCli:
         ('{"sweep": {"duration_s": 0.002}}', "sweep"),
         ('{"duration_s": 0.5}', "synth"),
         ('{"sensor_position_m": 0.1}', "synth"),
-        # inside (0, free length], but the mode shapes cancel there: a gain
-        # of 0.0, on which train-eval would train on noise alone
-        ('{"sensor_position_m": 1e-11}', "train-eval"),
-        ('{"sensor_position_m": 1e-11}', "sweep"),
+        # inside (0, free length], but the gain, which grows as x^2 from
+        # the root, underflows to 0.0 there: train-eval would train on
+        # noise alone
+        ('{"sensor_position_m": 1e-200}', "train-eval"),
+        ('{"sensor_position_m": 1e-200}', "sweep"),
         # 7 terrains of 5 windows train on 7 * round(5 * 0.75) = 28 vectors
         ('{"duration_s": 5, "repetitions": 1, "train": {"batch_size": 10000}}',
          "train-eval"),
